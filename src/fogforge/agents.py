@@ -386,6 +386,8 @@ def ppo_update(
                 )
             )
         optimizer.step()
+        if not all(np.isfinite(p.data).all() for p in optimizer.params):
+            raise DivergenceError(f"non-finite parameters after the Adam step of epoch {epoch}")
         total_losses.append(total.item())
 
     return UpdateReport(

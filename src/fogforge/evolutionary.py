@@ -19,6 +19,7 @@ redrawn genes per offspring.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,6 +37,7 @@ from .model import (
     batch_objectives,
     hypervolume_2d,
     pareto_front,
+    pareto_indices,
 )
 
 CROSSOVER_KINDS = ("uniform", "one-point")
@@ -84,49 +86,69 @@ class NsgaResult:
 
 
 def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Rank of every point (0 = non-dominated) by min-min dominance."""
-    pts = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
-    n = len(pts)
-    if n == 0:
+    """Rank of every point (0 = non-dominated) by min-min dominance, in O(n log n).
+
+    Two-objective sweep (Jensen 2003): visit the points in (time, cost) order;
+    each front's last member holds its lowest cost so far, and those costs rise
+    with the rank, so a point joins the first front whose last cost exceeds
+    its own. Equal points share a rank.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
         return np.zeros(0, dtype=np.int64)
-    le = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
-    lt = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
-    counts = dom.sum(axis=0)
-    ranks = np.full(n, -1, dtype=np.int64)
-    assigned = np.zeros(n, dtype=bool)
-    rank = 0
-    current = counts == 0
-    while current.any():
-        ranks[current] = rank
-        assigned |= current
-        counts = counts - dom[current].sum(axis=0)
-        current = (counts == 0) & ~assigned
-        rank += 1
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ConfigurationError(f"points must have shape (n, 2), got {pts.shape}")
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    last_costs: list[float] = []
+    sorted_ranks: list[int] = []
+    previous = None
+    for point in pts[order].tolist():
+        if point != previous:
+            rank = bisect_right(last_costs, point[1])
+            if rank == len(last_costs):
+                last_costs.append(point[1])
+            else:
+                last_costs[rank] = point[1]
+            previous = point
+        sorted_ranks.append(rank)
+    ranks = np.empty(len(pts), dtype=np.int64)
+    ranks[order] = sorted_ranks
     return ranks
 
 
 def crowding_distance(points: Sequence[tuple[float, float]], ranks: np.ndarray) -> np.ndarray:
-    """Per-front crowding distance; boundary points of each front get +inf."""
-    pts = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
+    """Per-front crowding distance; boundary points of each front get +inf.
+
+    An interior point adds, per objective in turn, the gap between its two
+    neighbours on that objective divided by its front's span. Fronts of at
+    most two points, and fronts with zero span on some objective (collapsed
+    onto a single point), are all boundary.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    pts = pts.reshape(len(pts), -1)
+    ranks = np.asarray(ranks)
     dist = np.zeros(len(pts), dtype=np.float64)
-    for rank in np.unique(ranks):
-        idx = np.where(ranks == rank)[0]
-        if len(idx) <= 2:
-            dist[idx] = np.inf
-            continue
-        for m in range(pts.shape[1]):
-            order = idx[np.argsort(pts[idx, m], kind="stable")]
-            span = pts[order[-1], m] - pts[order[0], m]
-            if span <= 0.0:
-                # zero span on one objective means the whole front collapsed
-                # onto a single point, so every member is a boundary point
-                dist[idx] = np.inf
-                continue
-            dist[order[0]] = np.inf
-            dist[order[-1]] = np.inf
-            vals = pts[order, m]
-            dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+    boundary = np.zeros(len(pts), dtype=bool)
+    for m in range(pts.shape[1]):
+        # stable: equal values keep index order inside each front
+        order = np.lexsort((pts[:, m], ranks))
+        vals = pts[order, m]
+        sorted_ranks = ranks[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = sorted_ranks[1:] != sorted_ranks[:-1]
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = first[1:]
+        group = np.cumsum(first) - 1
+        lo = np.flatnonzero(first)[group]
+        hi = np.flatnonzero(last)[group]
+        span = vals[hi] - vals[lo]
+        edge = first | last | (span <= 0.0)
+        boundary[order[edge]] = True
+        inner = np.flatnonzero(~edge)
+        dist[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / span[inner]
+    dist[boundary] = np.inf
     return dist
 
 
@@ -280,15 +302,12 @@ def ga_solve(
 
 def _duplicate_mask(population: np.ndarray, offspring: np.ndarray) -> np.ndarray:
     """Offspring rows equal to a population row or to an earlier offspring."""
-    seen = {row.tobytes() for row in population}
-    stale = np.zeros(len(offspring), dtype=bool)
-    for i, row in enumerate(offspring):
-        key = row.tobytes()
-        if key in seen:
-            stale[i] = True
-        else:
-            seen.add(key)
-    return stale
+    stacked = np.ascontiguousarray(np.concatenate([population, offspring], axis=0))
+    # one opaque item per row: np.unique on it is much cheaper than axis=0
+    rows = stacked.view(np.dtype((np.void, stacked.dtype.itemsize * stacked.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    positions = np.arange(len(population), len(stacked))
+    return first[inverse[len(population):]] != positions
 
 
 def _crowded_tournament(
@@ -348,8 +367,7 @@ def nsga2_solve(
     crowding = crowding_distance(points, ranks)
 
     def front_hv() -> float:
-        rank0 = [ObjectivePoint(float(t), float(c)) for t, c in points[ranks == 0]]
-        return hypervolume_2d(pareto_front(rank0), ref)
+        return hypervolume_2d(pareto_front(points[ranks == 0]), ref)
 
     history = [front_hv()]
 
@@ -382,20 +400,19 @@ def nsga2_solve(
         survivors = _environmental_selection(c_points, c_ranks, c_crowding, config.population_size)
         population = combined[survivors]
         points = c_points[survivors]
-        ranks = fast_nondominated_sort(points)
+        # survivors hold whole lower fronts (every dropped duplicate leaves a
+        # kept twin), so their ranks are those of the combined sort
+        ranks = c_ranks[survivors]
         crowding = crowding_distance(points, ranks)
         history.append(front_hv())
 
-    rank0_idx = np.where(ranks == 0)[0]
-    representative: dict[ObjectivePoint, np.ndarray] = {}
-    for i in rank0_idx:
-        pt = ObjectivePoint(float(points[i, 0]), float(points[i, 1]))
-        if pt not in representative:
-            representative[pt] = population[i].copy()
-    front = pareto_front(list(representative))
+    # the population's non-dominated points are its rank-0 points; the kernel
+    # keeps the first member reaching each
+    front_idx = pareto_indices(points[:, 0], points[:, 1])
+    front = [ObjectivePoint(t, c) for t, c in points[front_idx].tolist()]
     return NsgaResult(
         front=front,
-        front_placements=[Placement.from_vector(app, representative[p]) for p in front],
+        front_placements=[Placement.from_vector(app, population[i]) for i in front_idx],
         hypervolume_history=history,
         final_population=population.copy(),
     )

@@ -9,6 +9,7 @@ edge whose endpoints sit on different devices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -40,8 +41,10 @@ class Device:
     is_cloud: bool = False
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise ConfigurationError(f"device {self.id}: speed must be > 0")
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ConfigurationError(f"device {self.id}: speed must be finite and > 0")
+        if not (math.isfinite(self.latency) and math.isfinite(self.cost)):
+            raise ConfigurationError(f"device {self.id}: latency/cost must be finite")
         if self.latency < 0 or self.cost < 0:
             raise ConfigurationError(f"device {self.id}: latency/cost must be >= 0")
 
@@ -68,6 +71,10 @@ class Application:
             raise ConfigurationError("grid must have at least one row and column")
         if len(self.ops) != n or any(len(row) != m for row in self.ops):
             raise ConfigurationError(f"ops grid must be {n}x{m}")
+        if not all(math.isfinite(x) and x >= 0 for row in self.ops for x in row):
+            raise ConfigurationError("ops must be finite and >= 0")
+        if len(set(self.edges)) != len(self.edges):
+            raise ConfigurationError("duplicate dependency edge")
         valid = set(self.services())
         for src, dst in self.edges:
             if src not in valid or dst not in valid:
@@ -267,19 +274,33 @@ def dominates(p: ObjectivePoint, q: ObjectivePoint) -> bool:
     return p.time <= q.time and p.cost <= q.cost and (p.time < q.time or p.cost < q.cost)
 
 
-def pareto_front(points: Sequence[ObjectivePoint]) -> list[ObjectivePoint]:
+def pareto_indices(times: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated points in (time, cost) ascending order.
+
+    Each distinct front point appears once, by the lowest index that reaches
+    it. One stable lexsort orders the points by (time, cost, index); a point
+    is on the front exactly when its cost is below every cost sorted before
+    it, which also drops exact repeats. Inputs must be free of NaN.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    costs = np.asarray(costs, dtype=np.float64)
+    order = np.lexsort((costs, times))
+    sorted_costs = costs[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = sorted_costs[1:] < np.minimum.accumulate(sorted_costs)[:-1]
+    return order[keep]
+
+
+def pareto_front(points: Sequence[ObjectivePoint] | np.ndarray) -> list[ObjectivePoint]:
     """Non-dominated subset, deduplicated, sorted by (time, cost) ascending."""
-    unique = sorted(set(ObjectivePoint(float(p[0]), float(p[1])) for p in points))
-    front: list[ObjectivePoint] = []
-    best_cost = np.inf
-    for p in unique:
-        if p.cost < best_cost:
-            front.append(p)
-            best_cost = p.cost
-    return front
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return []
+    front = pts[pareto_indices(pts[:, 0], pts[:, 1]), :2]
+    return [ObjectivePoint(t, c) for t, c in front.tolist()]
 
 
-def hypervolume_2d(points: Sequence[ObjectivePoint], ref: ObjectivePoint) -> float:
+def hypervolume_2d(points: Sequence[ObjectivePoint] | np.ndarray, ref: ObjectivePoint) -> float:
     """Area dominated by the front of `points` relative to reference point `ref`."""
     front = [p for p in pareto_front(points) if p.time < ref.time and p.cost < ref.cost]
     hv = 0.0
@@ -373,25 +394,30 @@ def brute_force_oracle(
         w.check()
 
     ids = np.array([d.id for d in devices], dtype=np.int64)
-    powers = n_dev ** np.arange(n_svc - 1, -1, -1, dtype=np.int64) if n_svc else np.array([], dtype=np.int64)
+    powers = n_dev ** np.arange(n_svc - 1, -1, -1, dtype=np.int64)
 
-    # point -> first assignment vector reaching it; pruned to the running front
-    front_reps: dict[ObjectivePoint, np.ndarray] = {}
+    def vectors(idx: np.ndarray) -> np.ndarray:
+        """Assignment vectors of the placements at lexicographic positions ``idx``."""
+        return ids[(idx[:, None] // powers[None, :]) % n_dev]
+
+    # running front: its points and the lowest placement index reaching each
+    front_times = np.empty(0)
+    front_costs = np.empty(0)
+    front_index = np.empty(0, dtype=np.int64)
     best: list[tuple[float, np.ndarray, ObjectivePoint] | None] = [None] * len(weights)
 
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % n_dev if n_svc else np.zeros((len(idx), 0), dtype=np.int64)
-        assign = ids[digits]
+        assign = vectors(idx)
         times, costs = batch_objectives(app, devices, assign)
 
-        chunk_points = [ObjectivePoint(float(t), float(c)) for t, c in zip(times, costs)]
-        for local in pareto_front(chunk_points):
-            if local not in front_reps:
-                first = chunk_points.index(local)
-                front_reps[local] = assign[first].copy()
-        kept = pareto_front(list(front_reps))
-        front_reps = {p: front_reps[p] for p in kept}
+        # the running front goes first: on equal points the kernel keeps the
+        # lower position, which is the lexicographically earlier placement
+        all_times = np.concatenate([front_times, times])
+        all_costs = np.concatenate([front_costs, costs])
+        kept = pareto_indices(all_times, all_costs)
+        front_times, front_costs = all_times[kept], all_costs[kept]
+        front_index = np.concatenate([front_index, idx])[kept]
 
         for wi, w in enumerate(weights):
             objs = w.w_time * (times / norms.max_time) + w.w_cost * (costs / norms.max_cost)
@@ -403,6 +429,10 @@ def brute_force_oracle(
                     ObjectivePoint(float(times[am]), float(costs[am])),
                 )
 
+    front_reps = {
+        ObjectivePoint(t, c): vec
+        for t, c, vec in zip(front_times.tolist(), front_costs.tolist(), vectors(front_index))
+    }
     front = pareto_front(list(front_reps))
     result = OracleResult(
         front=front,

@@ -244,6 +244,16 @@ def test_divergent_update_aborts():
         ppo_update(model, [transitions], PpoHyper(), Adam(model.parameters()))
 
 
+def test_non_finite_parameters_abort_update():
+    env = make_env(seed=15)
+    model = fresh(env, seed=15)
+    transitions, _ = collect_trajectory(model, env, rng=np.random.default_rng(16))
+    optimizer = Adam(model.parameters())
+    optimizer.lr = np.inf  # finite loss, but the step leaves non-finite weights
+    with pytest.raises(DivergenceError, match="parameters"):
+        ppo_update(model, [transitions], PpoHyper(), optimizer)
+
+
 def test_checkpoint_round_trip(tmp_path):
     env = make_env(seed=17)
     model = fresh(env, seed=17)

@@ -158,6 +158,22 @@ def test_oracle_cap_exceeded(tmp_path, scenario_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("defect", ["nan-latency", "negative-ops", "duplicate-edge"])
+def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect):
+    data = json.loads(scenario_file.read_text())
+    if defect == "nan-latency":
+        data["devices"][1]["latency"] = float("nan")  # json writes and reads NaN
+    elif defect == "negative-ops":
+        data["applications"][0]["ops"][0][0] = -1.0
+    else:
+        data["applications"][0]["edges"].append(data["applications"][0]["edges"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc = main(["baseline", "--strategy", "all-in-cloud",
+               "--scenario", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 2
+
+
 def test_compare_runs(tmp_path, scenario_file):
     cloud, oracle, cmp_dir = tmp_path / "cloud", tmp_path / "oracle", tmp_path / "cmp"
     assert main(["baseline", "--strategy", "all-in-cloud",

@@ -71,6 +71,19 @@ def test_ranks_consistent_with_dominance():
                 assert ranks[i] < ranks[j]
 
 
+def test_sort_and_crowding_accept_empty_input():
+    ranks = fast_nondominated_sort([])
+    assert ranks.shape == (0,) and ranks.dtype == np.int64
+    assert crowding_distance([], ranks).shape == (0,)
+
+
+def test_sort_requires_two_objectives():
+    with pytest.raises(ConfigurationError, match="shape"):
+        fast_nondominated_sort([(1.0, 2.0, 3.0)])
+    with pytest.raises(ConfigurationError, match="shape"):
+        fast_nondominated_sort([1.0, 2.0])
+
+
 def test_crowding_boundaries_infinite():
     pts = [(0.0, 4.0), (1.0, 2.0), (3.0, 1.0), (6.0, 0.0)]
     ranks = fast_nondominated_sort(pts)

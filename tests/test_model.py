@@ -181,6 +181,11 @@ def test_application_validation():
         make_app(2, extra_edges=[((0, 1), (0, 0))])
     with pytest.raises(ConfigurationError):
         make_app(2, extra_edges=[((0, 0), (5, 5))])
+    with pytest.raises(ConfigurationError, match="duplicate"):  # would be charged twice
+        make_app(2, extra_edges=[((0, 0), (0, 1))])
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ConfigurationError, match="ops"):
+            Application(rows=1, cols=2, ops=((0.0, bad),), edges=Application.chain_edges(1, 2))
 
 
 def test_rectangular_grid():
@@ -206,6 +211,16 @@ def test_device_validation():
         Device(id=0, speed=0.0, latency=1.0, cost=1.0)
     with pytest.raises(ConfigurationError):
         Device(id=0, speed=1.0, latency=-1.0, cost=1.0)
+    for speed, latency, cost in (
+        (np.inf, 1.0, 1.0),
+        (np.nan, 1.0, 1.0),
+        (1.0, np.nan, 1.0),
+        (1.0, np.inf, 1.0),
+        (1.0, 1.0, np.nan),
+        (1.0, 1.0, np.inf),
+    ):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Device(id=0, speed=speed, latency=latency, cost=cost)
 
 
 # --- scalarization ------------------------------------------------------------

@@ -1,0 +1,125 @@
+"""Array Pareto kernels against the plain references in ``pareto_reference``.
+
+Points come from small integer grids, so ties on one objective and exact
+duplicates are common.
+"""
+
+import itertools
+
+import numpy as np
+import pareto_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fogforge.evolutionary import (
+    _duplicate_mask,
+    _environmental_selection,
+    crowding_distance,
+    fast_nondominated_sort,
+)
+from fogforge.model import (
+    Application,
+    Device,
+    ObjectivePoint,
+    batch_objectives,
+    brute_force_oracle,
+    pareto_front,
+    pareto_indices,
+)
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+coordinate = st.integers(min_value=0, max_value=6).map(float)
+point_lists = st.lists(st.tuples(coordinate, coordinate), min_size=0, max_size=60)
+
+
+@PROPERTY
+@given(point_lists)
+def test_sort_matches_dominance_matrix(points):
+    assert fast_nondominated_sort(points).tolist() == ref.nondominated_sort(points).tolist()
+
+
+@PROPERTY
+@given(point_lists)
+def test_pareto_front_matches_set_reference(points):
+    assert pareto_front(points) == ref.pareto_front(points)
+
+
+@PROPERTY
+@given(point_lists)
+def test_pareto_indices_pick_first_occurrence(points):
+    pts = np.array(points, dtype=np.float64).reshape(-1, 2)
+    idx = pareto_indices(pts[:, 0], pts[:, 1])
+    assert [ObjectivePoint(*pts[i]) for i in idx] == ref.pareto_front(points)
+    assert [points.index(points[i]) for i in idx] == idx.tolist()
+
+
+@PROPERTY
+@given(point_lists.filter(len), st.data())
+def test_environmental_selection_keeps_ranks(points, data):
+    pts = np.array(points, dtype=np.float64)
+    ranks = fast_nondominated_sort(pts)
+    crowding = crowding_distance(pts, ranks)
+    size = data.draw(st.integers(min_value=1, max_value=len(pts)))
+    survivors = _environmental_selection(pts, ranks, crowding, size)
+    assert ranks[survivors].tolist() == ref.nondominated_sort(pts[survivors]).tolist()
+
+
+@PROPERTY
+@given(point_lists, st.data())
+def test_crowding_matches_per_front_reference(points, data):
+    pts = np.array(points, dtype=np.float64).reshape(-1, 2)
+    if data.draw(st.booleans()):
+        ranks = fast_nondominated_sort(pts)
+    else:  # arbitrary groups, not only genuine fronts
+        ranks = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=len(pts), max_size=len(pts))),
+            dtype=np.int64,
+        )
+    got = crowding_distance(pts, ranks)
+    want = ref.crowding_distance(pts, ranks)
+    assert got.tobytes() == want.tobytes()
+
+
+genes = st.integers(min_value=1, max_value=4)
+
+
+@PROPERTY
+@given(genes.flatmap(lambda g: st.tuples(
+    st.lists(st.lists(st.integers(0, 2), min_size=g, max_size=g), min_size=1, max_size=12),
+    st.lists(st.lists(st.integers(0, 2), min_size=g, max_size=g), min_size=1, max_size=12),
+)))
+def test_duplicate_mask_matches_set_reference(rows):
+    population = np.array(rows[0], dtype=np.int64)
+    offspring = np.array(rows[1], dtype=np.int64)
+    got = _duplicate_mask(population, offspring)
+    assert got.tolist() == ref.duplicate_mask(population, offspring).tolist()
+
+
+small_value = st.integers(min_value=0, max_value=4).map(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 2).map(float), small_value, small_value), min_size=1, max_size=3),
+    st.lists(small_value, min_size=4, max_size=4),
+    st.integers(min_value=1, max_value=90),
+)
+def test_oracle_does_not_depend_on_chunk(specs, ops, chunk):
+    app = Application(
+        rows=2,
+        ops=(tuple(ops[:2]), tuple(ops[2:])),
+        edges=Application.chain_edges(2) + (((0, 0), (1, 1)),),
+    )
+    devices = [Device(id=10 + k, speed=s, latency=lat, cost=c) for k, (s, lat, c) in enumerate(specs)]
+    result = brute_force_oracle(app, devices, chunk=chunk)
+
+    # every placement in lexicographic order over device positions
+    vectors = np.array(
+        list(itertools.product([d.id for d in devices], repeat=app.service_count)), dtype=np.int64
+    )
+    times, costs = batch_objectives(app, devices, vectors)
+    points = [ObjectivePoint(float(t), float(c)) for t, c in zip(times, costs)]
+    assert result.front == ref.pareto_front(points)
+    want = [vectors[points.index(p)].tolist() for p in result.front]
+    assert [p.to_vector(app).tolist() for p in result.front_placements] == want
