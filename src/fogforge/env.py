@@ -14,11 +14,13 @@ import numpy as np
 
 from fogforge.model import (
     Application,
+    InvalidPlacementError,
     NormBounds,
     ObjectivePoint,
     Placement,
     Service,
     WeightVector,
+    _Instance,
     analytic_bounds,
     evaluate,
     weighted_objective,
@@ -84,25 +86,12 @@ class PlacementEnv:
         self.task_count = len(self.services)
         self._svc_index = {s: k for k, s in enumerate(self.services)}
         self._cloud_pos = next(k for k, d in enumerate(self.devices) if d.is_cloud)
+        self._inst = _Instance.build(self.app, self.devices)
+        self.device_ids = self._inst.ids
+        src, dst = self._inst.src, self._inst.dst
 
-        self._dev_lat = np.array([d.latency for d in self.devices])
-        self._dev_speed = np.array([d.speed for d in self.devices])
-        self._dev_cost = np.array([d.cost for d in self.devices])
-        self.device_ids = np.array([d.id for d in self.devices], dtype=np.int64)
-
-        self._edges_idx = [
-            (self._svc_index[src], self._svc_index[dst]) for src, dst in self.app.edges
-        ]
-        self._preds = [[] for _ in range(self.task_count)]
-        for u, v in self._edges_idx:
-            self._preds[v].append(u)
-        self._is_head = np.array([s[1] == 0 for s in self.services])
-        self._ops = np.array([self.app.ops[i][j] for i, j in self.services])
-
-        indeg = np.array([len(p) for p in self._preds], dtype=float)
-        outdeg = np.zeros(self.task_count)
-        for u, _ in self._edges_idx:
-            outdeg[u] += 1
+        indeg = np.bincount(dst, minlength=self.task_count).astype(float)
+        outdeg = np.bincount(src, minlength=self.task_count).astype(float)
 
         def norm(x: np.ndarray) -> np.ndarray:
             top = x.max() if x.size else 0.0
@@ -111,53 +100,55 @@ class PlacementEnv:
         # static per-app extras consumed by the policy networks
         self.degree_features = np.stack([norm(indeg), norm(outdeg)], axis=1)
         self.adjacency = np.zeros((self.task_count, self.task_count))
-        for u, v in self._edges_idx:
-            self.adjacency[u, v] = 1.0
-            self.adjacency[v, u] = 1.0
-        self.device_features_all = np.stack(
-            [norm(self._dev_lat), norm(self._dev_speed), norm(self._dev_cost)], axis=1
-        )
+        self.adjacency[src, dst] = 1.0
+        self.adjacency[dst, src] = 1.0
+        lat, speed, cost = self._inst.latency, self._inst.speed, self._inst.cost
+        self.device_features_all = np.stack([norm(lat), norm(speed), norm(cost)], axis=1)
 
         # feature-normalization denominators, fixed per scenario
-        max_lat = float(self._dev_lat.max())
-        self._exec_bound = float(self._ops.max()) / float(self._dev_speed.min())
-        self._lat_bound = max_lat * (indeg + self._is_head)
+        self._exec_bound = float(self._inst.ops.max()) / float(speed.min())
+        is_head = np.zeros(self.task_count)
+        is_head[self._inst.heads] = 1.0
+        self._lat_bound = float(lat.max()) * (indeg + is_head)
 
         self._assignment = np.full(self.task_count, self._cloud_pos, dtype=np.int64)
         self._placed = np.zeros(self.task_count, dtype=bool)
         self._steps = 0
+        self._scored: tuple[ObjectivePoint, float] | None = None  # set by each state
 
     # positions index self.devices; ids are translated at the boundary
     def _pos_of_device(self, device_id: int) -> int:
-        hits = np.flatnonzero(self.device_ids == device_id)
-        if len(hits) != 1:
-            raise IllegalActionError(f"unknown device id {device_id}")
-        return int(hits[0])
+        try:
+            return int(self._inst.positions(device_id))
+        except InvalidPlacementError:
+            raise IllegalActionError(f"unknown device id {device_id}") from None
 
     def placement(self) -> Placement:
-        return Placement(
-            {s: int(self.device_ids[self._assignment[k]]) for k, s in enumerate(self.services)}
-        )
+        return Placement.from_vector(self.app, self.device_ids[self._assignment])
 
     def objectives(self) -> ObjectivePoint:
         return evaluate(self.app, self.placement(), self.devices)
 
+    def _score(self) -> tuple[ObjectivePoint, float]:
+        """Objectives of the current assignment and their weighted scalarization."""
+        times, costs = self._inst.objectives(self._assignment[None, :])
+        point = ObjectivePoint(float(times[0]), float(costs[0]))
+        return point, weighted_objective(point, self.weights, self.bounds)
+
     def eligible_services(self) -> np.ndarray:
         """Mask over services: not yet re-placed and all predecessors re-placed."""
-        mask = ~self._placed
-        for k in range(self.task_count):
-            if mask[k] and any(not self._placed[p] for p in self._preds[k]):
-                mask[k] = False
-        return mask
+        waiting = np.bincount(
+            self._inst.dst, weights=~self._placed[self._inst.src], minlength=self.task_count
+        )
+        return ~self._placed & (waiting == 0)
 
     def _state(self) -> EnvState:
-        exec_time = self._ops / self._dev_speed[self._assignment]
+        inst = self._inst
+        exec_time = inst.ops / inst.speed[self._assignment]
         exec_f = exec_time / self._exec_bound if self._exec_bound > 0 else np.zeros_like(exec_time)
 
-        acc_lat = np.where(self._is_head, self._dev_lat[self._assignment], 0.0)
-        for u, v in self._edges_idx:
-            if self._assignment[u] != self._assignment[v]:
-                acc_lat[v] += self._dev_lat[self._assignment[v]]
+        acc_lat = inst.inbound_latency(self._assignment)
+        acc_lat[inst.heads] += inst.latency[self._assignment[inst.heads]]
         lat_f = np.divide(
             acc_lat,
             self._lat_bound,
@@ -170,17 +161,17 @@ class PlacementEnv:
             self.device_features_all[self._assignment].T, 3, axis=1
         )
 
-        point = self.objectives()
+        point, weighted = self._scored = self._score()
         return EnvState(
             service_features=service_features,
             device_features=device_features,
             placed_mask=self._placed.copy(),
             eligible_mask=self.eligible_services(),
-            assignment=self.device_ids[self._assignment].copy(),
+            assignment=self.device_ids[self._assignment],
             step_count=self._steps,
             t_app=point.time,
             cost=point.cost,
-            weighted=weighted_objective(point, self.weights, self.bounds),
+            weighted=weighted,
         )
 
     def reset(self) -> EnvState:
@@ -197,8 +188,9 @@ class PlacementEnv:
             raise IllegalActionError(f"service {action.service} is not eligible")
         pos = self._pos_of_device(action.device)
 
-        prev = self.objectives()
-        prev_w = weighted_objective(prev, self.weights, self.bounds)
+        if self._scored is None:  # step before the first reset()
+            self._scored = self._score()
+        prev, prev_w = self._scored
         self._assignment[k] = pos
         self._placed[k] = True
         self._steps += 1

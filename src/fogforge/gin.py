@@ -14,7 +14,6 @@ import numpy as np
 
 from fogforge.model import ConfigurationError
 from fogforge.nn import Mlp, MlpSpec, Module, Tensor, as_tensor
-from fogforge.nn.layers import BatchNorm
 
 
 @dataclass(frozen=True)
@@ -23,8 +22,8 @@ class GinConfig:
 
     ``hidden_dim`` defaults to 32 so the service head's input, the
     concatenation of graph and node embeddings, is 64 wide. ``mlp_layers``
-    counts affine layers per round; each is followed by batch normalization
-    computed from batch statistics in every mode, which keeps the encoder
+    counts affine layers per round; each hidden one is followed by batch
+    normalization over the graph's nodes, which keeps the encoder
     permutation-invariant and makes repeated forward passes agree exactly.
     """
 
@@ -59,21 +58,15 @@ class GinEncoder(Module):
         hidden = tuple(cfg.hidden_dim for _ in range(cfg.mlp_layers - 1))
         # no norm on the output layer: normalizing there would pin the node
         # mean to the norm bias and erase the pooled graph embedding
-        mlp = Mlp(
+        return Mlp(
             MlpSpec(
                 input_dim=in_dim,
                 hidden_dims=hidden,
                 output_dim=cfg.hidden_dim,
-                activation="tanh",
                 batch_norm=cfg.batch_norm,
-                final_batch_norm=False,
             ),
             rng,
         )
-        for norm in mlp.norms:
-            if isinstance(norm, BatchNorm):
-                norm.always_batch_stats()
-        return mlp
 
     def forward(self, node_features, adjacency: np.ndarray) -> GraphEmbedding:
         x = as_tensor(node_features)

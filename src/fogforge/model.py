@@ -41,6 +41,8 @@ class Device:
     is_cloud: bool = False
 
     def __post_init__(self) -> None:
+        if self.id < 0:
+            raise ConfigurationError(f"device {self.id}: id must be >= 0")
         if not (math.isfinite(self.speed) and self.speed > 0):
             raise ConfigurationError(f"device {self.id}: speed must be finite and > 0")
         if not (math.isfinite(self.latency) and math.isfinite(self.cost)):
@@ -179,40 +181,99 @@ class NormBounds:
     max_cost: float
 
 
-def _device_map(devices: Sequence[Device]) -> dict[int, Device]:
-    return {d.id: d for d in devices}
+@dataclass(frozen=True, eq=False)
+class _Instance:
+    """Array form of an (app, devices) pair, the one objective evaluator.
+
+    Services are in row-major order and devices by their position in the
+    device sequence. ``pos_of`` is indexed by device id and holds that
+    device's position, or -1 where no device has the id; when the ids are
+    0..D-1 in order (as generated scenarios have them) it is the identity
+    and the translation is skipped.
+    """
+
+    ops: np.ndarray
+    heads: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    ids: np.ndarray
+    latency: np.ndarray
+    speed: np.ndarray
+    cost: np.ndarray
+    pos_of: np.ndarray
+    ids_are_positions: bool
+
+    @classmethod
+    def build(cls, app: Application, devices: Sequence[Device]) -> "_Instance":
+        ids = np.array([d.id for d in devices], dtype=np.int64)
+        positions = np.arange(len(ids))
+        pos_of = np.full(int(ids.max()) + 1 if ids.size else 0, -1, dtype=np.int64)
+        pos_of[ids] = positions
+        if (pos_of[ids] != positions).any():  # a repeated id keeps only one of its positions
+            raise ConfigurationError("duplicate device ids")
+        return cls(
+            ops=np.array([x for row in app.ops for x in row], dtype=np.float64),
+            heads=np.arange(app.rows) * app.cols,
+            src=np.array([app.service_index(s) for s, _ in app.edges], dtype=np.int64),
+            dst=np.array([app.service_index(d) for _, d in app.edges], dtype=np.int64),
+            ids=ids,
+            latency=np.array([d.latency for d in devices], dtype=np.float64),
+            speed=np.array([d.speed for d in devices], dtype=np.float64),
+            cost=np.array([d.cost for d in devices], dtype=np.float64),
+            pos_of=pos_of,
+            ids_are_positions=bool(np.array_equal(ids, positions)),
+        )
+
+    def positions(self, assignments: np.ndarray) -> np.ndarray:
+        """Device positions of an array of device ids (any shape)."""
+        assignments = np.asarray(assignments, dtype=np.int64)
+        if assignments.size and (assignments.min() < 0 or assignments.max() >= len(self.pos_of)):
+            raise InvalidPlacementError("assignment references unknown device ids")
+        if self.ids_are_positions:
+            return assignments
+        pos = self.pos_of[assignments]
+        if (pos < 0).any():
+            raise InvalidPlacementError("assignment references unknown device ids")
+        return pos
+
+    def objectives(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(times, costs) of an (N, service_count) matrix of device positions."""
+        times = (self.ops / self.speed[pos]).sum(axis=1)
+        times = times + self.latency[pos[:, self.heads]].sum(axis=1)
+        cross = pos[:, self.src] != pos[:, self.dst]
+        times = times + (self.latency[pos[:, self.dst]] * cross).sum(axis=1)
+        return times, self.cost[pos].sum(axis=1)
+
+    def inbound_latency(self, pos: np.ndarray) -> np.ndarray:
+        """Per-service sum of the target latency over cross-device inbound edges."""
+        cross = pos[self.src] != pos[self.dst]
+        inbound = np.bincount(
+            self.dst, weights=self.latency[pos[self.dst]] * cross, minlength=len(self.ops)
+        )
+        return inbound.astype(np.float64, copy=False)  # bincount of no edges is int
 
 
-def _resolve(app: Application, placement: Placement, by_id: dict[int, Device]) -> dict[Service, Device]:
-    resolved = {}
-    for s in app.services():
-        dev_id = placement.assignment.get(s)
-        if dev_id is None:
-            raise InvalidPlacementError(f"placement missing service {s}")
-        dev = by_id.get(dev_id)
-        if dev is None:
-            raise InvalidPlacementError(f"unknown device id {dev_id} for service {s}")
-        resolved[s] = dev
-    return resolved
+def evaluate(app: Application, placement: Placement, devices: Sequence[Device]) -> ObjectivePoint:
+    """Response time and hosting cost of one placement.
+
+    Response time sums (a) per-service execution time ops/speed, (b) the
+    access latency of the device hosting each row-head service, and (c) for
+    every dependency edge crossing devices, the latency of the target
+    service's device. Cost sums the hosting device's cost over all services.
+    """
+    inst = _Instance.build(app, devices)
+    times, costs = inst.objectives(inst.positions(placement.to_vector(app)[None, :]))
+    return ObjectivePoint(float(times[0]), float(costs[0]))
+
 
 def response_time(app: Application, placement: Placement, devices: Sequence[Device]) -> float:
-    """Application response time under a placement.
+    """Application response time under a placement (see :func:`evaluate`)."""
+    return evaluate(app, placement, devices).time
 
-    Sums (a) per-service execution time ops/speed, (b) the access latency of
-    the device hosting each row-head service, and (c) for every dependency
-    edge crossing devices, the latency of the target service's device.
-    """
-    hosted = _resolve(app, placement, _device_map(devices))
-    total = 0.0
-    for i in range(app.rows):
-        for j in range(app.cols):
-            total += app.ops[i][j] / hosted[(i, j)].speed
-    for i in range(app.rows):
-        total += hosted[(i, 0)].latency
-    for src, dst in app.edges:
-        if hosted[src].id != hosted[dst].id:
-            total += hosted[dst].latency
-    return total
+
+def placement_cost(app: Application, placement: Placement, devices: Sequence[Device]) -> float:
+    """Sum of the hosting device's cost over all services."""
+    return evaluate(app, placement, devices).cost
 
 
 def latency_contribution_matrix(
@@ -223,24 +284,9 @@ def latency_contribution_matrix(
     Entry (i, j) sums the target-device latency over every cross-device edge
     pointing into service (i, j). Row-head access latencies are not included.
     """
-    hosted = _resolve(app, placement, _device_map(devices))
-    matrix = np.zeros((app.rows, app.cols))
-    for src, dst in app.edges:
-        if hosted[src].id != hosted[dst].id:
-            matrix[dst] += hosted[dst].latency
-    return matrix
-
-
-def placement_cost(app: Application, placement: Placement, devices: Sequence[Device]) -> float:
-    """Sum of the hosting device's cost over all services."""
-    hosted = _resolve(app, placement, _device_map(devices))
-    return float(sum(dev.cost for dev in hosted.values()))
-
-
-def evaluate(app: Application, placement: Placement, devices: Sequence[Device]) -> ObjectivePoint:
-    return ObjectivePoint(
-        response_time(app, placement, devices), placement_cost(app, placement, devices)
-    )
+    inst = _Instance.build(app, devices)
+    pos = inst.positions(placement.to_vector(app))
+    return inst.inbound_latency(pos).reshape(app.rows, app.cols)
 
 
 def weighted_objective(point: ObjectivePoint, weights: WeightVector, norms: NormBounds) -> float:
@@ -317,37 +363,15 @@ def batch_objectives(
     """Vectorized (time, cost) for a matrix of assignment vectors.
 
     ``assignments`` has shape (N, service_count) and holds device ids in
-    row-major service order. Independent of :func:`response_time`'s walk; the
-    two are cross-checked in tests.
+    row-major service order; row k scores as :func:`evaluate` does.
     """
     assignments = np.asarray(assignments, dtype=np.int64)
     if assignments.ndim != 2 or assignments.shape[1] != app.service_count:
         raise InvalidPlacementError(
             f"assignment matrix must be (N, {app.service_count}), got {assignments.shape}"
         )
-    max_id = max((d.id for d in devices), default=-1)
-    lat = np.full(max_id + 1, np.nan)
-    speed = np.full(max_id + 1, np.nan)
-    cost = np.full(max_id + 1, np.nan)
-    for d in devices:
-        lat[d.id], speed[d.id], cost[d.id] = d.latency, d.speed, d.cost
-    if assignments.size:
-        if assignments.min() < 0 or assignments.max() > max_id or np.isnan(
-            speed[assignments]
-        ).any():
-            raise InvalidPlacementError("assignment matrix references unknown device ids")
-
-    ops_flat = np.array([app.ops[i][j] for i in range(app.rows) for j in range(app.cols)])
-    times = (ops_flat / speed[assignments]).sum(axis=1)
-    heads = np.arange(app.rows) * app.cols
-    times = times + lat[assignments[:, heads]].sum(axis=1)
-    if app.edges:
-        src = np.array([app.service_index(e[0]) for e in app.edges])
-        dst = np.array([app.service_index(e[1]) for e in app.edges])
-        cross = assignments[:, src] != assignments[:, dst]
-        times = times + (lat[assignments[:, dst]] * cross).sum(axis=1)
-    costs = cost[assignments].sum(axis=1)
-    return times, costs
+    inst = _Instance.build(app, devices)
+    return inst.objectives(inst.positions(assignments))
 
 
 @dataclass

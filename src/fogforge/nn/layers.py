@@ -11,14 +11,11 @@ from fogforge.nn.autodiff import Tensor, as_tensor, check_finite, where
 
 
 class Module:
-    """Base with recursive parameter/buffer discovery over attributes.
+    """Base with recursive parameter discovery over attributes.
 
     Attribute iteration is name-sorted so parameter ordering is stable across
     runs; lists of submodules are indexed by position.
     """
-
-    training: bool = True
-    _buffer_names: tuple[str, ...] = ()
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -50,38 +47,16 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
 
-    def named_buffers(self, prefix: str = "") -> dict[str, np.ndarray]:
-        buffers: dict[str, np.ndarray] = {}
-        for name in self._buffer_names:
-            buffers[f"{prefix}{name}"] = getattr(self, name)
-        for name, value in self._children():
-            if isinstance(value, Module):
-                buffers.update(value.named_buffers(prefix=f"{prefix}{name}."))
-        return buffers
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
 
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for _, value in self._children():
-            if isinstance(value, Module):
-                value.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {k: v.data.copy() for k, v in self.named_parameters().items()}
-        state.update({k: v.copy() for k, v in self.named_buffers().items()})
-        return state
+        return {k: v.data.copy() for k, v in self.named_parameters().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         params = self.named_parameters()
-        buffers = self.named_buffers()
-        expected = set(params) | set(buffers)
+        expected = set(params)
         if expected != set(state):
             missing = expected - set(state)
             extra = set(state) - expected
@@ -95,13 +70,6 @@ class Module:
                     f"shape mismatch for {name}: {value.shape} vs {tensor.data.shape}"
                 )
             tensor.data = value.copy()
-        for name, buf in buffers.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != buf.shape:
-                raise ConfigurationError(
-                    f"shape mismatch for buffer {name}: {value.shape} vs {buf.shape}"
-                )
-            buf[...] = value
 
 
 class Linear(Module):
@@ -124,60 +92,19 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Per-feature normalization over the batch axis.
+    """Per-feature normalization by the statistics of the batch (biased variance)."""
 
-    Training mode normalizes by batch statistics (biased variance) and tracks
-    running statistics with an unbiased variance estimate; eval mode applies
-    the running statistics deterministically.
-    """
-
-    _buffer_names = ("running_mean", "running_var")
-
-    def __init__(self, features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, features: int, eps: float = 1e-5):
         self.gamma = Tensor(np.ones(features), requires_grad=True)
         self.beta = Tensor(np.zeros(features), requires_grad=True)
-        self.running_mean = np.zeros(features)
-        self.running_var = np.ones(features)
-        self.momentum = momentum
         self.eps = eps
-        self._batch_stats_only = False
-
-    def always_batch_stats(self) -> "BatchNorm":
-        """Normalize by batch statistics in every mode and drop running buffers.
-
-        Used where rollout-time and update-time outputs must agree exactly.
-        """
-        self._batch_stats_only = True
-        self._buffer_names = ()
-        return self
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
-        if self.training or self._batch_stats_only:
-            mu = x.mean(axis=0, keepdims=True)
-            var = ((x - mu) ** 2).mean(axis=0, keepdims=True)
-            if not self._batch_stats_only:
-                n = x.data.shape[0]
-                unbiased = var.data * (n / (n - 1)) if n > 1 else var.data
-                m = self.momentum
-                self.running_mean = (1 - m) * self.running_mean + m * mu.data.reshape(-1)
-                self.running_var = (1 - m) * self.running_var + m * unbiased.reshape(-1)
-        else:
-            mu = Tensor(self.running_mean.reshape(1, -1))
-            var = Tensor(self.running_var.reshape(1, -1))
+        mu = x.mean(axis=0, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=0, keepdims=True)
         xhat = (x - mu) / (var + self.eps).sqrt()
         return xhat * self.gamma + self.beta
-
-
-def _identity(x: Tensor) -> Tensor:
-    return x
-
-
-_ACTIVATIONS = {
-    "tanh": lambda x: x.tanh(),
-    "relu": lambda x: x.relu(),
-    "identity": _identity,
-}
 
 
 @dataclass(frozen=True)
@@ -185,44 +112,30 @@ class MlpSpec:
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
-    activation: str = "tanh"
     batch_norm: bool = False
-    final_batch_norm: bool = False
 
     def __post_init__(self) -> None:
         if self.input_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ConfigurationError(f"all MLP dims must be >= 1: {self}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
 
 
 class Mlp(Module):
-    """Affine stack: hidden layers use the configured activation (and batch
-    norm when enabled); the output layer is linear, optionally normalized."""
+    """Affine stack: hidden layers are followed by batch norm (when enabled)
+    and tanh; the output layer is linear."""
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator):
         self.spec = spec
         dims = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
         self.linears = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-        self.norms: list[Module] = []
-        for i in range(len(self.linears)):
-            hidden = i < len(self.linears) - 1
-            use_norm = spec.batch_norm if hidden else spec.final_batch_norm
-            self.norms.append(BatchNorm(dims[i + 1]) if use_norm else _NoNorm())
+        self.norms = [BatchNorm(d) for d in spec.hidden_dims] if spec.batch_norm else []
 
     def forward(self, x: Tensor) -> Tensor:
-        act = _ACTIVATIONS[self.spec.activation]
-        for i, linear in enumerate(self.linears):
+        for i, linear in enumerate(self.linears[:-1]):
             x = linear(x)
-            x = self.norms[i](x)
-            if i < len(self.linears) - 1:
-                x = act(x)
-        return check_finite(x, "mlp output")
-
-
-class _NoNorm(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
+            if self.norms:
+                x = self.norms[i](x)
+            x = x.tanh()
+        return check_finite(self.linears[-1](x), "mlp output")
 
 
 # --- masked categorical utilities --------------------------------------------

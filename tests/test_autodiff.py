@@ -197,7 +197,7 @@ def test_mlp_parameter_gradients():
     rng = np.random.default_rng(8)
     for use_bn in (False, True):
         mlp = Mlp(
-            MlpSpec(4, (5, 5), 2, batch_norm=use_bn, final_batch_norm=use_bn), rng
+            MlpSpec(4, (5, 5), 2, batch_norm=use_bn), rng
         )
         x = rng.normal(size=(6, 4))
         target = rng.normal(size=(6, 2))
@@ -232,48 +232,21 @@ def test_batchnorm_training_statistics():
     assert np.abs(biased_var - 1.0).max() < 1e-3  # eps slightly shrinks variance
 
 
-def test_batchnorm_inference_uses_running_stats():
-    rng = np.random.default_rng(10)
-    bn = BatchNorm(3, momentum=0.5)
-    for _ in range(50):
-        bn(Tensor(rng.normal(loc=1.0, scale=2.0, size=(32, 3))))
-    bn.eval()
-    x = rng.normal(size=(8, 3))
-    a = bn(Tensor(x)).data
-    b = bn(Tensor(x)).data
-    np.testing.assert_array_equal(a, b)
-    manual = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
-    np.testing.assert_allclose(a, manual * bn.gamma.data + bn.beta.data, rtol=1e-12)
-
-
 def test_state_dict_round_trip():
     rng = np.random.default_rng(11)
     spec = MlpSpec(3, (4,), 2, batch_norm=True)
     mlp = Mlp(spec, rng)
-    mlp(Tensor(rng.normal(size=(10, 3))))  # populate running stats
     state = mlp.state_dict()
 
     clone = Mlp(spec, np.random.default_rng(999))
     clone.load_state_dict(state)
     x = rng.normal(size=(5, 3))
     np.testing.assert_array_equal(mlp(Tensor(x)).data, clone(Tensor(x)).data)
-    mlp.eval()
-    clone.eval()
-    np.testing.assert_array_equal(mlp(Tensor(x)).data, clone(Tensor(x)).data)
 
     bad = dict(state)
     bad.pop(sorted(bad)[0])
     with pytest.raises(ConfigurationError):
         clone.load_state_dict(bad)
-
-
-def test_train_eval_propagation():
-    mlp = Mlp(MlpSpec(3, (4,), 2, batch_norm=True), np.random.default_rng(12))
-    assert mlp.norms[0].training
-    mlp.eval()
-    assert not mlp.norms[0].training
-    mlp.train()
-    assert mlp.norms[0].training
 
 
 # --- masked categorical -------------------------------------------------------

@@ -158,11 +158,15 @@ def test_oracle_cap_exceeded(tmp_path, scenario_file):
     assert rc == 2
 
 
-@pytest.mark.parametrize("defect", ["nan-latency", "negative-ops", "duplicate-edge"])
+@pytest.mark.parametrize(
+    "defect", ["nan-latency", "negative-ops", "duplicate-edge", "negative-device-id"]
+)
 def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect):
     data = json.loads(scenario_file.read_text())
     if defect == "nan-latency":
         data["devices"][1]["latency"] = float("nan")  # json writes and reads NaN
+    elif defect == "negative-device-id":
+        data["devices"][1]["id"] = -1
     elif defect == "negative-ops":
         data["applications"][0]["ops"][0][0] = -1.0
     else:

@@ -219,3 +219,11 @@ def test_static_graph_helpers():
     assert env.adjacency.sum() == 2 * len(app.edges)
     assert env.degree_features.shape == (9, 2)
     assert env.degree_features.min() >= 0 and env.degree_features.max() <= 1
+    indeg = np.array([sum(dst == s for _, dst in app.edges) for s in env.services], dtype=float)
+    outdeg = np.array([sum(src == s for src, _ in app.edges) for s in env.services], dtype=float)
+    np.testing.assert_array_equal(
+        env.degree_features, np.stack([indeg / indeg.max(), outdeg / outdeg.max()], axis=1)
+    )
+    for src, dst in app.edges:
+        u, v = app.service_index(src), app.service_index(dst)
+        assert env.adjacency[u, v] == env.adjacency[v, u] == 1.0

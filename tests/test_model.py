@@ -1,5 +1,7 @@
 """Objective evaluation, Pareto utilities, and the exhaustive oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,12 +59,12 @@ def random_devices(rng, count):
 
 
 def slow_objectives(app, placement, devices):
-    """Per-service accumulation, written independently of the library walk."""
+    """Per-service accumulation, written independently of the library's array kernel."""
     dev = {d.id: d for d in devices}
     time = 0.0
     cost = 0.0
     for i in range(app.rows):
-        for j in range(app.rows):
+        for j in range(app.cols):
             here = dev[placement.assignment[(i, j)]]
             time += app.ops[i][j] / here.speed
             cost += here.cost
@@ -135,9 +137,9 @@ def test_batch_objectives_matches_scalar_path():
         batch = rng.integers(0, len(devices), size=(16, app.service_count))
         times, costs = batch_objectives(app, devices, batch)
         for row, t, c in zip(batch, times, costs):
-            p = Placement.from_vector(app, row)
-            assert t == pytest.approx(response_time(app, p, devices), abs=1e-9)
-            assert c == pytest.approx(placement_cost(app, p, devices), abs=1e-9)
+            want_t, want_c = slow_objectives(app, Placement.from_vector(app, row), devices)
+            assert t == pytest.approx(want_t, abs=1e-9)
+            assert c == pytest.approx(want_c, abs=1e-9)
 
 
 def test_latency_matrix_total_plus_access_equals_latency_part():
@@ -155,7 +157,7 @@ def test_latency_matrix_total_plus_access_equals_latency_part():
         access = sum(dev[placement.assignment[(i, 0)]].latency for i in range(3))
         matrix = latency_contribution_matrix(app, placement, devices)
         assert exec_time + access + matrix.sum() == pytest.approx(
-            response_time(app, placement, devices), abs=1e-9
+            slow_objectives(app, placement, devices)[0], abs=1e-9
         )
 
 
@@ -170,6 +172,43 @@ def test_placement_errors():
         Placement.from_vector(app, [0, 0, 0])
     with pytest.raises(InvalidPlacementError):
         batch_objectives(app, devices, np.array([[0, 0, 0, 7]]))
+    with pytest.raises(InvalidPlacementError):
+        batch_objectives(app, devices, np.array([[0, 0, -1, 0]]))
+
+
+def test_device_ids_translate_to_positions():
+    app = make_app(2, ops=3.0, extra_edges=[((0, 0), (1, 1))])
+    base = random_devices(np.random.default_rng(5), 3)
+    for ids in ((2, 1, 0), (0, 7, 3)):  # permuted, and with holes
+        devices = [
+            Device(id=i, speed=d.speed, latency=d.latency, cost=d.cost) for i, d in zip(ids, base)
+        ]
+        for vec in itertools.product(ids, repeat=app.service_count):
+            placement = Placement.from_vector(app, vec)
+            assert evaluate(app, placement, devices) == pytest.approx(
+                slow_objectives(app, placement, devices), abs=1e-9
+            )
+    with pytest.raises(InvalidPlacementError):  # id 1 falls in a hole of the id table
+        batch_objectives(app, devices, np.array([[0, 1, 0, 0]]))
+
+
+def test_duplicate_device_ids_rejected():
+    # with a repeated id every evaluator used to score the last device holding it
+    app = Application(rows=1, cols=2, ops=((0.0, 0.0),), edges=Application.chain_edges(1, 2))
+    devices = [
+        Device(id=0, speed=1.0, latency=50.0, cost=20.0, is_cloud=True),
+        Device(id=1, speed=1.0, latency=1.0, cost=1.0),
+        Device(id=1, speed=1.0, latency=40.0, cost=40.0),
+    ]
+    on_one = Placement.uniform(app, 1)
+    for call in (
+        lambda: evaluate(app, on_one, devices),
+        lambda: latency_contribution_matrix(app, on_one, devices),
+        lambda: batch_objectives(app, devices, np.array([[1, 1]])),
+        lambda: brute_force_oracle(app, devices),
+    ):
+        with pytest.raises(ConfigurationError, match="duplicate device ids"):
+            call()
 
 
 def test_application_validation():
@@ -211,6 +250,8 @@ def test_device_validation():
         Device(id=0, speed=0.0, latency=1.0, cost=1.0)
     with pytest.raises(ConfigurationError):
         Device(id=0, speed=1.0, latency=-1.0, cost=1.0)
+    with pytest.raises(ConfigurationError, match="id"):
+        Device(id=-1, speed=1.0, latency=1.0, cost=1.0)
     for speed, latency, cost in (
         (np.inf, 1.0, 1.0),
         (np.nan, 1.0, 1.0),
