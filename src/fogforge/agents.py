@@ -11,8 +11,10 @@ parameters, averaging the two heads' losses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +70,9 @@ class PpoHyper:
             raise ConfigurationError("clip_ratio must lie in (0, 1)")
         if min(self.policy_coef, self.value_coef, self.entropy_coef) < 0:
             raise ConfigurationError("loss coefficients must be >= 0")
+        clip = self.grad_clip_norm
+        if clip is not None and not (math.isfinite(clip) and clip > 0):
+            raise ConfigurationError(f"grad_clip_norm must be None or finite and > 0, got {clip}")
 
 
 @dataclass
@@ -106,6 +111,20 @@ def make_observation(env: PlacementEnv, state: EnvState) -> Observation:
     )
 
 
+class _Decision(NamedTuple):
+    """One head pass: the two indices, their score vectors, and the
+    log-probability and critic value of each choice."""
+
+    service_index: int
+    device_pos: int
+    service_scores: Tensor
+    device_scores: Tensor
+    logp_s: Tensor
+    logp_d: Tensor
+    value_s: Tensor
+    value_d: Tensor
+
+
 class PolicyModel(Module):
     """Checkpointable parameter set: encoder + the four head MLPs.
 
@@ -130,26 +149,36 @@ class PolicyModel(Module):
         self.actor_d = Mlp(MlpSpec(6 + task_count, hidden_a, 1), rng)
         self.critic_d = Mlp(MlpSpec(3 + task_count, hidden_c, 1), rng)
 
-    # --- heads ---------------------------------------------------------------
+    # --- the one head pass -------------------------------------------------------
 
-    def _check_obs(self, obs: Observation) -> None:
-        if obs.node_features.shape[0] != self.task_count:
-            raise ConfigurationError(
-                f"model built for {self.task_count} tasks, observation has "
-                f"{obs.node_features.shape[0]}"
-            )
+    def _decide(
+        self,
+        obs: Observation,
+        service_index: int | None = None,
+        device_pos: int | None = None,
+        mode: str = "sample",
+        rng: np.random.Generator | None = None,
+    ) -> _Decision:
+        """Score both heads; choose by ``mode`` whichever index is not given.
 
-    def _service_scores(self, obs: Observation) -> tuple[Tensor, Tensor]:
-        """Per-node logits and the pooled graph embedding."""
-        self._check_obs(obs)
-        emb = self.gin(obs.node_features, obs.adjacency)
+        Rollouts, greedy placement and the PPO update all score the heads here,
+        so an update re-scores exactly what its rollout sampled.
+        """
         tasks = self.task_count
+        if obs.node_features.shape[0] != tasks:
+            raise ConfigurationError(
+                f"model built for {tasks} tasks, observation has {obs.node_features.shape[0]}"
+            )
+        if service_index is None and not obs.eligible.any():
+            raise ConfigurationError("no eligible service: episode already terminal")
+        emb = self.gin(obs.node_features, obs.adjacency)
         tiled_hg = Tensor(np.ones((tasks, 1))) @ emb.graph_embedding
-        scores = self.actor_s(concat([tiled_hg, emb.node_embeddings], axis=1))
-        return scores.reshape(tasks), emb.graph_embedding
+        s_scores = self.actor_s(concat([tiled_hg, emb.node_embeddings], axis=1)).reshape(tasks)
+        if service_index is None:
+            service_index = _choose(s_scores, obs.eligible, mode, rng)
+        logp_s = masked_log_softmax(s_scores, obs.eligible)[np.array([service_index])].sum()
+        value_s = self.critic_s(emb.graph_embedding).sum()
 
-    def _device_scores(self, obs: Observation, service_index: int) -> Tensor:
-        self._check_obs(obs)
         n_dev = obs.device_features.shape[0]
         candidate = obs.service_features[service_index]
         rows = np.concatenate(
@@ -160,88 +189,59 @@ class PolicyModel(Module):
             ],
             axis=1,
         )
-        return self.actor_d(Tensor(rows)).reshape(n_dev)
-
-    def _device_value(self, obs: Observation, service_index: int) -> Tensor:
-        critic_in = np.concatenate([obs.service_features[service_index], obs.alloc])
-        return self.critic_d(Tensor(critic_in.reshape(1, -1))).sum()
-
-    # --- action selection ------------------------------------------------------
-
-    def select_service(
-        self, obs: Observation, mode: str = "sample", rng: np.random.Generator | None = None
-    ) -> tuple[int, float]:
-        if not obs.eligible.any():
-            raise ConfigurationError("no eligible service: episode already terminal")
-        scores, _ = self._service_scores(obs)
-        return _pick(scores, obs.eligible, mode, rng)
-
-    def select_device(
-        self,
-        obs: Observation,
-        service_index: int,
-        mode: str = "sample",
-        rng: np.random.Generator | None = None,
-    ) -> tuple[int, float]:
-        scores = self._device_scores(obs, service_index)
-        all_devices = np.ones(scores.data.shape[0], dtype=bool)
-        return _pick(scores, all_devices, mode, rng)
+        d_scores = self.actor_d(Tensor(rows)).reshape(n_dev)
+        all_devices = np.ones(n_dev, dtype=bool)
+        if device_pos is None:
+            device_pos = _choose(d_scores, all_devices, mode, rng)
+        logp_d = masked_log_softmax(d_scores, all_devices)[np.array([device_pos])].sum()
+        critic_in = np.concatenate([candidate, obs.alloc]).reshape(1, -1)
+        value_d = self.critic_d(Tensor(critic_in)).sum()
+        return _Decision(
+            service_index, device_pos, s_scores, d_scores, logp_s, logp_d, value_s, value_d
+        )
 
     def act(
         self, obs: Observation, mode: str = "sample", rng: np.random.Generator | None = None
     ) -> tuple[int, int, float, float, float, float]:
         """One full decision: service and device plus log-probs and values."""
-        if not obs.eligible.any():
-            raise ConfigurationError("no eligible service: episode already terminal")
-        s_scores, h_g = self._service_scores(obs)
-        svc, logp_s = _pick(s_scores, obs.eligible, mode, rng)
-        value_s = self.critic_s(h_g).sum().item()
-
-        d_scores = self._device_scores(obs, svc)
-        dev, logp_d = _pick(d_scores, np.ones(d_scores.data.shape[0], dtype=bool), mode, rng)
-        value_d = self._device_value(obs, svc).item()
-        return svc, dev, logp_s, logp_d, value_s, value_d
+        d = self._decide(obs, mode=mode, rng=rng)
+        return (
+            d.service_index,
+            d.device_pos,
+            d.logp_s.item(),
+            d.logp_d.item(),
+            d.value_s.item(),
+            d.value_d.item(),
+        )
 
     def evaluate_actions(
         self, obs: Observation, service_index: int, device_pos: int
     ) -> dict[str, Tensor]:
         """Differentiable log-probs, values, and entropies for a stored action."""
-        s_scores, h_g = self._service_scores(obs)
-        logp_s = masked_log_softmax(s_scores, obs.eligible)[np.array([service_index])].sum()
-        ent_s = masked_entropy(s_scores, obs.eligible)
-        value_s = self.critic_s(h_g).sum()
-
-        d_scores = self._device_scores(obs, service_index)
-        all_devices = np.ones(d_scores.data.shape[0], dtype=bool)
-        logp_d = masked_log_softmax(d_scores, all_devices)[np.array([device_pos])].sum()
-        ent_d = masked_entropy(d_scores, all_devices)
-        value_d = self._device_value(obs, service_index)
+        d = self._decide(obs, service_index, device_pos)
+        all_devices = np.ones(d.device_scores.data.shape[0], dtype=bool)
         return {
-            "logp_s": logp_s,
-            "logp_d": logp_d,
-            "value_s": value_s,
-            "value_d": value_d,
-            "entropy_s": ent_s,
-            "entropy_d": ent_d,
+            "logp_s": d.logp_s,
+            "logp_d": d.logp_d,
+            "value_s": d.value_s,
+            "value_d": d.value_d,
+            "entropy_s": masked_entropy(d.service_scores, obs.eligible),
+            "entropy_d": masked_entropy(d.device_scores, all_devices),
         }
 
 
-def _pick(
+def _choose(
     scores: Tensor, mask: np.ndarray, mode: str, rng: np.random.Generator | None
-) -> tuple[int, float]:
-    logp_vec = masked_log_softmax(scores, mask)
+) -> int:
+    """Greedy: argmax of the masked scores. Sample: a draw from their softmax."""
     if mode == "greedy":
-        masked_scores = np.where(mask, scores.data, -np.inf)
-        choice = int(np.argmax(masked_scores))
-    elif mode == "sample":
+        return int(np.argmax(np.where(mask, scores.data, -np.inf)))
+    if mode == "sample":
         if rng is None:
             raise ConfigurationError("sampling requires a random generator")
         probs = masked_softmax(scores, mask).data
-        probs = probs / probs.sum()
-        choice = int(rng.choice(len(probs), p=probs))
-    else:
-        raise ConfigurationError(f"unknown selection mode {mode!r}")
-    return choice, float(logp_vec.data[choice])
+        return int(rng.choice(len(probs), p=probs / probs.sum()))
+    raise ConfigurationError(f"unknown selection mode {mode!r}")
 
 
 def collect_trajectory(
@@ -373,18 +373,7 @@ def ppo_update(
             )
         optimizer.zero_grad()
         total.backward()
-        if hyper.grad_clip_norm is not None:
-            grad_norm = clip_global_norm(optimizer.params, hyper.grad_clip_norm)
-        else:
-            grad_norm = float(
-                np.sqrt(
-                    sum(
-                        float((p.grad * p.grad).sum())
-                        for p in optimizer.params
-                        if p.grad is not None
-                    )
-                )
-            )
+        grad_norm = clip_global_norm(optimizer.params, hyper.grad_clip_norm)
         optimizer.step()
         if not all(np.isfinite(p.data).all() for p in optimizer.params):
             raise DivergenceError(f"non-finite parameters after the Adam step of epoch {epoch}")
@@ -441,7 +430,11 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
             k: np.asarray(v, dtype=np.float64).reshape(payload["shapes"][k])
             for k, v in payload["state"].items()
         }
-        model.load_state_dict(state)
-        return model
-    except (KeyError, TypeError) as exc:
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed checkpoint ({exc!r})") from exc
+    if not all(np.isfinite(v).all() for v in state.values()):
+        raise ConfigurationError(f"{path}: checkpoint holds non-finite parameters")
+    model.load_state_dict(state)
+    return model

@@ -1,8 +1,8 @@
 """Command-line harness.
 
 Commands: generate, train, sweep, infer, baseline, evo, oracle, compare.
-Every command is deterministic under a fixed --seed with --threads 1; the
-seed falls back to the FOGFORGE_SEED environment variable. Exit codes:
+Every command is deterministic under a fixed --seed; the seed falls back to
+the FOGFORGE_SEED environment variable. Exit codes:
 0 success, 1 internal error, 2 usage or input error, 3 numeric divergence.
 """
 
@@ -146,7 +146,6 @@ def train_config_from_args(args: argparse.Namespace, seed: int) -> TrainConfig:
             scenario["app_rows"] = [args.rows]
         overrides["scenario"] = scenario
     overrides["seed"] = seed
-    overrides["threads"] = args.threads
     try:
         return _train_config_from_dict(overrides)
     except (ConfigurationError, TypeError) as exc:
@@ -184,13 +183,12 @@ def train_config_to_dict(config: TrainConfig) -> dict:
 class RunWriter:
     """Collects output paths and stamps the manifest once the command ends."""
 
-    def __init__(self, run_dir: str, command: str, config: dict, seed: int | None, threads: int):
+    def __init__(self, run_dir: str, command: str, config: dict, seed: int | None):
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.command = command
         self.config = config
         self.seed = seed
-        self.threads = threads
         self.outputs: list[str] = []
         self.started = time.time()
 
@@ -206,7 +204,6 @@ class RunWriter:
                 command=self.command,
                 config=self.config,
                 seed=self.seed,
-                threads=self.threads,
                 version=__version__,
                 started_at=utc_stamp(self.started),
                 finished_at=utc_stamp(finished),
@@ -253,7 +250,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
-    writer = RunWriter(args.out, "train", train_config_to_dict(config), seed, args.threads)
+    writer = RunWriter(args.out, "train", train_config_to_dict(config), seed)
     (writer.run_dir / "config.json").write_text(
         json.dumps(train_config_to_dict(config), indent=2, sort_keys=True) + "\n"
     )
@@ -280,7 +277,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
-    writer = RunWriter(args.out, "sweep", train_config_to_dict(config), seed, args.threads)
+    writer = RunWriter(args.out, "sweep", train_config_to_dict(config), seed)
     (writer.run_dir / "config.json").write_text(
         json.dumps(train_config_to_dict(config), indent=2, sort_keys=True) + "\n"
     )
@@ -332,8 +329,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if args.out is not None:
         weights = parse_weights(args.weights) if args.weights else WeightVector(0.5, 0.5)
         writer = RunWriter(
-            args.out, "infer",
-            {"checkpoint": args.checkpoint, "scenario": args.scenario}, None, args.threads,
+            args.out, "infer", {"checkpoint": args.checkpoint, "scenario": args.scenario}, None
         )
         emit_placement_run(writer, scenario, placement, weights)
         write_metrics(
@@ -356,7 +352,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     writer = RunWriter(
         args.out, "baseline",
         {"strategy": kind.value, "scenario": args.scenario, "weights": list(weights)},
-        seed, args.threads,
+        seed,
     )
     point = emit_placement_run(writer, scenario, placement, weights)
     score = weighted_objective(point, weights, scenario.bounds())
@@ -388,7 +384,7 @@ def cmd_evo(args: argparse.Namespace) -> int:
     writer = RunWriter(
         args.out, "evo",
         {"algorithm": args.algorithm, "scenario": args.scenario, "config": asdict(config)},
-        seed, args.threads,
+        seed,
     )
     if args.algorithm == "ga":
         weights = parse_weights(args.weights)
@@ -435,9 +431,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
     except (ConfigurationError, InstanceTooLargeError) as exc:
         raise UsageError(str(exc)) from None
-    writer = RunWriter(
-        args.out, "oracle", {"scenario": args.scenario, "cap": args.cap}, None, args.threads
-    )
+    writer = RunWriter(args.out, "oracle", {"scenario": args.scenario, "cap": args.cap}, None)
     rows = [SolutionRow(time=p.time, cost=p.cost) for p in result.front]
     for optimum in result.weighted:
         rows.append(
@@ -464,7 +458,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             label = f"{label}#{len(labeled)}"
         labeled[label] = read_solutions(path / "solutions.csv")
     report = compare_solutions(labeled)
-    writer = RunWriter(args.out, "compare", {"runs": list(args.runs)}, None, args.threads)
+    writer = RunWriter(args.out, "compare", {"runs": list(args.runs)}, None)
     write_comparison_csv(writer.path("comparison.csv"), labeled)
     svg = svg_scatter(
         {m.label: m.points for m in report.methods}, title="solution comparison"
@@ -499,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: FOGFORGE_SEED env var, else 0)")
-        p.add_argument("--threads", type=positive_int, default=1,
-                       help="parallelism degree; 1 guarantees bit-reproducibility")
+        p.add_argument("--threads", type=int, choices=(1,), default=1,
+                       help="accepted for old scripts; rollouts run serially")
 
     p = sub.add_parser("generate", help="write a scenario JSON file")
     common(p)

@@ -33,6 +33,7 @@ from .model import (
     ObjectivePoint,
     Placement,
     WeightVector,
+    _weighted,
     analytic_bounds,
     batch_objectives,
     hypervolume_2d,
@@ -203,12 +204,6 @@ def _tournament(
     return winners
 
 
-def _weighted_fitness(
-    times: np.ndarray, costs: np.ndarray, weights: WeightVector, norms: NormBounds
-) -> np.ndarray:
-    return weights.w_time * (times / norms.max_time) + weights.w_cost * (costs / norms.max_cost)
-
-
 def _seed_population(
     rng: np.random.Generator,
     ids: np.ndarray,
@@ -261,7 +256,7 @@ def ga_solve(
 
     population = _seed_population(rng, ids, config, genes, initial_population)
     times, costs = batch_objectives(app, devices, population)
-    fitness = _weighted_fitness(times, costs, weights, norms)
+    fitness = _weighted(times, costs, weights, norms)
 
     best_idx = int(np.argmin(fitness))
     best = (
@@ -281,7 +276,7 @@ def ga_solve(
         offspring[0] = best[1]
         population = offspring
         times, costs = batch_objectives(app, devices, population)
-        fitness = _weighted_fitness(times, costs, weights, norms)
+        fitness = _weighted(times, costs, weights, norms)
         gen_best = int(np.argmin(fitness))
         if fitness[gen_best] < best[0]:
             best = (

@@ -294,9 +294,12 @@ def weighted_objective(point: ObjectivePoint, weights: WeightVector, norms: Norm
     weights.check()
     if norms.max_time <= 0 or norms.max_cost <= 0:
         raise ConfigurationError(f"normalization bounds must be positive: {norms}")
-    return weights.w_time * (point.time / norms.max_time) + weights.w_cost * (
-        point.cost / norms.max_cost
-    )
+    return _weighted(point.time, point.cost, weights, norms)
+
+
+def _weighted(times, costs, weights: WeightVector, norms: NormBounds):
+    """The scalarization formula on floats or on whole arrays of objectives."""
+    return weights.w_time * (times / norms.max_time) + weights.w_cost * (costs / norms.max_cost)
 
 
 def analytic_bounds(app: Application, devices: Sequence[Device]) -> NormBounds:
@@ -444,7 +447,7 @@ def brute_force_oracle(
         front_index = np.concatenate([front_index, idx])[kept]
 
         for wi, w in enumerate(weights):
-            objs = w.w_time * (times / norms.max_time) + w.w_cost * (costs / norms.max_cost)
+            objs = _weighted(times, costs, w, norms)
             am = int(np.argmin(objs))
             if best[wi] is None or objs[am] < best[wi][0]:
                 best[wi] = (
@@ -453,14 +456,10 @@ def brute_force_oracle(
                     ObjectivePoint(float(times[am]), float(costs[am])),
                 )
 
-    front_reps = {
-        ObjectivePoint(t, c): vec
-        for t, c, vec in zip(front_times.tolist(), front_costs.tolist(), vectors(front_index))
-    }
-    front = pareto_front(list(front_reps))
+    # the kernel leaves the running front deduplicated and in (time, cost) order
     result = OracleResult(
-        front=front,
-        front_placements=[Placement.from_vector(app, front_reps[p]) for p in front],
+        front=[ObjectivePoint(t, c) for t, c in zip(front_times.tolist(), front_costs.tolist())],
+        front_placements=[Placement.from_vector(app, vec) for vec in vectors(front_index)],
         enumerated=total,
     )
     for w, entry in zip(weights, best):

@@ -61,19 +61,19 @@ class StepDecay:
             self.optimizer.lr *= self.gamma
 
 
-def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
+def clip_global_norm(params: list[Tensor], max_norm: float | None) -> float:
     """Scale all gradients so their joint L2 norm is at most `max_norm`.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm; a `max_norm` of None only measures it.
     """
-    if max_norm <= 0:
+    if max_norm is not None and not max_norm > 0:
         raise ConfigurationError("max_norm must be > 0")
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm:
+    if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:

@@ -186,7 +186,6 @@ class RunManifest:
     command: str
     config: dict
     seed: int | None
-    threads: int
     version: str
     started_at: str
     finished_at: str
@@ -212,8 +211,9 @@ def read_manifest(run_dir: str | Path) -> RunManifest:
         raise ConfigurationError(f"{path}: no manifest in run directory")
     try:
         raw = json.loads(path.read_text())
+        raw.pop("threads", None)  # written by versions that had a rollout thread pool
         return RunManifest(**raw)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError, AttributeError) as exc:
         raise ConfigurationError(f"{path}: malformed manifest ({exc})") from exc
 
 

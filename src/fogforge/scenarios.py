@@ -223,7 +223,9 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
             applications=apps,
             seed=None if seed is None else int(seed),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigurationError(f"{origin}: malformed scenario ({exc!r})") from exc
 
 

@@ -11,7 +11,6 @@ on a single application.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -23,10 +22,9 @@ from .agents import (
     PolicyModel,
     PpoHyper,
     collect_trajectory,
-    make_observation,
     ppo_update,
 )
-from .env import Action, PlacementEnv
+from .env import PlacementEnv
 from .model import (
     Application,
     ConfigurationError,
@@ -36,7 +34,6 @@ from .model import (
     WeightVector,
     evaluate,
     pareto_front,
-    weighted_objective,
 )
 from .nn import Adam, StepDecay
 from .scenarios import Scenario, ScenarioConfig, dataset_seeds, generate_scenario
@@ -64,7 +61,7 @@ class TrainConfig:
     learning_rate: float = 0.022
     lr_decay_gamma: float = 0.9
     lr_decay_interval: int = 10
-    threads: int = 1
+    threads: int = 1  # rollouts run serially; kept so saved configs still load
 
     def __post_init__(self) -> None:
         if self.episodes < 0:
@@ -75,8 +72,8 @@ class TrainConfig:
             raise ConfigurationError("eval_interval must be >= 1")
         if min(self.train_size, self.test_size, self.validation_size) < 1:
             raise ConfigurationError("dataset sizes must be >= 1")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1")
+        if self.threads != 1:
+            raise ConfigurationError("threads must be 1: rollouts run serially")
         self.weights.check()
 
     @classmethod
@@ -145,25 +142,22 @@ def infer_placement(model: PolicyModel, app: Application, devices: Sequence[Devi
     and the application to match the model's trained task count.
     """
     env = PlacementEnv(_wrapper_scenario(app, devices), WeightVector(0.5, 0.5))
-    state = env.reset()
-    done = not env.services
-    while not done:
-        obs = make_observation(env, state)
-        svc, dev_pos, *_ = model.act(obs, mode="greedy")
-        state, _, done = env.step(Action(env.services[svc], int(env.device_ids[dev_pos])))
+    collect_trajectory(model, env, mode="greedy")
     return env.placement()
 
 
 def evaluate_policy(
     model: PolicyModel, scenarios: Sequence[Scenario], weights: WeightVector
 ) -> float:
-    """Mean weighted objective of greedy placements over ``scenarios``."""
-    scores = []
-    for sc in scenarios:
-        app = sc.applications[0]
-        point = evaluate(app, infer_placement(model, app, sc.devices), sc.devices)
-        scores.append(weighted_objective(point, weights, sc.bounds()))
-    return float(np.mean(scores))
+    """Mean weighted objective of greedy placements over ``scenarios``.
+
+    Greedy picks do not depend on the env's weights (observations carry none),
+    and the env scores its final state against the scenario's own bounds.
+    """
+    finals = [
+        collect_trajectory(model, PlacementEnv(sc, weights), mode="greedy")[1] for sc in scenarios
+    ]
+    return float(np.mean([final.weighted for final in finals]))
 
 
 # --- training loop ------------------------------------------------------------
@@ -213,18 +207,10 @@ def train(
     for episode in range(budget):
         picks = rng.integers(0, len(datasets.train), size=config.envs_per_episode)
         streams = rng.spawn(config.envs_per_episode)
-
-        def roll(job):
-            scenario, stream = job
-            env = PlacementEnv(scenario, config.weights)
-            return collect_trajectory(model, env, stream, mode="sample")
-
-        jobs = [(datasets.train[p], streams[i]) for i, p in enumerate(picks)]
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                rolled = list(pool.map(roll, jobs))
-        else:
-            rolled = [roll(job) for job in jobs]
+        rolled = [
+            collect_trajectory(model, PlacementEnv(datasets.train[p], config.weights), stream)
+            for p, stream in zip(picks, streams)
+        ]
         trajectories = [transitions for transitions, _ in rolled]
         finals = [final for _, final in rolled]
 

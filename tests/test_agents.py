@@ -1,5 +1,7 @@
 """Policy heads, masking, PPO mechanics, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fogforge.agents import (
     PolicyModel,
     PpoHyper,
     Transition,
+    _choose,
     collect_trajectory,
     load_checkpoint,
     make_observation,
@@ -51,7 +54,7 @@ def test_single_eligible_service_is_forced():
     # chain heads (0,0) and (1,0) eligible; restrict to one by masking
     obs.eligible[:] = False
     obs.eligible[0] = True
-    svc, logp = model.select_service(obs, mode="sample", rng=np.random.default_rng(1))
+    svc, _, logp, *_ = model.act(obs, mode="sample", rng=np.random.default_rng(1))
     assert svc == 0
     assert logp == pytest.approx(0.0, abs=1e-12)
 
@@ -66,11 +69,15 @@ def test_uniform_scores_sample_uniformly_and_respect_mask():
     assert len(eligible) == 3  # the three row heads
 
     rng = np.random.default_rng(2)
+    svc, *_ = model.act(obs, mode="sample", rng=rng)
+    assert obs.eligible[svc]
+    # the draws below reuse one pass's scores instead of rerunning the GIN each time
+    scores = model._decide(obs, mode="greedy").service_scores
+    np.testing.assert_array_equal(scores.data, scores.data[0])
     counts = np.zeros(env.task_count)
     draws = 30_000
     for _ in range(draws):
-        svc, _ = model.select_service(obs, mode="sample", rng=rng)
-        counts[svc] += 1
+        counts[_choose(scores, obs.eligible, "sample", rng)] += 1
     assert counts[~obs.eligible].sum() == 0  # masked services never sampled
     np.testing.assert_allclose(counts[eligible] / draws, 1 / 3, atol=0.02)
 
@@ -85,7 +92,7 @@ def test_single_device_forced():
     env = PlacementEnv(scenario, HALF)
     model = fresh(env)
     obs = make_observation(env, env.reset())
-    dev, logp = model.select_device(obs, 0, mode="sample", rng=np.random.default_rng(3))
+    _, dev, _, logp, *_ = model.act(obs, mode="sample", rng=np.random.default_rng(3))
     assert dev == 0
     assert logp == pytest.approx(0.0, abs=1e-12)
 
@@ -105,6 +112,12 @@ def test_identical_devices_get_identical_probabilities():
     ev1 = model.evaluate_actions(obs, 0, 1)
     ev2 = model.evaluate_actions(obs, 0, 2)
     assert ev1["logp_d"].item() == pytest.approx(ev2["logp_d"].item(), abs=1e-9)
+    # entropies are those of the distributions the log-probs describe
+    p_d = np.exp([model.evaluate_actions(obs, 0, k)["logp_d"].item() for k in range(3)])
+    assert ev1["entropy_d"].item() == pytest.approx(-(p_d * np.log(p_d)).sum(), abs=1e-12)
+    eligible = np.flatnonzero(obs.eligible)
+    p_s = np.exp([model.evaluate_actions(obs, s, 0)["logp_s"].item() for s in eligible])
+    assert ev1["entropy_s"].item() == pytest.approx(-(p_s * np.log(p_s)).sum(), abs=1e-12)
 
 
 def test_greedy_mode_is_deterministic():
@@ -115,6 +128,11 @@ def test_greedy_mode_is_deterministic():
     assert [(t.service_index, t.device_pos) for t in first] == [
         (t.service_index, t.device_pos) for t in second
     ]
+    for t in first:  # greedy picks the highest-scoring eligible service and device
+        d = model._decide(t.obs, t.service_index, t.device_pos)
+        masked = np.where(t.obs.eligible, d.service_scores.data, -np.inf)
+        assert t.service_index == np.argmax(masked)
+        assert t.device_pos == np.argmax(d.device_scores.data)
 
 
 def test_trajectory_record_and_replay_consistency():
@@ -128,10 +146,18 @@ def test_trajectory_record_and_replay_consistency():
     assert final_state.placed_mask.all()
     for t in transitions:
         ev = model.evaluate_actions(t.obs, t.service_index, t.device_pos)
-        assert ev["logp_s"].item() == pytest.approx(t.logp_service, abs=1e-12)
-        assert ev["logp_d"].item() == pytest.approx(t.logp_device, abs=1e-12)
-        assert ev["value_s"].item() == pytest.approx(t.value_service, abs=1e-12)
-        assert ev["value_d"].item() == pytest.approx(t.value_device, abs=1e-12)
+        assert ev["logp_s"].item() == t.logp_service
+        assert ev["logp_d"].item() == t.logp_device
+        assert ev["value_s"].item() == t.value_service
+        assert ev["value_d"].item() == t.value_device
+
+
+@pytest.mark.parametrize("clip", [0.0, -1.0, float("nan"), float("inf")])
+def test_grad_clip_norm_validation(clip):
+    with pytest.raises(ConfigurationError, match="grad_clip_norm"):
+        PpoHyper(grad_clip_norm=clip)
+    assert PpoHyper(grad_clip_norm=None).grad_clip_norm is None
+    assert PpoHyper(grad_clip_norm=0.5).grad_clip_norm == 0.5
 
 
 def test_returns_are_suffix_sums():
@@ -232,7 +258,7 @@ def test_task_count_mismatch_rejected():
     model = fresh(env_big)
     obs = make_observation(env_small, env_small.reset())
     with pytest.raises(ConfigurationError):
-        model.select_service(obs, mode="greedy")
+        model.act(obs, mode="greedy")
 
 
 def test_divergent_update_aborts():
@@ -286,3 +312,19 @@ def test_checkpoint_errors(tmp_path):
     truncated.write_text('{"format_version": 1}')
     with pytest.raises(ConfigurationError, match="malformed"):
         load_checkpoint(truncated)
+
+    good = tmp_path / "good.json"
+    save_checkpoint(fresh(make_env(seed=18), seed=18), good)
+    name = "actor_s.linears.0.b"
+
+    def doctored(edit, match):
+        payload = json.loads(good.read_text())
+        edit(payload["state"])
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=match):
+            load_checkpoint(path)
+
+    doctored(lambda state: state[name].pop(), "malformed")  # one value short of its shape
+    doctored(lambda state: state[name].__setitem__(0, "x"), "malformed")
+    doctored(lambda state: state[name].__setitem__(0, float("nan")), "non-finite")

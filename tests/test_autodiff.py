@@ -365,6 +365,13 @@ def test_clip_global_norm():
     clip_global_norm([a, b], 1.0)
     np.testing.assert_allclose(a.grad, [0.05, 0.05, 0.05])
 
+    a.grad = np.array([3.0, 4.0, 0.0])
+    assert clip_global_norm([a, b], None) == 5.0  # None measures without clipping
+    np.testing.assert_array_equal(a.grad, [3.0, 4.0, 0.0])
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="max_norm"):
+            clip_global_norm([a, b], bad)
+
     rng = np.random.default_rng(15)
     for _ in range(20):
         a.grad = rng.normal(size=3) * 10

@@ -70,6 +70,13 @@ def test_no_command_is_usage_error():
     assert main([]) == 2
 
 
+def test_threads_other_than_one_is_usage_error(tmp_path, scenario_file):
+    for threads in ("0", "2"):
+        rc = main(["baseline", "--strategy", "all-in-cloud", "--threads", threads,
+                   "--scenario", str(scenario_file), "--out", str(tmp_path / "run")])
+        assert rc == 2
+
+
 def test_version_flag():
     assert main(["--version"]) == 0
 
@@ -159,7 +166,8 @@ def test_oracle_cap_exceeded(tmp_path, scenario_file):
 
 
 @pytest.mark.parametrize(
-    "defect", ["nan-latency", "negative-ops", "duplicate-edge", "negative-device-id"]
+    "defect",
+    ["nan-latency", "negative-ops", "duplicate-edge", "negative-device-id", "non-numeric-speed"],
 )
 def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect):
     data = json.loads(scenario_file.read_text())
@@ -167,6 +175,8 @@ def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect):
         data["devices"][1]["latency"] = float("nan")  # json writes and reads NaN
     elif defect == "negative-device-id":
         data["devices"][1]["id"] = -1
+    elif defect == "non-numeric-speed":
+        data["devices"][1]["speed"] = "fast"
     elif defect == "negative-ops":
         data["applications"][0]["ops"][0][0] = -1.0
     else:

@@ -1,5 +1,7 @@
 """Run artifacts: solutions schema, trajectory replay, manifests, comparisons."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,6 @@ def test_manifest_roundtrip(tmp_path):
         command="evo",
         config={"algorithm": "nsga2"},
         seed=7,
-        threads=1,
         version="0.1.0",
         started_at=utc_stamp(0.0),
         finished_at=utc_stamp(1.0),
@@ -165,6 +166,10 @@ def test_manifest_roundtrip(tmp_path):
         outputs=["solutions.csv"],
     )
     write_manifest(tmp_path, manifest)
+    assert read_manifest(tmp_path) == manifest
+    # manifests written while rollouts had a thread pool carry a threads key
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "threads": 1}))
     assert read_manifest(tmp_path) == manifest
 
 

@@ -167,5 +167,6 @@ def test_load_errors(tmp_path):
     data = scenario_to_dict(generate_scenario(ScenarioConfig(device_count=1), seed=1))
     data["format_version"] = 99
     future.write_text(json.dumps(data))
-    with pytest.raises(ConfigurationError, match="format_version"):
+    with pytest.raises(ConfigurationError, match="format_version") as info:
         load_scenario(future)
+    assert "malformed" not in str(info.value)  # the loader's own message, not re-wrapped

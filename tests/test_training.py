@@ -79,6 +79,8 @@ def test_config_validation():
         tiny_config(test_size=0)
     with pytest.raises(ConfigurationError, match="threads"):
         tiny_config(threads=0)
+    with pytest.raises(ConfigurationError, match="threads"):
+        tiny_config(threads=2)
     with pytest.raises(ConfigurationError, match="weights"):
         tiny_config(weights=WeightVector(0.9, 0.5))
 
@@ -127,13 +129,6 @@ def test_training_metrics_deterministic(tiny):
     assert a.best_test_metric == b.best_test_metric
     for pa, pb in zip(a.model.parameters(), b.model.parameters()):
         assert np.array_equal(pa.data, pb.data)
-
-
-def test_threaded_rollouts_match_serial(tiny):
-    config, datasets = tiny
-    serial = train(config, datasets)
-    threaded = train(tiny_config(threads=4), datasets)
-    assert serial.metrics == threaded.metrics
 
 
 def test_best_checkpoint_is_monotone_and_restored(tiny):
@@ -252,9 +247,7 @@ def test_evaluate_policy_matches_manual(tiny):
         app = sc.applications[0]
         point = evaluate(app, infer_placement(model, app, sc.devices), sc.devices)
         manual.append(weighted_objective(point, config.weights, sc.bounds()))
-    assert evaluate_policy(model, datasets.test, config.weights) == pytest.approx(
-        float(np.mean(manual))
-    )
+    assert evaluate_policy(model, datasets.test, config.weights) == float(np.mean(manual))
 
 
 # --- sweep --------------------------------------------------------------------
