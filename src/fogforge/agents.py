@@ -3,7 +3,9 @@
 The service head scores each node from the concatenated graph and node
 embeddings, masked to eligible services. The device head scores every device
 from its own features joined with the candidate service's features and the
-current allocation vector; all devices are legal. One PPO update recomputes
+current allocation vector; all devices are legal. Devices with equal feature
+rows get equal scores, so the head runs once per distinct device row and
+each device reads its row's score. One PPO update recomputes
 log-probabilities and values per epoch and takes a single Adam step over all
 parameters, averaging the two heads' losses.
 """
@@ -84,7 +86,8 @@ class Observation:
     service_features: np.ndarray  # (tasks, 3)
     alloc: np.ndarray  # (tasks,): normalized latency of each service's host
     eligible: np.ndarray  # (tasks,) bool
-    device_features: np.ndarray  # (devices, 3)
+    device_classes: np.ndarray  # (classes, 3): the distinct device feature rows
+    device_class_of: np.ndarray  # (devices,): each device's row in device_classes
 
 
 @dataclass
@@ -107,7 +110,8 @@ def make_observation(env: PlacementEnv, state: EnvState) -> Observation:
         service_features=state.service_features.copy(),
         alloc=state.device_features[0, ::3].copy(),
         eligible=state.eligible_mask.copy(),
-        device_features=env.device_features_all,
+        device_classes=env.device_classes,
+        device_class_of=env.device_class_of,
     )
 
 
@@ -179,18 +183,18 @@ class PolicyModel(Module):
         logp_s = masked_log_softmax(s_scores, obs.eligible)[np.array([service_index])].sum()
         value_s = self.critic_s(emb.graph_embedding).sum()
 
-        n_dev = obs.device_features.shape[0]
+        n_cls = obs.device_classes.shape[0]
         candidate = obs.service_features[service_index]
         rows = np.concatenate(
             [
-                obs.device_features,
-                np.tile(candidate, (n_dev, 1)),
-                np.tile(obs.alloc, (n_dev, 1)),
+                obs.device_classes,
+                np.tile(candidate, (n_cls, 1)),
+                np.tile(obs.alloc, (n_cls, 1)),
             ],
             axis=1,
         )
-        d_scores = self.actor_d(Tensor(rows)).reshape(n_dev)
-        all_devices = np.ones(n_dev, dtype=bool)
+        d_scores = self.actor_d(Tensor(rows)).reshape(n_cls)[obs.device_class_of]
+        all_devices = np.ones(len(obs.device_class_of), dtype=bool)
         if device_pos is None:
             device_pos = _choose(d_scores, all_devices, mode, rng)
         logp_d = masked_log_softmax(d_scores, all_devices)[np.array([device_pos])].sum()
@@ -279,12 +283,7 @@ def collect_trajectory(
 
 def trajectory_returns(rewards: list[float]) -> list[float]:
     """Undiscounted suffix sums: return at t is the reward-to-go."""
-    out = [0.0] * len(rewards)
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc += rewards[t]
-        out[t] = acc
-    return out
+    return np.cumsum(np.asarray(rewards, dtype=np.float64)[::-1])[::-1].tolist()
 
 
 @dataclass

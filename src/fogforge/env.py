@@ -104,6 +104,11 @@ class PlacementEnv:
         self.adjacency[dst, src] = 1.0
         lat, speed, cost = self._inst.latency, self._inst.speed, self._inst.cost
         self.device_features_all = np.stack([norm(lat), norm(speed), norm(cost)], axis=1)
+        # the distinct device rows, which the device head scores once each
+        self.device_classes, class_of = np.unique(
+            self.device_features_all, axis=0, return_inverse=True
+        )
+        self.device_class_of = class_of.reshape(-1)  # numpy 2.0.0 returns it 2-d
 
         # feature-normalization denominators, fixed per scenario
         self._exec_bound = float(self._inst.ops.max()) / float(speed.min())

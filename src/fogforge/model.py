@@ -133,9 +133,6 @@ class Placement:
 
     assignment: dict[Service, int]
 
-    def device_of(self, service: Service) -> int:
-        return self.assignment[service]
-
     @classmethod
     def uniform(cls, app: Application, device_id: int) -> "Placement":
         return cls({s: device_id for s in app.services()})

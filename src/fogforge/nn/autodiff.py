@@ -51,9 +51,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -175,11 +172,6 @@ class Tensor:
 
     def sqrt(self):
         return self**0.5
-
-    def relu(self):
-        a = self
-        mask = a.data > 0
-        return _node(a.data * mask, (a,), lambda g: (g * mask,))
 
     def clip(self, lo: float, hi: float):
         """Clamp values; gradient is 1 inside [lo, hi] and 0 outside."""

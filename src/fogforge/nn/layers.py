@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fogforge.model import ConfigurationError
-from fogforge.nn.autodiff import Tensor, as_tensor, check_finite, where
+from fogforge.nn.autodiff import Tensor, _node, as_tensor, check_finite, where
 
 
 class Module:
@@ -100,11 +100,27 @@ class BatchNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
+        """One tape node. The forward takes the elementwise steps of
+        ``(x - mean) / sqrt(var + eps) * gamma + beta`` in that order; the
+        backward is the closed form of that expression's gradient."""
         x = as_tensor(x)
-        mu = x.mean(axis=0, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=0, keepdims=True)
-        xhat = (x - mu) / (var + self.eps).sqrt()
-        return xhat * self.gamma + self.beta
+        gamma, beta = self.gamma, self.beta
+        inv_n = 1.0 / x.data.shape[0]
+        centered = x.data + -(x.data.sum(axis=0, keepdims=True) * inv_n)
+        var = np.power(centered, 2.0).sum(axis=0, keepdims=True) * inv_n
+        std = np.power(var + self.eps, 0.5)
+        xhat = centered / std
+
+        def bw(g):
+            g_xhat = g * gamma.data
+            dx = (
+                g_xhat
+                - g_xhat.mean(axis=0, keepdims=True)
+                - xhat * (g_xhat * xhat).mean(axis=0, keepdims=True)
+            ) / std
+            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+        return _node(xhat * gamma.data + beta.data, (x, gamma, beta), bw)
 
 
 @dataclass(frozen=True)

@@ -33,15 +33,18 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for k, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            m_hat = self.m[k] / (1 - b1**self.t)
-            v_hat = self.v[k] / (1 - b2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # a non-finite step is reported by the caller's parameter check, not
+        # by numpy's warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k, p in enumerate(self.params):
+                g = p.grad
+                if g is None:
+                    g = np.zeros_like(p.data)
+                self.m[k] = b1 * self.m[k] + (1 - b1) * g
+                self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+                m_hat = self.m[k] / (1 - b1**self.t)
+                v_hat = self.v[k] / (1 - b2**self.t)
+                p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class StepDecay:

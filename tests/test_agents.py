@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference, max_rel_error
+
 from fogforge.agents import (
     AgentConfig,
     DivergenceError,
@@ -22,7 +24,7 @@ from fogforge.agents import (
 from fogforge.env import PlacementEnv
 from fogforge.gin import GinConfig
 from fogforge.model import ConfigurationError, Device, WeightVector
-from fogforge.nn import Adam
+from fogforge.nn import Adam, Tensor
 from fogforge.scenarios import Scenario, ScenarioConfig, generate_scenario
 
 HALF = WeightVector(0.5, 0.5)
@@ -120,6 +122,55 @@ def test_identical_devices_get_identical_probabilities():
     assert ev1["entropy_s"].item() == pytest.approx(-(p_s * np.log(p_s)).sum(), abs=1e-12)
 
 
+def test_class_scores_match_a_full_device_pass():
+    env = make_env(seed=0, device_count=1000, rows=9)
+    model = PolicyModel(env.task_count, AgentConfig(), np.random.default_rng(0))
+    transitions, _ = collect_trajectory(model, env, mode="greedy")
+    assert len(env.device_classes) < len(env.device_ids) == 1001
+    for t in transitions[:: len(transitions) // 8]:
+        d = model._decide(t.obs, t.service_index, t.device_pos)
+        candidate = t.obs.service_features[t.service_index]
+        rows = np.concatenate(
+            [
+                env.device_features_all,
+                np.tile(candidate, (1001, 1)),
+                np.tile(t.obs.alloc, (1001, 1)),
+            ],
+            axis=1,
+        )
+        full = model.actor_d(Tensor(rows)).data.reshape(1001)
+        np.testing.assert_allclose(d.device_scores.data, full, rtol=0, atol=1e-12)
+        assert t.device_pos == np.argmax(full)
+
+
+def test_device_head_gradients_through_shared_classes():
+    cloud = Device(id=0, speed=1.0, latency=50.0, cost=20.0, is_cloud=True)
+    pool = (cloud,) + tuple(
+        Device(id=k, speed=1.0, latency=latency, cost=cost)
+        for k, (latency, cost) in enumerate([(10, 5), (10, 5), (30, 1), (10, 5), (30, 1)], start=1)
+    )
+    config = ScenarioConfig(device_count=5, app_rows=(2,))
+    app = generate_scenario(config, 2).applications[0]
+    env = PlacementEnv(Scenario(config=config, devices=pool, applications=(app,)), HALF)
+    assert len(env.device_classes) == 3
+    model = fresh(env, seed=21)
+    obs = make_observation(env, env.reset())
+    service = int(np.flatnonzero(obs.eligible)[0])
+    for key in ("logp_d", "entropy_d"):  # device 2 shares its class with devices 1 and 4
+        model.zero_grad()
+        model.evaluate_actions(obs, service, 2)[key].backward()
+        for name, param in model.actor_d.named_parameters().items():
+            saved = param.data.copy()
+
+            def f(values):
+                param.data = values
+                out = model.evaluate_actions(obs, service, 2)[key].item()
+                param.data = saved
+                return out
+
+            assert max_rel_error(param.grad, finite_difference(f, saved)) < 1e-4, (key, name)
+
+
 def test_greedy_mode_is_deterministic():
     env = make_env(seed=4)
     model = fresh(env, seed=4)
@@ -163,6 +214,18 @@ def test_grad_clip_norm_validation(clip):
 def test_returns_are_suffix_sums():
     assert trajectory_returns([1.0, 2.0, 3.0]) == [6.0, 5.0, 3.0]
     assert trajectory_returns([]) == []
+
+
+def test_returns_match_the_reverse_loop():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 9, 81):
+        rewards = list(rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n))
+        expected = [0.0] * n
+        acc = 0.0
+        for t in range(n - 1, -1, -1):
+            acc += rewards[t]
+            expected[t] = acc
+        assert trajectory_returns(rewards) == expected
 
 
 def test_first_epoch_ratio_is_one():

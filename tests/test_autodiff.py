@@ -54,7 +54,6 @@ def test_elementwise_op_gradients():
         (lambda t: t.exp().sum(), x0),
         (lambda t: t.log().sum(), pos),
         (lambda t: t.tanh().sum(), x0),
-        (lambda t: t.relu().sum(), x0 + 0.05),
         (lambda t: t.mean(), x0),
         (lambda t: t.sum(axis=0).sum(), x0),
         (lambda t: t.mean(axis=1, keepdims=True).sum(), x0),
@@ -62,6 +61,7 @@ def test_elementwise_op_gradients():
         (lambda t: t.T.sum(), x0),
         (lambda t: t[1:, ::2].sum(), x0),
         (lambda t: (t[0] * t[2]).sum(), x0),
+        (lambda t: (t[np.array([0, 2, 0, 1])] ** 2).sum(), x0),
     ]
     for build, point in cases:
         check_grad(build, point)
@@ -230,6 +230,37 @@ def test_batchnorm_training_statistics():
     assert np.abs(out.mean(axis=0)).max() < 1e-6
     biased_var = out.var(axis=0)
     assert np.abs(biased_var - 1.0).max() < 1e-3  # eps slightly shrinks variance
+
+
+def composed_batchnorm(bn, x):
+    """Batch norm as a graph of elementwise tape ops: the reference for the fused node."""
+    mu = x.mean(axis=0, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=0, keepdims=True)
+    xhat = (x - mu) / (var + bn.eps).sqrt()
+    return xhat * bn.gamma + bn.beta
+
+
+def test_fused_batchnorm_matches_composed_graph():
+    rng = np.random.default_rng(10)
+    for rows, features in ((1, 3), (2, 4), (5, 3), (81, 32)):
+        bn = BatchNorm(features)
+        bn.gamma.data = rng.normal(size=features) + 1.0
+        bn.beta.data = rng.normal(size=features)
+        x0 = rng.normal(loc=2.0, scale=3.0, size=(rows, features))
+        weights = rng.normal(size=(rows, features))
+        grads = []
+        for norm in (bn, lambda t: composed_batchnorm(bn, t)):
+            bn.zero_grad()
+            x = Tensor(x0, requires_grad=True)
+            out = norm(x)
+            (out * out * weights).sum().backward()
+            grads.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad))
+        (fused, *fused_grads), (composed, *composed_grads) = grads
+        np.testing.assert_array_equal(fused, composed)  # same ops in the same order
+        for a, b in zip(fused_grads, composed_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+    x = Tensor(x0, requires_grad=True)
+    assert bn(x)._parents == (x, bn.gamma, bn.beta)  # one tape node
 
 
 def test_state_dict_round_trip():

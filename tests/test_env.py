@@ -227,3 +227,26 @@ def test_static_graph_helpers():
     for src, dst in app.edges:
         u, v = app.service_index(src), app.service_index(dst)
         assert env.adjacency[u, v] == env.adjacency[v, u] == 1.0
+
+
+
+def test_device_classes_rebuild_the_feature_rows():
+    app = grid_scenario().applications[0]
+    distinct = (Device(id=0, speed=1.0, latency=50.0, cost=20.0, is_cloud=True),) + tuple(
+        Device(id=k, speed=1.0 + k, latency=10.0 * k, cost=30.0 - k) for k in range(1, 6)
+    )
+    all_distinct = Scenario(
+        config=ScenarioConfig(device_count=5), devices=distinct, applications=(app,)
+    )
+    generated = [grid_scenario(seed=s, device_count=n) for s in range(3) for n in (20, 1000)]
+    for scenario in [*generated, all_distinct]:
+        env = PlacementEnv(scenario, HALF)
+        assert env.device_class_of.shape == (len(scenario.devices),)
+        np.testing.assert_array_equal(
+            env.device_classes[env.device_class_of], env.device_features_all
+        )
+        assert len(np.unique(env.device_classes, axis=0)) == len(env.device_classes)
+        if scenario is all_distinct:
+            assert len(env.device_classes) == len(distinct)
+        elif len(scenario.devices) == 1001:
+            assert len(env.device_classes) < 100  # 6 latencies x 5 costs, plus the cloud
