@@ -6,8 +6,9 @@ from its own features joined with the candidate service's features and the
 current allocation vector; all devices are legal. Devices with equal feature
 rows get equal scores, so the head runs once per distinct device row and
 each device reads its row's score. One PPO update recomputes
-log-probabilities and values per epoch and takes a single Adam step over all
-parameters, averaging the two heads' losses.
+log-probabilities and values per transition each epoch, stacks them into one
+vector per head, computes the losses on those vectors, and takes a single
+Adam step over all parameters, averaging the two heads' losses.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from fogforge.nn import (
     concat,
     masked_entropy,
     masked_log_softmax,
-    masked_softmax,
     minimum,
 )
 
@@ -178,9 +178,10 @@ class PolicyModel(Module):
         emb = self.gin(obs.node_features, obs.adjacency)
         tiled_hg = Tensor(np.ones((tasks, 1))) @ emb.graph_embedding
         s_scores = self.actor_s(concat([tiled_hg, emb.node_embeddings], axis=1)).reshape(tasks)
+        s_logp = masked_log_softmax(s_scores, obs.eligible)
         if service_index is None:
-            service_index = _choose(s_scores, obs.eligible, mode, rng)
-        logp_s = masked_log_softmax(s_scores, obs.eligible)[np.array([service_index])].sum()
+            service_index = _choose(s_scores, s_logp, obs.eligible, mode, rng)
+        logp_s = s_logp[np.array([service_index])].sum()
         value_s = self.critic_s(emb.graph_embedding).sum()
 
         n_cls = obs.device_classes.shape[0]
@@ -195,9 +196,10 @@ class PolicyModel(Module):
         )
         d_scores = self.actor_d(Tensor(rows)).reshape(n_cls)[obs.device_class_of]
         all_devices = np.ones(len(obs.device_class_of), dtype=bool)
+        d_logp = masked_log_softmax(d_scores, all_devices)
         if device_pos is None:
-            device_pos = _choose(d_scores, all_devices, mode, rng)
-        logp_d = masked_log_softmax(d_scores, all_devices)[np.array([device_pos])].sum()
+            device_pos = _choose(d_scores, d_logp, all_devices, mode, rng)
+        logp_d = d_logp[np.array([device_pos])].sum()
         critic_in = np.concatenate([candidate, obs.alloc]).reshape(1, -1)
         value_d = self.critic_d(Tensor(critic_in)).sum()
         return _Decision(
@@ -235,15 +237,23 @@ class PolicyModel(Module):
 
 
 def _choose(
-    scores: Tensor, mask: np.ndarray, mode: str, rng: np.random.Generator | None
+    scores: Tensor,
+    logp: Tensor,
+    mask: np.ndarray,
+    mode: str,
+    rng: np.random.Generator | None,
 ) -> int:
-    """Greedy: argmax of the masked scores. Sample: a draw from their softmax."""
+    """Greedy: argmax of the masked scores. Sample: a draw from ``exp(logp)``.
+
+    Greedy reads the scores, not ``logp``: rounding in the log-softmax can tie
+    two distinct scores.
+    """
     if mode == "greedy":
         return int(np.argmax(np.where(mask, scores.data, -np.inf)))
     if mode == "sample":
         if rng is None:
             raise ConfigurationError("sampling requires a random generator")
-        probs = masked_softmax(scores, mask).data
+        probs = np.where(mask, np.exp(logp.data), 0.0)
         return int(rng.choice(len(probs), p=probs / probs.sum()))
     raise ConfigurationError(f"unknown selection mode {mode!r}")
 
@@ -300,10 +310,6 @@ class UpdateReport:
     grad_norm: float
 
 
-def _mean_scalars(values: list[Tensor]) -> Tensor:
-    return concat([v.reshape(1) for v in values]).mean()
-
-
 def ppo_update(
     model: PolicyModel,
     trajectories: list[list[Transition]],
@@ -312,47 +318,42 @@ def ppo_update(
 ) -> UpdateReport:
     """Clipped-surrogate update over completed trajectories.
 
-    Each epoch recomputes log-probs and values for every stored transition,
-    forms per-head losses c_policy*policy + c_value*value - c_entropy*entropy,
+    Each epoch recomputes log-probs, values and entropies for every stored
+    transition, stacks each into one vector per head, forms per-head losses
+    c_policy*policy + c_value*value - c_entropy*entropy on those vectors,
     averages the two heads, and takes one Adam step over all parameters.
     """
-    flat: list[tuple[Transition, float]] = []
-    for traj in trajectories:
-        returns = trajectory_returns([t.reward for t in traj])
-        flat.extend(zip(traj, returns))
+    flat = [t for traj in trajectories for t in traj]
     if not flat:
         raise ConfigurationError("no transitions to update on")
+    returns = np.concatenate(
+        [trajectory_returns([t.reward for t in traj]) for traj in trajectories]
+    )
+    logp_old = {
+        "s": np.array([t.logp_service for t in flat]),
+        "d": np.array([t.logp_device for t in flat]),
+    }
 
     lo, hi = 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio
     total_losses: list[float] = []
-    first_ratios = {"s": 0.0, "d": 0.0}
+    first_ratios: dict[str, float] = {}
     components: dict[str, float] = {}
     grad_norm = 0.0
 
     for epoch in range(hyper.update_epochs):
-        ratio_sums = {"s": 0.0, "d": 0.0}
-        surrogates = {"s": [], "d": []}
-        values = {"s": [], "d": []}
-        entropies = {"s": [], "d": []}
-        for transition, ret in flat:
-            ev = model.evaluate_actions(
-                transition.obs, transition.service_index, transition.device_pos
-            )
-            for head, logp_old in (("s", transition.logp_service), ("d", transition.logp_device)):
-                ratio = (ev[f"logp_{head}"] - logp_old).exp()
-                ratio_sums[head] += ratio.item()
-                advantage = ret - ev[f"value_{head}"].item()
-                surrogates[head].append(
-                    minimum(ratio * advantage, ratio.clip(lo, hi) * advantage)
-                )
-                values[head].append((ev[f"value_{head}"] - ret) ** 2)
-                entropies[head].append(ev[f"entropy_{head}"])
+        evs = [model.evaluate_actions(t.obs, t.service_index, t.device_pos) for t in flat]
+
+        def stacked(key: str) -> Tensor:
+            return concat([ev[key].reshape(1) for ev in evs])
 
         head_losses = {}
         for head in ("s", "d"):
-            policy_loss = -_mean_scalars(surrogates[head])
-            value_loss = _mean_scalars(values[head])
-            entropy = _mean_scalars(entropies[head])
+            value = stacked(f"value_{head}")
+            ratio = (stacked(f"logp_{head}") - logp_old[head]).exp()
+            advantage = returns - value.data
+            policy_loss = -minimum(ratio * advantage, ratio.clip(lo, hi) * advantage).mean()
+            value_loss = ((value - returns) ** 2).mean()
+            entropy = stacked(f"entropy_{head}").mean()
             head_losses[head] = (
                 hyper.policy_coef * policy_loss
                 + hyper.value_coef * value_loss
@@ -361,9 +362,8 @@ def ppo_update(
             components[f"policy_loss_{head}"] = policy_loss.item()
             components[f"value_loss_{head}"] = value_loss.item()
             components[f"entropy_{head}"] = entropy.item()
-
-        if epoch == 0:
-            first_ratios = {k: v / len(flat) for k, v in ratio_sums.items()}
+            if epoch == 0:
+                first_ratios[head] = float(ratio.data.mean())
 
         total = (head_losses["s"] + head_losses["d"]) * 0.5
         if not np.isfinite(total.item()):

@@ -102,9 +102,6 @@ class Application:
     def service_index(self, service: Service) -> int:
         return service[0] * self.cols + service[1]
 
-    def predecessors(self, service: Service) -> list[Service]:
-        return [src for src, dst in self.edges if dst == service]
-
     def _is_acyclic(self) -> bool:
         indeg = {s: 0 for s in self.services()}
         for _, dst in self.edges:

@@ -4,10 +4,8 @@ from fogforge.nn.autodiff import (
     AutodiffUsageError,
     Tensor,
     as_tensor,
-    check_finite,
     concat,
     minimum,
-    where,
 )
 from fogforge.nn.layers import (
     BatchNorm,
@@ -17,7 +15,6 @@ from fogforge.nn.layers import (
     Module,
     masked_entropy,
     masked_log_softmax,
-    masked_softmax,
 )
 from fogforge.nn.optim import Adam, StepDecay, clip_global_norm
 
@@ -32,12 +29,9 @@ __all__ = [
     "StepDecay",
     "Tensor",
     "as_tensor",
-    "check_finite",
     "clip_global_norm",
     "concat",
     "masked_entropy",
     "masked_log_softmax",
-    "masked_softmax",
     "minimum",
-    "where",
 ]

@@ -12,8 +12,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-DEBUG_CHECK = False  # when True, layer boundaries reject non-finite values
-
 
 class AutodiffUsageError(RuntimeError):
     """Backward called on a non-scalar or otherwise misused tape."""
@@ -239,24 +237,6 @@ def minimum(a, b) -> Tensor:
     return _node(np.minimum(a.data, b.data), (a, b), bw)
 
 
-def where(condition: np.ndarray, a, b) -> Tensor:
-    """Select by a constant boolean mask; gradients route branch-wise only.
-
-    Both branches are evaluated eagerly, so callers must keep them finite even
-    where deselected.
-    """
-    condition = np.asarray(condition, dtype=bool)
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        return (
-            _unbroadcast(g * condition, a.shape),
-            _unbroadcast(g * ~condition, b.shape),
-        )
-
-    return _node(np.where(condition, a.data, b.data), (a, b), bw)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
@@ -266,9 +246,3 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
-
-
-def check_finite(tensor: Tensor, context: str = "") -> Tensor:
-    if DEBUG_CHECK and not np.isfinite(tensor.data).all():
-        raise FloatingPointError(f"non-finite values{' in ' + context if context else ''}")
-    return tensor

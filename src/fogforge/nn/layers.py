@@ -1,4 +1,4 @@
-"""Dense layers, batch normalization, MLP stacks, and masked softmax helpers."""
+"""Dense layers, batch normalization, MLP stacks, and masked categorical helpers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fogforge.model import ConfigurationError
-from fogforge.nn.autodiff import Tensor, _node, as_tensor, check_finite, where
+from fogforge.nn.autodiff import Tensor, _node, as_tensor
 
 
 class Module:
@@ -151,43 +151,40 @@ class Mlp(Module):
             if self.norms:
                 x = self.norms[i](x)
             x = x.tanh()
-        return check_finite(self.linears[-1](x), "mlp output")
+        return self.linears[-1](x)
 
 
 # --- masked categorical utilities --------------------------------------------
 
 def masked_log_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Log-probabilities over entries where `mask` is true; others are 0.
+    """Log-probabilities over entries where `mask` is true; others are exactly 0.
 
-    The max-shift constant is taken over masked entries only and detached, and
-    deselected scores are replaced *before* exponentiation so no overflow or
-    0 * inf can leak into the backward pass.
+    One tape node. The max-shift constant is taken over masked entries only,
+    and deselected scores are replaced by 0 *before* exponentiation, so no
+    overflow or 0 * inf reaches either pass. The backward is the closed form
+    ``m * (g - p * sum(m * g))`` with ``p`` the probabilities, so deselected
+    entries get exactly 0.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ConfigurationError("mask selects no entries")
     shift = float(scores.data[mask].max())
-    zeros = np.zeros_like(scores.data)
-    centered = where(mask, scores - shift, zeros)
-    denom = where(mask, centered.exp(), zeros).sum()
-    return where(mask, centered - denom.log(), zeros)
+    centered = np.where(mask, scores.data + -shift, 0.0)
+    denom = np.where(mask, np.exp(centered), 0.0).sum()
+    out = np.where(mask, centered + -np.log(denom), 0.0)
 
+    def bw(g):
+        g = np.where(mask, g, 0.0)
+        probs = np.where(mask, np.exp(out), 0.0)
+        return (g - probs * g.sum(),)
 
-def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Probabilities over masked entries; deselected entries are exactly 0."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ConfigurationError("mask selects no entries")
-    shift = float(scores.data[mask].max())
-    zeros = np.zeros_like(scores.data)
-    centered = where(mask, scores - shift, zeros)
-    exp = where(mask, centered.exp(), zeros)
-    return exp / exp.sum()
+    return _node(out, (scores,), bw)
 
 
 def masked_entropy(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Shannon entropy of the masked categorical distribution."""
-    probs = masked_softmax(scores, mask)
+    """Shannon entropy of the masked categorical distribution.
+
+    Deselected log-probabilities are 0, so their terms exp(0) * 0 vanish.
+    """
     logp = masked_log_softmax(scores, mask)
-    zeros = np.zeros_like(scores.data)
-    return -where(np.asarray(mask, dtype=bool), probs * logp, zeros).sum()
+    return -(logp.exp() * logp).sum()

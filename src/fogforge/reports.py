@@ -25,6 +25,7 @@ from .model import (
     ObjectivePoint,
     Placement,
     WeightVector,
+    dominates,
     hypervolume_2d,
     pareto_front,
 )
@@ -271,10 +272,7 @@ def compare_solutions(labeled: dict[str, list[SolutionRow]]) -> ComparisonReport
         for b in methods:
             beaten = 0
             for p in b.front:
-                if any(
-                    (q.time <= p.time and q.cost <= p.cost) and (q.time < p.time or q.cost < p.cost)
-                    for q in a.front
-                ):
+                if any(dominates(q, p) for q in a.front):
                     beaten += 1
             dominance[a.label][b.label] = beaten
     return ComparisonReport(

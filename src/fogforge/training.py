@@ -233,6 +233,9 @@ def train(
             "value_loss_d": report.value_loss_d,
             "entropy_s": report.entropy_s,
             "entropy_d": report.entropy_d,
+            "mean_ratio_s_first_epoch": report.mean_ratio_s_first_epoch,
+            "mean_ratio_d_first_epoch": report.mean_ratio_d_first_epoch,
+            "grad_norm": report.grad_norm,
             "lr": optimizer.lr,
         }
         if (episode + 1) % config.eval_interval == 0 or episode == budget - 1:

@@ -1,5 +1,6 @@
 """Policy heads, masking, PPO mechanics, checkpoints."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,8 +25,9 @@ from fogforge.agents import (
 from fogforge.env import PlacementEnv
 from fogforge.gin import GinConfig
 from fogforge.model import ConfigurationError, Device, WeightVector
-from fogforge.nn import Adam, Tensor
+from fogforge.nn import Adam, Tensor, concat, masked_log_softmax, minimum
 from fogforge.scenarios import Scenario, ScenarioConfig, generate_scenario
+from fogforge.training import TrainConfig, build_datasets
 
 HALF = WeightVector(0.5, 0.5)
 
@@ -76,10 +78,11 @@ def test_uniform_scores_sample_uniformly_and_respect_mask():
     # the draws below reuse one pass's scores instead of rerunning the GIN each time
     scores = model._decide(obs, mode="greedy").service_scores
     np.testing.assert_array_equal(scores.data, scores.data[0])
+    logp = masked_log_softmax(scores, obs.eligible)
     counts = np.zeros(env.task_count)
     draws = 30_000
     for _ in range(draws):
-        counts[_choose(scores, obs.eligible, "sample", rng)] += 1
+        counts[_choose(scores, logp, obs.eligible, "sample", rng)] += 1
     assert counts[~obs.eligible].sum() == 0  # masked services never sampled
     np.testing.assert_allclose(counts[eligible] / draws, 1 / 3, atol=0.02)
 
@@ -239,13 +242,85 @@ def test_first_epoch_ratio_is_one():
     assert report.mean_ratio_d_first_epoch == pytest.approx(1.0, abs=1e-9)
 
 
+def reference_ppo_loss(model, trajectories, hyper):
+    """Reference: the PPO loss of one epoch, built transition by transition
+    from scalar tape nodes, as ``ppo_update`` computed it before it stacked
+    the transitions into vectors. Returns the total and its six components."""
+    lo, hi = 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio
+    surrogates = {"s": [], "d": []}
+    values = {"s": [], "d": []}
+    entropies = {"s": [], "d": []}
+    for traj in trajectories:
+        for transition, ret in zip(traj, trajectory_returns([t.reward for t in traj])):
+            ev = model.evaluate_actions(
+                transition.obs, transition.service_index, transition.device_pos
+            )
+            for head, logp_old in (("s", transition.logp_service), ("d", transition.logp_device)):
+                ratio = (ev[f"logp_{head}"] - logp_old).exp()
+                advantage = ret - ev[f"value_{head}"].item()
+                surrogates[head].append(
+                    minimum(ratio * advantage, ratio.clip(lo, hi) * advantage)
+                )
+                values[head].append((ev[f"value_{head}"] - ret) ** 2)
+                entropies[head].append(ev[f"entropy_{head}"])
+
+    def mean(scalars):
+        return concat([v.reshape(1) for v in scalars]).mean()
+
+    components = {}
+    head_losses = {}
+    for head in ("s", "d"):
+        policy_loss = -mean(surrogates[head])
+        value_loss = mean(values[head])
+        entropy = mean(entropies[head])
+        head_losses[head] = (
+            hyper.policy_coef * policy_loss
+            + hyper.value_coef * value_loss
+            - hyper.entropy_coef * entropy
+        )
+        components[f"policy_loss_{head}"] = policy_loss.item()
+        components[f"value_loss_{head}"] = value_loss.item()
+        components[f"entropy_{head}"] = entropy.item()
+    return (head_losses["s"] + head_losses["d"]) * 0.5, components
+
+
+def test_vector_loss_matches_per_transition_reference():
+    config = TrainConfig.desk(seed=0)
+    datasets = build_datasets(config)
+    rng = np.random.default_rng(config.seed)
+    model = PolicyModel(datasets.task_count, config.agent, rng)
+    picks = rng.integers(0, len(datasets.train), size=config.envs_per_episode)
+    streams = rng.spawn(config.envs_per_episode)
+    trajectories = [
+        collect_trajectory(model, PlacementEnv(datasets.train[p], config.weights), stream)[0]
+        for p, stream in zip(picks, streams)
+    ]
+    # one unclipped epoch, so the gradients left behind are the raw loss gradients
+    hyper = dataclasses.replace(config.ppo, update_epochs=1, grad_clip_norm=None)
+
+    total, expected = reference_ppo_loss(model, trajectories, hyper)
+    total.backward()
+    reference_grads = {k: p.grad.copy() for k, p in model.named_parameters().items()}
+    model.zero_grad()
+
+    report = ppo_update(model, trajectories, hyper, Adam(model.parameters(), lr=1e-3))
+    for key, value in expected.items():
+        assert getattr(report, key) == pytest.approx(value, rel=1e-12, abs=1e-12), key
+    assert report.total_losses[0] == pytest.approx(total.item(), rel=1e-12, abs=1e-12)
+    for name, param in model.named_parameters().items():
+        assert max_rel_error(param.grad, reference_grads[name]) < 1e-9, name
+
+
 def test_update_moves_parameters():
     env = make_env(seed=9)
     model = fresh(env, seed=9)
     rng = np.random.default_rng(10)
     before = {k: v.data.copy() for k, v in model.named_parameters().items()}
     trajectories = [collect_trajectory(model, env, rng=rng)[0] for _ in range(2)]
-    ppo_update(model, trajectories, PpoHyper(), Adam(model.parameters(), lr=0.01))
+    report = ppo_update(model, trajectories, PpoHyper(), Adam(model.parameters(), lr=0.01))
+    # the second epoch runs on moved parameters; the report keeps the first's ratios
+    assert report.mean_ratio_s_first_epoch == pytest.approx(1.0, abs=1e-9)
+    assert report.mean_ratio_d_first_epoch == pytest.approx(1.0, abs=1e-9)
     moved = [
         name
         for name, param in model.named_parameters().items()

@@ -5,7 +5,6 @@ import pytest
 
 from gradcheck import finite_difference, max_rel_error
 
-import fogforge.nn.autodiff as autodiff
 from fogforge.model import ConfigurationError
 from fogforge.nn import (
     Adam,
@@ -16,14 +15,11 @@ from fogforge.nn import (
     MlpSpec,
     StepDecay,
     Tensor,
-    check_finite,
     clip_global_norm,
     concat,
     masked_entropy,
     masked_log_softmax,
-    masked_softmax,
     minimum,
-    where,
 )
 
 TOL = 1e-4
@@ -94,15 +90,13 @@ def test_matmul_gradients():
         Tensor(np.ones(3), requires_grad=True) @ Tensor(np.ones(3))
 
 
-def test_clip_minimum_where_gradients():
+def test_clip_minimum_gradients():
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(6,)) * 2.0
     x0 = x0 + np.sign(x0) * 0.1  # keep away from clip boundaries and ties
     check_grad(lambda t: t.clip(-1.0, 1.0).sum(), x0)
     other = np.linspace(-1, 1, 6)
     check_grad(lambda t: minimum(t, other).sum(), x0)
-    mask = np.array([True, False, True, False, True, False])
-    check_grad(lambda t: where(mask, t * 2.0, t * t).sum(), x0)
 
 
 def test_clip_zero_gradient_outside_range():
@@ -142,17 +136,6 @@ def test_backward_requires_scalar():
     t = Tensor(np.ones(4), requires_grad=True)
     with pytest.raises(AutodiffUsageError):
         (t * 2.0).backward()
-
-
-def test_check_finite_debug_mode():
-    bad = Tensor(np.array([1.0, np.inf]))
-    assert check_finite(bad) is bad  # default: no checking
-    autodiff.DEBUG_CHECK = True
-    try:
-        with pytest.raises(FloatingPointError):
-            check_finite(bad, "unit test")
-    finally:
-        autodiff.DEBUG_CHECK = False
 
 
 # --- layers -------------------------------------------------------------------
@@ -282,6 +265,45 @@ def test_state_dict_round_trip():
 
 # --- masked categorical -------------------------------------------------------
 
+def composed_masked_log_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
+    """Reference: the masked log-softmax built from elementwise tape ops.
+
+    A constant 0/1 mask multiplied in replaces a select; deselected scores are
+    zeroed before exponentiation, as in the fused op, so every value on the
+    tape stays finite.
+    """
+    keep = np.asarray(mask, dtype=np.float64)
+    shift = float(scores.data[mask].max())
+    centered = (scores - shift) * keep
+    denom = (centered.exp() * keep).sum()
+    return (centered - denom.log()) * keep
+
+
+def test_fused_masked_log_softmax_matches_composed_graph():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n = int(rng.integers(1, 12))
+        x0 = rng.normal(size=n) * 5.0
+        mask = rng.random(n) < 0.6
+        mask[int(rng.integers(n))] = True
+        if trial % 4 == 0:  # huge deselected scores must not leak into either pass
+            x0[~mask] = rng.choice([1000.0, -1000.0], size=int((~mask).sum()))
+        weights = rng.normal(size=n)
+
+        fused_in = Tensor(x0, requires_grad=True)
+        fused = masked_log_softmax(fused_in, mask)
+        assert fused._parents == (fused_in,)  # one tape node
+        ref_in = Tensor(x0, requires_grad=True)
+        ref = composed_masked_log_softmax(ref_in, mask)
+        np.testing.assert_array_equal(fused.data, ref.data)
+        assert (fused.data[~mask] == 0.0).all()
+
+        (fused * weights).sum().backward()
+        (ref * weights).sum().backward()
+        assert (fused_in.grad[~mask] == 0.0).all()
+        assert max_rel_error(fused_in.grad, ref_in.grad) < 1e-9
+
+
 def test_masked_softmax_properties():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -290,11 +312,11 @@ def test_masked_softmax_properties():
         mask = rng.random(n) < 0.5
         if not mask.any():
             mask[int(rng.integers(n))] = True
-        probs = masked_softmax(scores, mask)
-        assert probs.data.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (probs.data[~mask] == 0.0).all()
         logp = masked_log_softmax(scores, mask)
-        np.testing.assert_allclose(np.log(probs.data[mask]), logp.data[mask], atol=1e-9)
+        probs = np.where(mask, np.exp(logp.data), 0.0)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (logp.data[~mask] == 0.0).all()
+        assert (probs[~mask] == 0.0).all()
 
 
 def test_masked_softmax_huge_deselected_scores_stay_finite():
@@ -313,8 +335,7 @@ def test_masked_softmax_single_choice():
     mask = np.array([False, True])
     logp = masked_log_softmax(scores, mask)
     assert logp.data[1] == pytest.approx(0.0, abs=1e-12)
-    probs = masked_softmax(scores, mask)
-    np.testing.assert_allclose(probs.data, [0.0, 1.0])
+    np.testing.assert_allclose(np.where(mask, np.exp(logp.data), 0.0), [0.0, 1.0])
 
 
 def test_masked_categorical_gradients():
@@ -322,13 +343,15 @@ def test_masked_categorical_gradients():
     mask = np.array([True, True, False, True, False])
     x0 = rng.normal(size=5)
     check_grad(lambda t: masked_log_softmax(t, mask)[np.array([1])].sum(), x0)
+    check_grad(lambda t: (masked_log_softmax(t, mask) * np.arange(5.0)).sum(), x0)
     check_grad(lambda t: masked_entropy(t, mask), x0)
-    check_grad(lambda t: (masked_softmax(t, mask) * np.arange(5.0)).sum(), x0)
 
 
 def test_masked_softmax_empty_mask_rejected():
     with pytest.raises(ConfigurationError):
-        masked_softmax(Tensor(np.ones(3)), np.zeros(3, dtype=bool))
+        masked_log_softmax(Tensor(np.ones(3)), np.zeros(3, dtype=bool))
+    with pytest.raises(ConfigurationError):
+        masked_entropy(Tensor(np.ones(3)), np.zeros(3, dtype=bool))
 
 
 # --- optimizer ----------------------------------------------------------------

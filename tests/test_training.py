@@ -131,6 +131,19 @@ def test_training_metrics_deterministic(tiny):
         assert np.array_equal(pa.data, pb.data)
 
 
+def test_metrics_rows_carry_learning_diagnostics(tiny):
+    config, datasets = tiny
+    result = train(config, datasets)
+    assert len(result.metrics) == config.episodes
+    for row in result.metrics:
+        for key in ("grad_norm", "mean_ratio_s_first_epoch", "mean_ratio_d_first_epoch"):
+            assert isinstance(row[key], float) and np.isfinite(row[key]), (key, row)
+        assert row["grad_norm"] > 0.0
+        # rollouts and the first epoch score with the same parameters
+        assert row["mean_ratio_s_first_epoch"] == pytest.approx(1.0, abs=1e-9)
+        assert row["mean_ratio_d_first_epoch"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_best_checkpoint_is_monotone_and_restored(tiny):
     config, datasets = tiny
     result = train(config, datasets)
