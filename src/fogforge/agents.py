@@ -23,7 +23,7 @@ import numpy as np
 
 from fogforge.env import Action, EnvState, PlacementEnv
 from fogforge.gin import GinConfig, GinEncoder
-from fogforge.model import ConfigurationError
+from fogforge.model import ConfigurationError, is_count
 from fogforge.nn import (
     Adam,
     Mlp,
@@ -52,8 +52,9 @@ class AgentConfig:
     head_width: int = 64
 
     def __post_init__(self) -> None:
-        if min(self.actor_hidden_layers, self.critic_hidden_layers, self.head_width) < 1:
-            raise ConfigurationError(f"agent dims must be >= 1: {self}")
+        dims = (self.actor_hidden_layers, self.critic_hidden_layers, self.head_width)
+        if not all(is_count(n) and n >= 1 for n in dims):
+            raise ConfigurationError(f"agent dims must be ints >= 1: {self}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,13 @@ class PpoHyper:
     grad_clip_norm: float | None = None  # optional, off by default
 
     def __post_init__(self) -> None:
-        if self.update_epochs < 1:
-            raise ConfigurationError("update_epochs must be >= 1")
+        if not (is_count(self.update_epochs) and self.update_epochs >= 1):
+            raise ConfigurationError(f"update_epochs must be an int >= 1: {self.update_epochs!r}")
         if not 0.0 < self.clip_ratio < 1.0:
             raise ConfigurationError("clip_ratio must lie in (0, 1)")
-        if min(self.policy_coef, self.value_coef, self.entropy_coef) < 0:
-            raise ConfigurationError("loss coefficients must be >= 0")
+        coefs = (self.policy_coef, self.value_coef, self.entropy_coef)
+        if not all(math.isfinite(c) and c >= 0 for c in coefs):
+            raise ConfigurationError(f"loss coefficients must be finite and >= 0, got {coefs}")
         clip = self.grad_clip_norm
         if clip is not None and not (math.isfinite(clip) and clip > 0):
             raise ConfigurationError(f"grad_clip_norm must be None or finite and > 0, got {clip}")
@@ -178,7 +180,7 @@ class PolicyModel(Module):
         emb = self.gin(obs.node_features, obs.adjacency)
         tiled_hg = Tensor(np.ones((tasks, 1))) @ emb.graph_embedding
         s_scores = self.actor_s(concat([tiled_hg, emb.node_embeddings], axis=1)).reshape(tasks)
-        s_logp = masked_log_softmax(s_scores, obs.eligible)
+        s_logp = _finite(masked_log_softmax(s_scores, obs.eligible), "service")
         if service_index is None:
             service_index = _choose(s_scores, s_logp, obs.eligible, mode, rng)
         logp_s = s_logp[np.array([service_index])].sum()
@@ -196,7 +198,7 @@ class PolicyModel(Module):
         )
         d_scores = self.actor_d(Tensor(rows)).reshape(n_cls)[obs.device_class_of]
         all_devices = np.ones(len(obs.device_class_of), dtype=bool)
-        d_logp = masked_log_softmax(d_scores, all_devices)
+        d_logp = _finite(masked_log_softmax(d_scores, all_devices), "device")
         if device_pos is None:
             device_pos = _choose(d_scores, d_logp, all_devices, mode, rng)
         logp_d = d_logp[np.array([device_pos])].sum()
@@ -234,6 +236,13 @@ class PolicyModel(Module):
             "entropy_s": masked_entropy(d.service_scores, obs.eligible),
             "entropy_d": masked_entropy(d.device_scores, all_devices),
         }
+
+
+def _finite(logp: Tensor, head: str) -> Tensor:
+    """``logp`` itself; a non-finite entry means the parameters have diverged."""
+    if not np.isfinite(logp.data).all():
+        raise DivergenceError(f"non-finite {head}-head log-probabilities")
+    return logp
 
 
 def _choose(

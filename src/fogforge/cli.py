@@ -426,9 +426,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     app = scenario.applications[0]
     weight_list = [parse_weights(w) for w in args.weights] if args.weights else []
     try:
-        result = brute_force_oracle(
-            app, scenario.devices, weights=weight_list, norms=scenario.bounds(), cap=args.cap
-        )
+        result = brute_force_oracle(app, scenario.devices, weights=weight_list, cap=args.cap)
     except (ConfigurationError, InstanceTooLargeError) as exc:
         raise UsageError(str(exc)) from None
     writer = RunWriter(args.out, "oracle", {"scenario": args.scenario, "cap": args.cap}, None)

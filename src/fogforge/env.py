@@ -70,14 +70,12 @@ class EnvState:
 
 class PlacementEnv:
     def __init__(
-        self,
-        scenario: Scenario,
-        weights: WeightVector,
-        app_index: int = 0,
-        bounds: NormBounds | None = None,
+        self, scenario: Scenario, weights: WeightVector, bounds: NormBounds | None = None
     ) -> None:
+        """Places the scenario's first application; ``bounds`` default to
+        :func:`analytic_bounds`."""
         self.scenario = scenario
-        self.app: Application = scenario.applications[app_index]
+        self.app: Application = scenario.applications[0]
         self.devices = scenario.devices
         self.weights = weights.check()
         self.bounds = bounds if bounds is not None else analytic_bounds(self.app, self.devices)
@@ -209,7 +207,8 @@ class PlacementEnv:
 
 
 def rollout_random(env: PlacementEnv, rng: np.random.Generator) -> list[tuple[Action, RewardBreakdown]]:
-    """Uniform-random legal trajectory; handy for tests and the random baseline."""
+    """Uniform-random legal trajectory, for tests; ``run_baseline``'s random
+    strategy draws a placement directly and does not use it."""
     env.reset()
     trace = []
     done = False

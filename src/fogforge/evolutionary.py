@@ -29,7 +29,6 @@ from .model import (
     Application,
     ConfigurationError,
     Device,
-    NormBounds,
     ObjectivePoint,
     Placement,
     WeightVector,
@@ -239,17 +238,16 @@ def ga_solve(
     devices: Sequence[Device],
     weights: WeightVector,
     config: EvoConfig,
-    norms: NormBounds | None = None,
     initial_population: np.ndarray | None = None,
 ) -> GaResult:
-    """Best-ever placement for the weighted objective under a generational GA.
+    """Best-ever placement for the weighted objective under a generational GA;
+    the objectives are normalized by :func:`analytic_bounds`.
 
     ``history`` records the best-ever objective after every generation
     (including the initial population), so it is nonincreasing by construction.
     """
     weights.check()
-    if norms is None:
-        norms = analytic_bounds(app, devices)
+    norms = analytic_bounds(app, devices)
     rng = np.random.default_rng(config.seed)
     ids = np.array(sorted(d.id for d in devices), dtype=np.int64)
     genes = app.service_count
@@ -339,7 +337,6 @@ def nsga2_solve(
     app: Application,
     devices: Sequence[Device],
     config: EvoConfig,
-    norms: NormBounds | None = None,
     initial_population: np.ndarray | None = None,
 ) -> NsgaResult:
     """Rank-0 front of a canonical NSGA-II run.
@@ -348,8 +345,7 @@ def nsga2_solve(
     analytic-bound reference point after every generation; elitist selection
     makes it nondecreasing as long as the front fits in the population.
     """
-    if norms is None:
-        norms = analytic_bounds(app, devices)
+    norms = analytic_bounds(app, devices)
     rng = np.random.default_rng(config.seed)
     ids = np.array(sorted(d.id for d in devices), dtype=np.int64)
     genes = app.service_count

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fogforge.model import ConfigurationError
+from fogforge.model import ConfigurationError, is_count
 from fogforge.nn import Mlp, MlpSpec, Module, Tensor, as_tensor
 
 
@@ -34,8 +34,9 @@ class GinConfig:
     batch_norm: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.node_feature_dim, self.hidden_dim, self.k_iterations, self.mlp_layers) < 1:
-            raise ConfigurationError(f"all encoder dims must be >= 1: {self}")
+        dims = (self.node_feature_dim, self.hidden_dim, self.k_iterations, self.mlp_layers)
+        if not all(is_count(n) and n >= 1 for n in dims):
+            raise ConfigurationError(f"all encoder dims must be ints >= 1: {self}")
 
 
 @dataclass

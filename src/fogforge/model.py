@@ -10,6 +10,7 @@ edge whose endpoints sit on different devices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -26,6 +27,11 @@ class ConfigurationError(ValueError):
 
 class InstanceTooLargeError(ValueError):
     """Exhaustive enumeration would exceed the configured cap."""
+
+
+def is_count(value) -> bool:
+    """True for ints (numpy's included); false for bools, floats and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 Service = tuple[int, int]
@@ -286,13 +292,13 @@ def latency_contribution_matrix(
 def weighted_objective(point: ObjectivePoint, weights: WeightVector, norms: NormBounds) -> float:
     """Scalarized objective w_time * time/max_time + w_cost * cost/max_cost; lower is better."""
     weights.check()
-    if norms.max_time <= 0 or norms.max_cost <= 0:
-        raise ConfigurationError(f"normalization bounds must be positive: {norms}")
     return _weighted(point.time, point.cost, weights, norms)
 
 
 def _weighted(times, costs, weights: WeightVector, norms: NormBounds):
-    """The scalarization formula on floats or on whole arrays of objectives."""
+    """The scalarization formula on floats or arrays; every weighted score uses it."""
+    if norms.max_time <= 0 or norms.max_cost <= 0:
+        raise ConfigurationError(f"normalization bounds must be positive: {norms}")
     return weights.w_time * (times / norms.max_time) + weights.w_cost * (costs / norms.max_cost)
 
 
@@ -391,14 +397,14 @@ def brute_force_oracle(
     app: Application,
     devices: Sequence[Device],
     weights: Sequence[WeightVector] = (),
-    norms: NormBounds | None = None,
     cap: int = 10_000_000,
     chunk: int = 65_536,
 ) -> OracleResult:
     """Exact Pareto front (and optional weighted argmins) by full enumeration.
 
     Every total placement is generated in lexicographic order over device
-    positions and evaluated in vectorized chunks.
+    positions and evaluated in vectorized chunks. Weighted objectives are
+    normalized by :func:`analytic_bounds`.
     """
     n_svc = app.service_count
     n_dev = len(devices)
@@ -409,8 +415,7 @@ def brute_force_oracle(
         raise InstanceTooLargeError(
             f"{n_dev}^{n_svc} = {total} placements exceeds enumeration cap {cap}"
         )
-    if weights and norms is None:
-        norms = analytic_bounds(app, devices)
+    norms = analytic_bounds(app, devices)
     for w in weights:
         w.check()
 

@@ -128,9 +128,7 @@ def write_front_csv(
 
 # --- trajectories -------------------------------------------------------------
 
-def trajectory_rows(
-    scenario: Scenario, placement: Placement, weights: WeightVector, app_index: int = 0
-) -> list[dict]:
+def trajectory_rows(scenario: Scenario, placement: Placement, weights: WeightVector) -> list[dict]:
     """Replay a total placement step by step and record the reward ledger.
 
     Services are re-placed in row-major order among the currently eligible
@@ -138,7 +136,7 @@ def trajectory_rows(
     policy rollout would. Step 0 is the reporting-only pseudo step charging
     the initial all-in-cloud objectives.
     """
-    env = PlacementEnv(scenario, weights, app_index=app_index)
+    env = PlacementEnv(scenario, weights)
     state = env.reset()
     rows = [
         {
@@ -152,7 +150,7 @@ def trajectory_rows(
             "cost": state.cost,
         }
     ]
-    app = scenario.applications[app_index]
+    app = env.app
     step = 0
     done = not env.services
     while not done:
@@ -305,18 +303,12 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def svg_scatter(
-    series: dict[str, list[ObjectivePoint]],
-    title: str = "",
-    x_label: str = "response time",
-    y_label: str = "cost",
-    width: int = 640,
-    height: int = 480,
-) -> str:
-    """Self-contained SVG scatter plot, one labeled series per method."""
+def svg_scatter(series: dict[str, list[ObjectivePoint]], title: str = "") -> str:
+    """Self-contained 640 x 480 SVG scatter of time against cost, one labeled
+    series per method."""
     if not series or all(not pts for pts in series.values()):
         raise ConfigurationError("nothing to plot")
-    margin = 60
+    width, height, margin = 640, 480, 60
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     xs = [p.time for pts in series.values() for p in pts]
@@ -362,11 +354,11 @@ def svg_scatter(
             f'<text x="{margin - 8}" y="{y + 4:.1f}" text-anchor="end">{tick:.4g}</text>'
         )
     parts.append(
-        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle">{x_label}</text>'
+        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle">response time</text>'
     )
     parts.append(
         f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {height / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {height / 2:.1f})">cost</text>'
     )
     for i, (label, points) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from fogforge.model import Application, ConfigurationError, Device, NormBounds, analytic_bounds
+from fogforge.model import (
+    Application,
+    ConfigurationError,
+    Device,
+    NormBounds,
+    analytic_bounds,
+    is_count,
+)
 
 FORMAT_VERSION = 1
 
@@ -39,9 +46,9 @@ class ScenarioConfig:
     device_speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.device_count < 1:
-            raise ConfigurationError("device_count must be >= 1")
-        if not self.app_rows or any(n < 1 for n in self.app_rows):
+        if not (is_count(self.device_count) and self.device_count >= 1):
+            raise ConfigurationError(f"device_count must be an int >= 1: {self.device_count!r}")
+        if not self.app_rows or not all(is_count(n) and n >= 1 for n in self.app_rows):
             raise ConfigurationError("app_rows must be non-empty positive ints")
         if not self.latency_choices or not self.cost_choices:
             raise ConfigurationError("latency/cost choice lists must be non-empty")
@@ -69,8 +76,8 @@ class Scenario:
     def cloud(self) -> Device:
         return next(d for d in self.devices if d.is_cloud)
 
-    def bounds(self, app_index: int = 0) -> NormBounds:
-        return analytic_bounds(self.applications[app_index], self.devices)
+    def bounds(self) -> NormBounds:
+        return analytic_bounds(self.applications[0], self.devices)
 
 
 def generate_devices(config: ScenarioConfig, rng: np.random.Generator) -> tuple[Device, ...]:

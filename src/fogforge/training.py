@@ -2,16 +2,18 @@
 
 ``train`` runs synchronous PPO over a seeded scenario dataset and keeps the
 parameter snapshot with the best greedy test-set score. ``sweep`` trains one
-model per objective-weight vector, warm-starting each child from its
-neighboring parent (the middle model first, then outward), so the whole
-five-point solution set costs far fewer episodes than five independent runs.
+model per weight vector of the fixed five-stage ``SWEEP_SCHEDULE``,
+warm-starting each child from its neighboring parent (the middle model
+first, then outward), so the whole five-point solution set costs far fewer
+episodes than five independent runs.
 ``infer_placement`` is the deployment path: greedy rollout of a trained model
 on a single application.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +35,7 @@ from .model import (
     Placement,
     WeightVector,
     evaluate,
+    is_count,
     pareto_front,
 )
 from .nn import Adam, StepDecay
@@ -64,14 +67,20 @@ class TrainConfig:
     threads: int = 1  # rollouts run serially; kept so saved configs still load
 
     def __post_init__(self) -> None:
-        if self.episodes < 0:
-            raise ConfigurationError("episodes must be >= 0")
-        if self.envs_per_episode < 1:
-            raise ConfigurationError("envs_per_episode must be >= 1")
-        if self.eval_interval < 1:
-            raise ConfigurationError("eval_interval must be >= 1")
-        if min(self.train_size, self.test_size, self.validation_size) < 1:
-            raise ConfigurationError("dataset sizes must be >= 1")
+        counts = {
+            "episodes": 0, "envs_per_episode": 1, "eval_interval": 1, "lr_decay_interval": 1
+        }
+        for name, low in counts.items():
+            value = getattr(self, name)
+            if not (is_count(value) and value >= low):
+                raise ConfigurationError(f"{name} must be an int >= {low}: {value!r}")
+        sizes = (self.train_size, self.test_size, self.validation_size)
+        if not all(is_count(n) and n >= 1 for n in sizes):
+            raise ConfigurationError(f"dataset sizes must be ints >= 1: {sizes}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(f"learning_rate must be finite and > 0: {self.learning_rate}")
+        if not 0 < self.lr_decay_gamma <= 1:
+            raise ConfigurationError(f"lr_decay_gamma must lie in (0, 1]: {self.lr_decay_gamma}")
         if self.threads != 1:
             raise ConfigurationError("threads must be 1: rollouts run serially")
         self.weights.check()
@@ -181,8 +190,9 @@ def train(
     """PPO training with periodic greedy evaluation on the test split.
 
     Returns the model restored to the snapshot with the best (lowest) test
-    mean weighted objective. On divergence the update is aborted and the last
-    good snapshot is returned with ``diverged`` set.
+    mean weighted objective, or to the parameters it started from when no
+    evaluation ran. A divergence in a rollout, the update or an evaluation
+    ends training; the last good snapshot is returned with ``diverged`` set.
     """
     if datasets is None:
         datasets = build_datasets(config)
@@ -200,46 +210,39 @@ def train(
     metrics: list[dict] = []
     best_metric: float | None = None
     best_episode: int | None = None
-    best_state: dict[str, np.ndarray] | None = None
+    best_state = {k: v.copy() for k, v in model.state_dict().items()}
     diverged = False
     trained = 0
 
     for episode in range(budget):
         picks = rng.integers(0, len(datasets.train), size=config.envs_per_episode)
         streams = rng.spawn(config.envs_per_episode)
-        rolled = [
-            collect_trajectory(model, PlacementEnv(datasets.train[p], config.weights), stream)
-            for p, stream in zip(picks, streams)
-        ]
-        trajectories = [transitions for transitions, _ in rolled]
-        finals = [final for _, final in rolled]
-
+        eval_due = (episode + 1) % config.eval_interval == 0 or episode == budget - 1
         try:
+            rolled = [
+                collect_trajectory(model, PlacementEnv(datasets.train[p], config.weights), stream)
+                for p, stream in zip(picks, streams)
+            ]
+            trajectories = [transitions for transitions, _ in rolled]
             report = ppo_update(model, trajectories, config.ppo, optimizer)
+            trained = episode + 1
+            test_metric = (
+                evaluate_policy(model, datasets.test, config.weights) if eval_due else None
+            )
         except DivergenceError as exc:
             diverged = True
             metrics.append({"episode": episode, "diverged": True, "error": str(exc)})
             break
         scheduler.step()
-        trained = episode + 1
 
         row = {
             "episode": episode,
             "mean_reward": float(np.mean([sum(t.reward for t in traj) for traj in trajectories])),
-            "mean_weighted": float(np.mean([s.weighted for s in finals])),
-            "policy_loss_s": report.policy_loss_s,
-            "policy_loss_d": report.policy_loss_d,
-            "value_loss_s": report.value_loss_s,
-            "value_loss_d": report.value_loss_d,
-            "entropy_s": report.entropy_s,
-            "entropy_d": report.entropy_d,
-            "mean_ratio_s_first_epoch": report.mean_ratio_s_first_epoch,
-            "mean_ratio_d_first_epoch": report.mean_ratio_d_first_epoch,
-            "grad_norm": report.grad_norm,
+            "mean_weighted": float(np.mean([final.weighted for _, final in rolled])),
+            **asdict(report),
             "lr": optimizer.lr,
         }
-        if (episode + 1) % config.eval_interval == 0 or episode == budget - 1:
-            test_metric = evaluate_policy(model, datasets.test, config.weights)
+        if test_metric is not None:
             if best_metric is None or test_metric < best_metric:
                 best_metric = test_metric
                 best_episode = episode
@@ -248,8 +251,7 @@ def train(
             row["best_test_metric"] = best_metric
         metrics.append(row)
 
-    if best_state is not None:
-        model.load_state_dict(best_state)
+    model.load_state_dict(best_state)
     return TrainResult(
         model=model,
         metrics=metrics,
@@ -260,58 +262,25 @@ def train(
     )
 
 
-def transfer_parameters(parent: PolicyModel, child: PolicyModel | None = None) -> PolicyModel:
-    """Exact parameter copy into a fresh (or given) model; optimizer state is
-    never carried over because the child creates its own optimizer."""
-    if child is None:
-        child = PolicyModel(parent.task_count, parent.config, np.random.default_rng(0))
-    elif child.task_count != parent.task_count or child.config != parent.config:
-        raise ConfigurationError("parent and child architectures differ")
+def transfer_parameters(parent: PolicyModel) -> PolicyModel:
+    """Exact parameter copy into a fresh model; optimizer state is never
+    carried over because the child creates its own optimizer."""
+    child = PolicyModel(parent.task_count, parent.config, np.random.default_rng(0))
     child.load_state_dict({k: v.copy() for k, v in parent.state_dict().items()})
     return child
 
 
 # --- weight sweep -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepStage:
-    weights: WeightVector
-    parent: WeightVector | None = None
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """Stage order for the scalar decomposition: middle model first, children
-    warm-started from their nearest trained neighbor."""
-
-    stages: tuple[SweepStage, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[WeightVector] = set()
-        for stage in self.stages:
-            stage.weights.check()
-            if stage.weights in seen:
-                raise ConfigurationError(f"duplicate sweep stage {stage.weights}")
-            if stage.parent is not None and stage.parent not in seen:
-                raise ConfigurationError(
-                    f"stage {stage.weights} names parent {stage.parent} before it is trained"
-                )
-            seen.add(stage.weights)
-
-    @classmethod
-    def default(cls) -> "SweepPlan":
-        mid = WeightVector(0.5, 0.5)
-        lo = WeightVector(0.25, 0.75)
-        hi = WeightVector(0.75, 0.25)
-        return cls(
-            stages=(
-                SweepStage(mid),
-                SweepStage(lo, parent=mid),
-                SweepStage(hi, parent=mid),
-                SweepStage(WeightVector(0.0, 1.0), parent=lo),
-                SweepStage(WeightVector(1.0, 0.0), parent=hi),
-            )
-        )
+# (weights, parent) in training order for the scalar decomposition: the middle
+# model first, each child warm-started from its nearest trained neighbor
+SWEEP_SCHEDULE: tuple[tuple[WeightVector, WeightVector | None], ...] = (
+    (WeightVector(0.5, 0.5), None),
+    (WeightVector(0.25, 0.75), WeightVector(0.5, 0.5)),
+    (WeightVector(0.75, 0.25), WeightVector(0.5, 0.5)),
+    (WeightVector(0.0, 1.0), WeightVector(0.25, 0.75)),
+    (WeightVector(1.0, 0.0), WeightVector(0.75, 0.25)),
+)
 
 
 @dataclass
@@ -332,60 +301,41 @@ class SweepResult:
     total_episodes: int
 
 
-def sweep(
-    config: TrainConfig,
-    datasets: ScenarioDataset | None = None,
-    plan: SweepPlan | None = None,
-    target: Scenario | None = None,
-) -> SweepResult:
-    """Train one model per weight vector and read off their placements.
+def sweep(config: TrainConfig, datasets: ScenarioDataset | None = None) -> SweepResult:
+    """Train one model per ``SWEEP_SCHEDULE`` stage and read off their placements.
 
     Children train for half the root's episode budget. Every trained model
-    places the ``target`` application (default: first validation scenario);
-    those objective points form the emitted solution set, with dominated
-    points flagged rather than dropped.
+    places the first validation scenario's application; those objective
+    points form the emitted solution set, with dominated points flagged
+    rather than dropped. A stage whose training diverged keeps its fallback
+    snapshot and is listed in ``failures``.
     """
     if datasets is None:
         datasets = build_datasets(config)
-    if plan is None:
-        plan = SweepPlan.default()
-    if target is None:
-        target = datasets.validation[0]
-
     results: dict[WeightVector, TrainResult] = {}
     validation_metrics: dict[WeightVector, float] = {}
     failures: list[tuple[WeightVector, str]] = []
     total_episodes = 0
 
-    for index, stage in enumerate(plan.stages):
-        stage_config = replace(config, weights=stage.weights, seed=config.seed + index)
-        if stage.parent is None:
+    for index, (weights, parent) in enumerate(SWEEP_SCHEDULE):
+        stage_config = replace(config, weights=weights, seed=config.seed + index)
+        if parent is None:
             start, budget = None, config.episodes
         else:
-            if stage.parent not in results:
-                failures.append((stage.weights, f"parent stage {stage.parent} unavailable"))
-                continue
-            start = transfer_parameters(results[stage.parent].model)
-            budget = config.episodes // 2
-        try:
-            result = train(stage_config, datasets, model=start, episodes=budget)
-        except ConfigurationError as exc:
-            failures.append((stage.weights, str(exc)))
-            continue
-        results[stage.weights] = result
+            start, budget = transfer_parameters(results[parent].model), config.episodes // 2
+        result = results[weights] = train(stage_config, datasets, model=start, episodes=budget)
+        if result.diverged:
+            failures.append((weights, result.metrics[-1]["error"]))
         total_episodes += result.episodes_trained
-        validation_metrics[stage.weights] = evaluate_policy(
-            result.model, datasets.validation, stage.weights
-        )
+        validation_metrics[weights] = evaluate_policy(result.model, datasets.validation, weights)
 
+    target = datasets.validation[0]
     app = target.applications[0]
     solutions: list[SweepSolution] = []
-    for stage in plan.stages:
-        if stage.weights not in results:
-            continue
-        placement = infer_placement(results[stage.weights].model, app, target.devices)
+    for weights, result in results.items():
+        placement = infer_placement(result.model, app, target.devices)
         point = evaluate(app, placement, target.devices)
-        solutions.append(SweepSolution(stage.weights, point, placement, dominated=False))
+        solutions.append(SweepSolution(weights, point, placement, dominated=False))
     front = pareto_front([s.point for s in solutions])
     for solution in solutions:
         solution.dominated = solution.point not in front

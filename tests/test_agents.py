@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import finite_difference, max_rel_error
 
@@ -212,6 +214,37 @@ def test_grad_clip_norm_validation(clip):
         PpoHyper(grad_clip_norm=clip)
     assert PpoHyper(grad_clip_norm=None).grad_clip_norm is None
     assert PpoHyper(grad_clip_norm=0.5).grad_clip_norm == 0.5
+
+
+@pytest.mark.parametrize("coef", ["policy_coef", "value_coef", "entropy_coef"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_loss_coefficient_validation(coef, value):
+    with pytest.raises(ConfigurationError, match="loss coefficients"):
+        PpoHyper(**{coef: value})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PpoHyper(update_epochs=1.5),
+        lambda: AgentConfig(head_width=2.5),
+        lambda: AgentConfig(actor_hidden_layers=True),
+        lambda: GinConfig(hidden_dim=8.0),
+    ],
+)
+def test_non_int_dims_rejected(make):
+    with pytest.raises(ConfigurationError, match="int"):
+        make()
+
+
+@pytest.mark.parametrize("head", ["actor_s", "actor_d"])
+@pytest.mark.parametrize("mode", ["sample", "greedy"])
+def test_non_finite_scores_raise_divergence(head, mode):
+    env = make_env(seed=19)
+    model = fresh(env, seed=19)
+    getattr(model, head).linears[-1].b.data[:] = np.nan
+    with pytest.raises(DivergenceError, match="log-probabilities"):
+        collect_trajectory(model, env, np.random.default_rng(0), mode=mode)
 
 
 def test_returns_are_suffix_sums():
@@ -466,3 +499,39 @@ def test_checkpoint_errors(tmp_path):
     doctored(lambda state: state[name].pop(), "malformed")  # one value short of its shape
     doctored(lambda state: state[name].__setitem__(0, "x"), "malformed")
     doctored(lambda state: state[name].__setitem__(0, float("nan")), "non-finite")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    task_count=st.integers(1, 9),
+    hidden_dim=st.integers(1, 6),
+    k_iterations=st.integers(1, 3),
+    mlp_layers=st.integers(1, 3),
+    batch_norm=st.booleans(),
+    actor_layers=st.integers(1, 3),
+    critic_layers=st.integers(1, 3),
+    head_width=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_save_load_save_is_byte_identical(
+    tmp_path_factory, task_count, hidden_dim, k_iterations, mlp_layers, batch_norm,
+    actor_layers, critic_layers, head_width, seed,
+):
+    config = AgentConfig(
+        gin=GinConfig(hidden_dim=hidden_dim, k_iterations=k_iterations,
+                      mlp_layers=mlp_layers, batch_norm=batch_norm),
+        actor_hidden_layers=actor_layers,
+        critic_hidden_layers=critic_layers,
+        head_width=head_width,
+    )
+    model = PolicyModel(task_count, config, np.random.default_rng(seed))
+    directory = tmp_path_factory.mktemp("ckpt")
+    first, second = directory / "first.json", directory / "second.json"
+    save_checkpoint(model, first)
+    clone = load_checkpoint(first)
+    save_checkpoint(clone, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert clone.task_count == task_count and clone.config == config
+    state = clone.state_dict()
+    for name, value in model.state_dict().items():
+        assert np.array_equal(state[name], value), name

@@ -1,13 +1,21 @@
 """Command-line harness: exit codes, run artifacts, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fogforge.agents import load_checkpoint
+from fogforge.agents import AgentConfig, PolicyModel, load_checkpoint
 from fogforge.cli import main
+from fogforge.gin import GinConfig
 from fogforge.reports import read_manifest, read_solutions
-from fogforge.scenarios import load_scenario
+from fogforge.scenarios import ScenarioConfig, generate_scenario, load_scenario, save_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_TRAIN = {
     "episodes": 2,
@@ -256,3 +264,116 @@ def test_env_var_seed(tmp_path, monkeypatch):
 def test_env_var_seed_must_be_integer(tmp_path, monkeypatch):
     monkeypatch.setenv("FOGFORGE_SEED", "pi")
     assert main(["generate", "--out", str(tmp_path / "x.json")]) == 2
+
+
+# --- bad input exits 2, divergence exits 3 ------------------------------------
+
+BAD_TRAIN_CONFIGS = {
+    "zero-learning-rate": {"learning_rate": 0},
+    "nan-learning-rate": {"learning_rate": float("nan")},  # json writes and reads NaN
+    "zero-lr-decay-gamma": {"lr_decay_gamma": 0},
+    "zero-lr-decay-interval": {"lr_decay_interval": 0},
+    "nan-policy-coef": {"ppo": {"policy_coef": float("nan")}},
+    "fractional-device-count": {"scenario": {"device_count": 2.5}},
+    "fractional-app-rows": {"scenario": {"device_count": 3, "app_rows": [2.5]}},
+    "fractional-episodes": {"episodes": 2.5},
+    "fractional-train-size": {"train_size": 2.0},
+    "fractional-head-width": {"agent": {**TINY_TRAIN["agent"], "head_width": 2.5}},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("override", BAD_TRAIN_CONFIGS.values(), ids=BAD_TRAIN_CONFIGS.keys())
+def test_bad_training_config_exits_2_before_writing(tmp_path, command, override):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**TINY_TRAIN, **override}))
+    run = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(run)]) == 2
+    assert not (run / "config.json").exists()
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, where numpy's overflow warnings on a
+    diverging run print to stderr as they do for a user instead of failing
+    the test."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "fogforge.cli", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def start_parameters(seed: int) -> dict[str, np.ndarray]:
+    """The parameters ``train`` builds for TINY_TRAIN at ``seed``."""
+    agent = dict(TINY_TRAIN["agent"])
+    agent = AgentConfig(gin=GinConfig(**agent.pop("gin")), **agent)
+    return PolicyModel(9, agent, np.random.default_rng(seed)).state_dict()
+
+
+def assert_same_parameters(model, expected):
+    state = model.state_dict()
+    assert state.keys() == expected.keys()
+    for name, value in expected.items():
+        assert np.array_equal(state[name], value), name
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_diverged_train_exits_3_with_start_parameters(tmp_path, epochs):
+    # one epoch diverges in the next forward pass, two inside the update
+    config = tmp_path / "train.json"
+    config.write_text(
+        json.dumps({**TINY_TRAIN, "learning_rate": 1e300, "ppo": {"update_epochs": epochs}})
+    )
+    run = tmp_path / "run"
+    proc = run_cli("train", "--config", config, "--seed", 5, "--out", run)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert_same_parameters(load_checkpoint(run / "checkpoints" / "best.json"), start_parameters(5))
+
+
+def test_diverged_sweep_exits_3_and_lists_every_stage(tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**TINY_TRAIN, "learning_rate": 1e300}))
+    run = tmp_path / "run"
+    proc = run_cli("sweep", "--config", config, "--seed", 5, "--out", run)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("failed:") == 5
+    checkpoints = sorted((run / "checkpoints").glob("w_*.json"))
+    assert len(checkpoints) == 5
+    # the root keeps its start parameters and every child inherits them
+    for path in checkpoints:
+        assert_same_parameters(load_checkpoint(path), start_parameters(5))
+    assert len(read_solutions(run / "solutions.csv")) == 5
+
+
+@pytest.fixture
+def zero_cost_file(tmp_path):
+    """A pool where every device, the cloud included, costs 0."""
+    path = tmp_path / "zero.json"
+    config = ScenarioConfig(device_count=4, cost_choices=(0.0,), cloud_cost=0.0)
+    save_scenario(generate_scenario(config, seed=3), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["oracle", "--weights", "0.5,0.5"],
+     ["evo", "--algorithm", "ga", "--population", "20", "--generations", "5"]],
+    ids=["weighted-oracle", "ga"],
+)
+def test_weighted_solvers_refuse_zero_cost_bounds(tmp_path, zero_cost_file, args):
+    run = tmp_path / "run"
+    assert main([*args, "--scenario", str(zero_cost_file), "--out", str(run)]) == 2
+    assert not (run / "solutions.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["oracle"], ["evo", "--algorithm", "nsga2", "--population", "20", "--generations", "5"]],
+    ids=["oracle", "nsga2"],
+)
+def test_unweighted_solvers_accept_zero_cost_pools(tmp_path, zero_cost_file, args):
+    run = tmp_path / "run"
+    assert main([*args, "--scenario", str(zero_cost_file), "--out", str(run)]) == 0
+    assert all(row.cost == 0.0 for row in read_solutions(run / "solutions.csv"))

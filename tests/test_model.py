@@ -383,7 +383,7 @@ def test_oracle_weighted_argmin_matches_scan():
         devices = random_devices(rng, 3)
         norms = analytic_bounds(app, devices)
         weights = [WeightVector(0.5, 0.5), WeightVector(1.0, 0.0), WeightVector(0.0, 1.0)]
-        result = brute_force_oracle(app, devices, weights=weights, norms=norms, chunk=17)
+        result = brute_force_oracle(app, devices, weights=weights, chunk=17)
 
         for wopt in result.weighted:
             best = min(

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogforge.model import Application, ConfigurationError, Device
 from fogforge.scenarios import (
@@ -120,6 +122,11 @@ def test_config_validation():
         ScenarioConfig(latency_choices=())
     with pytest.raises(ConfigurationError):
         ScenarioConfig(device_speed=0.0)
+    for counts in ({"device_count": 2.5}, {"device_count": True}, {"device_count": "3"},
+                   {"app_rows": (2.5,)}, {"app_rows": (3, 2.0)}):
+        with pytest.raises(ConfigurationError, match="int"):
+            ScenarioConfig(**counts)
+    assert ScenarioConfig(device_count=np.int64(3)).device_count == 3
 
 
 def test_dataset_seeds_disjoint():
@@ -170,3 +177,30 @@ def test_load_errors(tmp_path):
     with pytest.raises(ConfigurationError, match="format_version") as info:
         load_scenario(future)
     assert "malformed" not in str(info.value)  # the loader's own message, not re-wrapped
+
+
+finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    device_count=st.integers(1, 12),
+    app_rows=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    latency_choices=st.lists(finite, min_size=1, max_size=4).map(tuple),
+    cost_choices=st.lists(finite, min_size=1, max_size=4).map(tuple),
+    extra_edge_prob=st.floats(0.0, 1.0),
+    cloud_latency=finite,
+    cloud_cost=finite,
+    op_count=finite,
+    device_speed=st.floats(min_value=1e-3, max_value=1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scenario_save_load_save_is_byte_identical(tmp_path_factory, seed, **fields):
+    scenario = generate_scenario(ScenarioConfig(**fields), seed=seed)
+    directory = tmp_path_factory.mktemp("scenario")
+    first, second = directory / "first.json", directory / "second.json"
+    save_scenario(scenario, first)
+    loaded = load_scenario(first)
+    save_scenario(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded == scenario
