@@ -5,10 +5,14 @@ embeddings, masked to eligible services. The device head scores every device
 from its own features joined with the candidate service's features and the
 current allocation vector; all devices are legal. Devices with equal feature
 rows get equal scores, so the head runs once per distinct device row and
-each device reads its row's score. One PPO update recomputes
-log-probabilities and values per transition each epoch, stacks them into one
-vector per head, computes the losses on those vectors, and takes a single
-Adam step over all parameters, averaging the two heads' losses.
+each device reads its row's score.
+
+Every pass is batched: ``PolicyModel._decide`` scores B observations in one
+tape pass (one observation is B = 1). Rollouts step their envs in lockstep
+through one pass per step, and one PPO update re-scores all of its
+transitions in one pass per epoch, computes the losses on the resulting
+vectors, and takes a single Adam step over all parameters, averaging the two
+heads' losses.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from fogforge.nn import (
     masked_entropy,
     masked_log_softmax,
     minimum,
+    no_grad,
 )
 
 CHECKPOINT_VERSION = 1
@@ -118,17 +123,20 @@ def make_observation(env: PlacementEnv, state: EnvState) -> Observation:
 
 
 class _Decision(NamedTuple):
-    """One head pass: the two indices, their score vectors, and the
-    log-probability and critic value of each choice."""
+    """One batched head pass over B observations: per row, the two indices,
+    the score rows, and the log-probability and critic value of each choice.
+    Pools of different sizes pad the device rows; ``device_mask`` marks each
+    row's real devices."""
 
-    service_index: int
-    device_pos: int
-    service_scores: Tensor
-    device_scores: Tensor
-    logp_s: Tensor
-    logp_d: Tensor
-    value_s: Tensor
-    value_d: Tensor
+    service_index: np.ndarray  # (B,) int
+    device_pos: np.ndarray  # (B,) int
+    service_scores: Tensor  # (B, tasks)
+    device_scores: Tensor  # (B, most devices)
+    device_mask: np.ndarray  # (B, most devices) bool
+    logp_s: Tensor  # (B,)
+    logp_d: Tensor  # (B,)
+    value_s: Tensor  # (B,)
+    value_d: Tensor  # (B,)
 
 
 class PolicyModel(Module):
@@ -159,82 +167,118 @@ class PolicyModel(Module):
 
     def _decide(
         self,
-        obs: Observation,
-        service_index: int | None = None,
-        device_pos: int | None = None,
+        observations: Sequence[Observation],
+        service_index: np.ndarray | None = None,
+        device_pos: np.ndarray | None = None,
         mode: str = "sample",
-        rng: np.random.Generator | None = None,
+        rngs: Sequence[np.random.Generator] | None = None,
     ) -> _Decision:
-        """Score both heads; choose by ``mode`` whichever index is not given.
+        """Score both heads on a batch of observations in one tape pass;
+        choose by ``mode`` whichever indices are not given, row ``k`` drawing
+        from ``rngs[k]``.
 
         Rollouts, greedy placement and the PPO update all score the heads here,
-        so an update re-scores exactly what its rollout sampled.
+        so an update re-scores exactly what its rollouts sampled. Overflow in
+        the pass is not warned about: it surfaces as non-finite
+        log-probabilities, which raise :class:`DivergenceError`.
         """
         tasks = self.task_count
-        if obs.node_features.shape[0] != tasks:
-            raise ConfigurationError(
-                f"model built for {tasks} tasks, observation has {obs.node_features.shape[0]}"
-            )
-        if service_index is None and not obs.eligible.any():
+        batch = len(observations)
+        for obs in observations:
+            if obs.node_features.shape[0] != tasks:
+                raise ConfigurationError(
+                    f"model built for {tasks} tasks, observation has {obs.node_features.shape[0]}"
+                )
+        eligible = np.array([obs.eligible for obs in observations])
+        if service_index is None and not eligible.any(axis=1).all():
             raise ConfigurationError("no eligible service: episode already terminal")
-        emb = self.gin(obs.node_features, obs.adjacency)
-        tiled_hg = Tensor(np.ones((tasks, 1))) @ emb.graph_embedding
-        s_scores = self.actor_s(concat([tiled_hg, emb.node_embeddings], axis=1)).reshape(tasks)
-        s_logp = _finite(masked_log_softmax(s_scores, obs.eligible), "service")
-        if service_index is None:
-            service_index = _choose(s_scores, s_logp, obs.eligible, mode, rng)
-        logp_s = s_logp[np.array([service_index])].sum()
-        value_s = self.critic_s(emb.graph_embedding).sum()
+        rows = np.arange(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            emb = self.gin(
+                np.concatenate([obs.node_features for obs in observations]),
+                np.array([obs.adjacency for obs in observations]),
+            )
+            hidden = emb.graph_embedding.shape[1]
+            tiled_hg = Tensor(np.ones((batch, tasks, 1))) * emb.graph_embedding.reshape(
+                batch, 1, hidden
+            )
+            s_in = concat([tiled_hg.reshape(batch * tasks, hidden), emb.node_embeddings], axis=1)
+            s_scores = self.actor_s(s_in).reshape(batch, tasks)
+            s_logp = _finite(masked_log_softmax(s_scores, eligible), "service")
+            if service_index is None:
+                service_index = _choose(s_scores, s_logp, eligible, mode, rngs)
+            logp_s = s_logp[rows, service_index]
+            value_s = self.critic_s(emb.graph_embedding).reshape(batch)
 
-        n_cls = obs.device_classes.shape[0]
-        candidate = obs.service_features[service_index]
-        rows = np.concatenate(
-            [
-                obs.device_classes,
-                np.tile(candidate, (n_cls, 1)),
-                np.tile(obs.alloc, (n_cls, 1)),
-            ],
-            axis=1,
-        )
-        d_scores = self.actor_d(Tensor(rows)).reshape(n_cls)[obs.device_class_of]
-        all_devices = np.ones(len(obs.device_class_of), dtype=bool)
-        d_logp = _finite(masked_log_softmax(d_scores, all_devices), "device")
-        if device_pos is None:
-            device_pos = _choose(d_scores, d_logp, all_devices, mode, rng)
-        logp_d = d_logp[np.array([device_pos])].sum()
-        critic_in = np.concatenate([candidate, obs.alloc]).reshape(1, -1)
-        value_d = self.critic_d(Tensor(critic_in)).sum()
+            candidate = np.array([obs.service_features for obs in observations])[
+                rows, service_index
+            ]
+            alloc = np.array([obs.alloc for obs in observations])
+            # every observation's distinct device rows, scored in one pass; each
+            # device reads its class's score at its observation's offset
+            counts = np.array([len(obs.device_classes) for obs in observations])
+            owner = np.repeat(rows, counts)
+            class_rows = np.concatenate(
+                [
+                    np.concatenate([obs.device_classes for obs in observations]),
+                    candidate[owner],
+                    alloc[owner],
+                ],
+                axis=1,
+            )
+            sizes = [len(obs.device_class_of) for obs in observations]
+            gather = np.zeros((batch, max(sizes)), dtype=np.intp)
+            device_mask = np.zeros(gather.shape, dtype=bool)
+            for k, (obs, offset) in enumerate(zip(observations, np.cumsum(counts) - counts)):
+                gather[k, : sizes[k]] = offset + obs.device_class_of
+                device_mask[k, : sizes[k]] = True
+            d_scores = self.actor_d(Tensor(class_rows)).reshape(len(class_rows))[gather]
+            d_logp = _finite(masked_log_softmax(d_scores, device_mask), "device")
+            if device_pos is None:
+                device_pos = _choose(d_scores, d_logp, device_mask, mode, rngs)
+            logp_d = d_logp[rows, device_pos]
+            critic_in = np.concatenate([candidate, alloc], axis=1)
+            value_d = self.critic_d(Tensor(critic_in)).reshape(batch)
         return _Decision(
-            service_index, device_pos, s_scores, d_scores, logp_s, logp_d, value_s, value_d
+            service_index, device_pos, s_scores, d_scores, device_mask,
+            logp_s, logp_d, value_s, value_d,
         )
 
     def act(
-        self, obs: Observation, mode: str = "sample", rng: np.random.Generator | None = None
-    ) -> tuple[int, int, float, float, float, float]:
-        """One full decision: service and device plus log-probs and values."""
-        d = self._decide(obs, mode=mode, rng=rng)
+        self,
+        observations: Sequence[Observation],
+        mode: str = "sample",
+        rngs: Sequence[np.random.Generator] | None = None,
+    ) -> tuple[np.ndarray, ...]:
+        """One full decision per observation: service and device indices plus
+        their log-probs and values, each as a (B,) array. Records no tape."""
+        with no_grad():
+            d = self._decide(observations, mode=mode, rngs=rngs)
         return (
             d.service_index,
             d.device_pos,
-            d.logp_s.item(),
-            d.logp_d.item(),
-            d.value_s.item(),
-            d.value_d.item(),
+            d.logp_s.data,
+            d.logp_d.data,
+            d.value_s.data,
+            d.value_d.data,
         )
 
     def evaluate_actions(
-        self, obs: Observation, service_index: int, device_pos: int
+        self,
+        observations: Sequence[Observation],
+        service_index: Sequence[int] | np.ndarray,
+        device_pos: Sequence[int] | np.ndarray,
     ) -> dict[str, Tensor]:
-        """Differentiable log-probs, values, and entropies for a stored action."""
-        d = self._decide(obs, service_index, device_pos)
-        all_devices = np.ones(d.device_scores.data.shape[0], dtype=bool)
+        """Differentiable (B,) log-probs, values, and entropies for stored actions."""
+        d = self._decide(observations, np.asarray(service_index), np.asarray(device_pos))
+        eligible = np.array([obs.eligible for obs in observations])
         return {
             "logp_s": d.logp_s,
             "logp_d": d.logp_d,
             "value_s": d.value_s,
             "value_d": d.value_d,
-            "entropy_s": masked_entropy(d.service_scores, obs.eligible),
-            "entropy_d": masked_entropy(d.device_scores, all_devices),
+            "entropy_s": masked_entropy(d.service_scores, eligible),
+            "entropy_d": masked_entropy(d.device_scores, d.device_mask),
         }
 
 
@@ -250,52 +294,58 @@ def _choose(
     logp: Tensor,
     mask: np.ndarray,
     mode: str,
-    rng: np.random.Generator | None,
-) -> int:
-    """Greedy: argmax of the masked scores. Sample: a draw from ``exp(logp)``.
+    rngs: Sequence[np.random.Generator] | None,
+) -> np.ndarray:
+    """One index per row. Greedy: argmax of the masked scores. Sample: row
+    ``k`` draws from ``exp(logp)`` with ``rngs[k]``; padding has probability
+    0, so it is never drawn and does not move the draw.
 
     Greedy reads the scores, not ``logp``: rounding in the log-softmax can tie
     two distinct scores.
     """
     if mode == "greedy":
-        return int(np.argmax(np.where(mask, scores.data, -np.inf)))
+        return np.argmax(np.where(mask, scores.data, -np.inf), axis=-1)
     if mode == "sample":
-        if rng is None:
-            raise ConfigurationError("sampling requires a random generator")
+        if rngs is None or len(rngs) != len(mask):
+            raise ConfigurationError("sampling requires one random generator per row")
         probs = np.where(mask, np.exp(logp.data), 0.0)
-        return int(rng.choice(len(probs), p=probs / probs.sum()))
+        picks = [rng.choice(len(p), p=p / p.sum()) for p, rng in zip(probs, rngs)]
+        return np.array(picks, dtype=np.intp)
     raise ConfigurationError(f"unknown selection mode {mode!r}")
 
 
 def collect_trajectory(
     model: PolicyModel,
-    env: PlacementEnv,
-    rng: np.random.Generator | None = None,
+    envs: Sequence[PlacementEnv],
+    rngs: Sequence[np.random.Generator] | None = None,
     mode: str = "sample",
-) -> tuple[list[Transition], EnvState]:
-    """Roll one full episode; returns the transitions and the final state."""
-    state = env.reset()
-    transitions: list[Transition] = []
-    done = False
-    while not done:
-        obs = make_observation(env, state)
-        svc, dev_pos, logp_s, logp_d, value_s, value_d = model.act(obs, mode, rng)
-        action = Action(env.services[svc], int(env.device_ids[dev_pos]))
-        state, reward, done = env.step(action)
-        transitions.append(
-            Transition(
-                obs=obs,
-                service_index=svc,
-                device_pos=dev_pos,
-                logp_service=logp_s,
-                logp_device=logp_d,
-                value_service=value_s,
-                value_device=value_d,
-                reward=reward.r_total,
-                done=done,
+) -> list[tuple[list[Transition], EnvState]]:
+    """Roll one full episode on every env in lockstep, one batched pass per
+    step; env ``k`` samples from ``rngs[k]``. Every env places the model's
+    task count of services, so all episodes end on the same step. Returns
+    each env's transitions and final state."""
+    states = [env.reset() for env in envs]
+    transitions: list[list[Transition]] = [[] for _ in envs]
+    for _ in range(model.task_count):
+        observations = [make_observation(env, state) for env, state in zip(envs, states)]
+        svc, dev_pos, logp_s, logp_d, value_s, value_d = model.act(observations, mode, rngs)
+        for k, (env, obs) in enumerate(zip(envs, observations)):
+            action = Action(env.services[svc[k]], int(env.device_ids[dev_pos[k]]))
+            states[k], reward, done = env.step(action)
+            transitions[k].append(
+                Transition(
+                    obs=obs,
+                    service_index=int(svc[k]),
+                    device_pos=int(dev_pos[k]),
+                    logp_service=float(logp_s[k]),
+                    logp_device=float(logp_d[k]),
+                    value_service=float(value_s[k]),
+                    value_device=float(value_d[k]),
+                    reward=reward.r_total,
+                    done=done,
+                )
             )
-        )
-    return transitions, state
+    return list(zip(transitions, states))
 
 
 # --- PPO -----------------------------------------------------------------------
@@ -327,10 +377,12 @@ def ppo_update(
 ) -> UpdateReport:
     """Clipped-surrogate update over completed trajectories.
 
-    Each epoch recomputes log-probs, values and entropies for every stored
-    transition, stacks each into one vector per head, forms per-head losses
-    c_policy*policy + c_value*value - c_entropy*entropy on those vectors,
-    averages the two heads, and takes one Adam step over all parameters.
+    Each epoch re-scores every stored transition in one batched
+    ``evaluate_actions`` pass, forms per-head losses
+    c_policy*policy + c_value*value - c_entropy*entropy on the resulting
+    vectors, averages the two heads, and takes one Adam step over all
+    parameters. The loss and its backward run without numpy overflow
+    warnings; a non-finite loss or step raises :class:`DivergenceError`.
     """
     flat = [t for traj in trajectories for t in traj]
     if not flat:
@@ -342,6 +394,9 @@ def ppo_update(
         "s": np.array([t.logp_service for t in flat]),
         "d": np.array([t.logp_device for t in flat]),
     }
+    observations = [t.obs for t in flat]
+    services = np.array([t.service_index for t in flat])
+    devices = np.array([t.device_pos for t in flat])
 
     lo, hi = 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio
     total_losses: list[float] = []
@@ -350,38 +405,35 @@ def ppo_update(
     grad_norm = 0.0
 
     for epoch in range(hyper.update_epochs):
-        evs = [model.evaluate_actions(t.obs, t.service_index, t.device_pos) for t in flat]
+        ev = model.evaluate_actions(observations, services, devices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            head_losses = {}
+            for head in ("s", "d"):
+                value = ev[f"value_{head}"]
+                ratio = (ev[f"logp_{head}"] - logp_old[head]).exp()
+                advantage = returns - value.data
+                policy_loss = -minimum(ratio * advantage, ratio.clip(lo, hi) * advantage).mean()
+                value_loss = ((value - returns) ** 2).mean()
+                entropy = ev[f"entropy_{head}"].mean()
+                head_losses[head] = (
+                    hyper.policy_coef * policy_loss
+                    + hyper.value_coef * value_loss
+                    - hyper.entropy_coef * entropy
+                )
+                components[f"policy_loss_{head}"] = policy_loss.item()
+                components[f"value_loss_{head}"] = value_loss.item()
+                components[f"entropy_{head}"] = entropy.item()
+                if epoch == 0:
+                    first_ratios[head] = float(ratio.data.mean())
 
-        def stacked(key: str) -> Tensor:
-            return concat([ev[key].reshape(1) for ev in evs])
-
-        head_losses = {}
-        for head in ("s", "d"):
-            value = stacked(f"value_{head}")
-            ratio = (stacked(f"logp_{head}") - logp_old[head]).exp()
-            advantage = returns - value.data
-            policy_loss = -minimum(ratio * advantage, ratio.clip(lo, hi) * advantage).mean()
-            value_loss = ((value - returns) ** 2).mean()
-            entropy = stacked(f"entropy_{head}").mean()
-            head_losses[head] = (
-                hyper.policy_coef * policy_loss
-                + hyper.value_coef * value_loss
-                - hyper.entropy_coef * entropy
-            )
-            components[f"policy_loss_{head}"] = policy_loss.item()
-            components[f"value_loss_{head}"] = value_loss.item()
-            components[f"entropy_{head}"] = entropy.item()
-            if epoch == 0:
-                first_ratios[head] = float(ratio.data.mean())
-
-        total = (head_losses["s"] + head_losses["d"]) * 0.5
-        if not np.isfinite(total.item()):
-            raise DivergenceError(
-                f"non-finite loss at epoch {epoch}: components={components}"
-            )
-        optimizer.zero_grad()
-        total.backward()
-        grad_norm = clip_global_norm(optimizer.params, hyper.grad_clip_norm)
+            total = (head_losses["s"] + head_losses["d"]) * 0.5
+            if not np.isfinite(total.item()):
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}: components={components}"
+                )
+            optimizer.zero_grad()
+            total.backward()
+            grad_norm = clip_global_norm(optimizer.params, hyper.grad_clip_norm)
         optimizer.step()
         if not all(np.isfinite(p.data).all() for p in optimizer.params):
             raise DivergenceError(f"non-finite parameters after the Adam step of epoch {epoch}")

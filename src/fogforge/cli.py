@@ -381,14 +381,17 @@ def cmd_evo(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from None
     app = scenario.applications[0]
+    if args.algorithm == "ga":
+        weights = parse_weights(args.weights)
+        result = ga_solve(app, scenario.devices, weights, config)
+    else:
+        result = nsga2_solve(app, scenario.devices, config)
     writer = RunWriter(
         args.out, "evo",
         {"algorithm": args.algorithm, "scenario": args.scenario, "config": asdict(config)},
         seed,
     )
     if args.algorithm == "ga":
-        weights = parse_weights(args.weights)
-        result = ga_solve(app, scenario.devices, weights, config)
         write_solutions(
             writer.path("solutions.csv"),
             [SolutionRow(time=result.point.time, cost=result.point.cost,
@@ -405,7 +408,6 @@ def cmd_evo(args: argparse.Namespace) -> int:
         print(f"ga best: time={result.point.time} cost={result.point.cost} "
               f"objective={result.objective:.6f}")
     else:
-        result = nsga2_solve(app, scenario.devices, config)
         write_solutions(
             writer.path("solutions.csv"),
             [SolutionRow(time=p.time, cost=p.cost) for p in result.front],

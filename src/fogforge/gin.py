@@ -4,6 +4,12 @@ Each round aggregates (1 + epsilon) * self + sum of neighbors and feeds the
 result through that round's MLP; node embeddings are mean-pooled into a graph
 embedding. Aggregation treats edges as undirected so priority information
 flows both ways along dependencies.
+
+One forward encodes a batch of B graphs with the same node count T. The rows
+stay (B, T, features) inside: the MLPs' affine layers run on all B*T rows as
+one product, while the neighbour sums, the normalization and the pool run
+over each graph's own nodes, so a graph's embedding does not depend on the
+other graphs in its batch.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ class GinConfig:
 
     ``hidden_dim`` defaults to 32 so the service head's input, the
     concatenation of graph and node embeddings, is 64 wide. ``mlp_layers``
-    counts affine layers per round; each hidden one is followed by batch
-    normalization over the graph's nodes, which keeps the encoder
+    counts affine layers per round; each hidden one is followed by
+    normalization over each graph's own nodes, which keeps the encoder
     permutation-invariant and makes repeated forward passes agree exactly.
     """
 
@@ -41,8 +47,8 @@ class GinConfig:
 
 @dataclass
 class GraphEmbedding:
-    node_embeddings: Tensor  # (tasks, hidden_dim)
-    graph_embedding: Tensor  # (1, hidden_dim), arithmetic mean over nodes
+    node_embeddings: Tensor  # (graphs * tasks, hidden_dim), graph by graph
+    graph_embedding: Tensor  # (graphs, hidden_dim), arithmetic mean over each graph's nodes
 
 
 class GinEncoder(Module):
@@ -70,21 +76,31 @@ class GinEncoder(Module):
         )
 
     def forward(self, node_features, adjacency: np.ndarray) -> GraphEmbedding:
+        """Encode B graphs of T nodes: ``node_features`` are their (B*T, F)
+        rows, graph by graph, and ``adjacency`` is (B, T, T); a (T, T)
+        adjacency is a batch of one graph."""
         x = as_tensor(node_features)
-        if x.data.ndim != 2 or x.data.shape[1] != self.config.node_feature_dim:
-            raise ConfigurationError(
-                f"node features must be (tasks, {self.config.node_feature_dim}), got {x.shape}"
-            )
-        tasks = x.data.shape[0]
         adjacency = np.asarray(adjacency, dtype=np.float64)
-        if adjacency.shape != (tasks, tasks):
+        if adjacency.ndim == 2:
+            adjacency = adjacency[np.newaxis]
+        if adjacency.ndim != 3 or adjacency.shape[1] != adjacency.shape[2]:
             raise ConfigurationError(
-                f"adjacency must be ({tasks}, {tasks}), got {adjacency.shape}"
+                f"adjacency must be (tasks, tasks) or (graphs, tasks, tasks), got {adjacency.shape}"
+            )
+        graphs, tasks = adjacency.shape[:2]
+        features = self.config.node_feature_dim
+        if x.data.shape != (graphs * tasks, features):
+            raise ConfigurationError(
+                f"node features must be ({graphs * tasks}, {features}) for "
+                f"{graphs} graph(s) of {tasks} tasks, got {x.shape}"
             )
         adj = Tensor(adjacency)
 
-        h = self.input_mlp(x)
+        h = self.input_mlp(x.reshape(graphs, tasks, features))
         for eps, mlp in zip(self.epsilons, self.round_mlps):
             aggregated = (1.0 + eps) * h + adj @ h
             h = mlp(aggregated)
-        return GraphEmbedding(node_embeddings=h, graph_embedding=h.mean(axis=0, keepdims=True))
+        return GraphEmbedding(
+            node_embeddings=h.reshape(graphs * tasks, self.config.hidden_dim),
+            graph_embedding=h.mean(axis=1),
+        )

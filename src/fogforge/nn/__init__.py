@@ -6,6 +6,7 @@ from fogforge.nn.autodiff import (
     as_tensor,
     concat,
     minimum,
+    no_grad,
 )
 from fogforge.nn.layers import (
     BatchNorm,
@@ -34,4 +35,5 @@ __all__ = [
     "masked_entropy",
     "masked_log_softmax",
     "minimum",
+    "no_grad",
 ]

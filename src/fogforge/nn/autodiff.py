@@ -8,7 +8,8 @@ throughout; constants do not extend the tape.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self.data.item())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -140,17 +141,38 @@ class Tensor:
         return _node(np.power(a.data, e), (a,), bw)
 
     def __matmul__(self, other):
+        """Matrix product. Stacked rows ``(..., n, k) @ (k, m)`` run as one 2-d
+        product; two stacks ``(B, n, k) @ (B, k, m)`` multiply graph by graph."""
         other = as_tensor(other)
         a, b = self, other
-        if a.data.ndim != 2 or b.data.ndim != 2:
+        stacked = b.data.ndim > 2 and a.shape[:-2] == b.shape[:-2]
+        if a.data.ndim < 2 or not (b.data.ndim == 2 or stacked):
             raise AutodiffUsageError(
-                f"matmul expects 2-d operands, got {a.shape} @ {b.shape}"
+                f"matmul expects (..., n, k) @ (k, m) or two equal stacks, got {a.shape} @ {b.shape}"
             )
+        if a.data.ndim == 2 and b.data.ndim == 2:
 
-        def bw(g):
-            return g @ b.data.T, a.data.T @ g
+            def bw_2d(g):
+                grad_a = g @ b.data.T if a.requires_grad else None
+                return grad_a, a.data.T @ g if b.requires_grad else None
 
-        return _node(a.data @ b.data, (a, b), bw)
+            return _node(a.data @ b.data, (a, b), bw_2d)
+        if b.data.ndim == 2:
+            rows = a.data.reshape(-1, a.data.shape[-1])
+            out = (rows @ b.data).reshape(*a.shape[:-1], b.data.shape[1])
+
+            def bw(g):
+                g_rows = g.reshape(-1, g.shape[-1])
+                grad_a = (g_rows @ b.data.T).reshape(a.shape) if a.requires_grad else None
+                return grad_a, rows.T @ g_rows if b.requires_grad else None
+
+            return _node(out, (a, b), bw)
+
+        def bw_stacked(g):
+            grad_a = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
+            return grad_a, a.data.swapaxes(-1, -2) @ g if b.requires_grad else None
+
+        return _node(a.data @ b.data, (a, b), bw_stacked)
 
     # --- elementwise functions ------------------------------------------------
 
@@ -214,9 +236,26 @@ class Tensor:
         return _node(a.data[index], (a,), bw)
 
 
+# False only inside ``no_grad``, which always restores it
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the block: every result is a constant, so each
+    intermediate array is freed as soon as nothing reads it."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
+    out = Tensor(data)
+    if _recording and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._backward = backward
     return out

@@ -83,16 +83,23 @@ class Linear(Module):
         self.b = Tensor(rng.uniform(-bound, bound, size=(out_dim,)), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
+        """Maps the last axis of ``x``; leading axes are rows (one 2-d product)."""
         x = as_tensor(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.w.data.shape[0]:
+        if x.data.ndim < 2 or x.data.shape[-1] != self.w.data.shape[0]:
             raise ConfigurationError(
-                f"linear expects (N, {self.w.data.shape[0]}), got {x.shape}"
+                f"linear expects (..., {self.w.data.shape[0]}), got {x.shape}"
             )
         return x @ self.w + self.b
 
 
 class BatchNorm(Module):
-    """Per-feature normalization by the statistics of the batch (biased variance)."""
+    """Per-feature normalization by the statistics of the rows (biased variance).
+
+    The statistics run over the second-to-last axis: over the whole batch of a
+    2-d ``(rows, features)`` input, and over each graph's own nodes of a
+    stacked ``(graphs, nodes, features)`` input (GraphNorm without the learned
+    mean shift, Cai et al., ICML 2021).
+    """
 
     def __init__(self, features: int, eps: float = 1e-5):
         self.gamma = Tensor(np.ones(features), requires_grad=True)
@@ -105,9 +112,9 @@ class BatchNorm(Module):
         backward is the closed form of that expression's gradient."""
         x = as_tensor(x)
         gamma, beta = self.gamma, self.beta
-        inv_n = 1.0 / x.data.shape[0]
-        centered = x.data + -(x.data.sum(axis=0, keepdims=True) * inv_n)
-        var = np.power(centered, 2.0).sum(axis=0, keepdims=True) * inv_n
+        inv_n = 1.0 / x.data.shape[-2]
+        centered = x.data + -(x.data.sum(axis=-2, keepdims=True) * inv_n)
+        var = np.power(centered, 2.0).sum(axis=-2, keepdims=True) * inv_n
         std = np.power(var + self.eps, 0.5)
         xhat = centered / std
 
@@ -115,10 +122,12 @@ class BatchNorm(Module):
             g_xhat = g * gamma.data
             dx = (
                 g_xhat
-                - g_xhat.mean(axis=0, keepdims=True)
-                - xhat * (g_xhat * xhat).mean(axis=0, keepdims=True)
+                - g_xhat.mean(axis=-2, keepdims=True)
+                - xhat * (g_xhat * xhat).mean(axis=-2, keepdims=True)
             ) / std
-            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+            features = g.shape[-1]
+            g_rows = g.reshape(-1, features)
+            return dx, (g_rows * xhat.reshape(-1, features)).sum(axis=0), g_rows.sum(axis=0)
 
         return _node(xhat * gamma.data + beta.data, (x, gamma, beta), bw)
 
@@ -157,34 +166,36 @@ class Mlp(Module):
 # --- masked categorical utilities --------------------------------------------
 
 def masked_log_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Log-probabilities over entries where `mask` is true; others are exactly 0.
+    """Row-wise log-probabilities over entries where `mask` is true; others are
+    exactly 0. ``scores`` is one row ``(n,)`` or a batch of rows ``(B, n)``;
+    a row's padding is a false entry of its mask.
 
-    One tape node. The max-shift constant is taken over masked entries only,
-    and deselected scores are replaced by 0 *before* exponentiation, so no
-    overflow or 0 * inf reaches either pass. The backward is the closed form
-    ``m * (g - p * sum(m * g))`` with ``p`` the probabilities, so deselected
-    entries get exactly 0.
+    One tape node. Each row's max-shift constant is taken over its masked
+    entries only, and deselected scores are replaced by 0 *before*
+    exponentiation, so no overflow or 0 * inf reaches either pass. The
+    backward is the closed form ``m * (g - p * sum(m * g))`` per row with
+    ``p`` the probabilities, so deselected entries get exactly 0.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    if not mask.any(axis=-1).all():
         raise ConfigurationError("mask selects no entries")
-    shift = float(scores.data[mask].max())
+    shift = np.where(mask, scores.data, -np.inf).max(axis=-1, keepdims=True)
     centered = np.where(mask, scores.data + -shift, 0.0)
-    denom = np.where(mask, np.exp(centered), 0.0).sum()
+    denom = np.where(mask, np.exp(centered), 0.0).sum(axis=-1, keepdims=True)
     out = np.where(mask, centered + -np.log(denom), 0.0)
 
     def bw(g):
         g = np.where(mask, g, 0.0)
         probs = np.where(mask, np.exp(out), 0.0)
-        return (g - probs * g.sum(),)
+        return (g - probs * g.sum(axis=-1, keepdims=True),)
 
     return _node(out, (scores,), bw)
 
 
 def masked_entropy(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Shannon entropy of the masked categorical distribution.
+    """Shannon entropy of each row's masked categorical distribution.
 
     Deselected log-probabilities are 0, so their terms exp(0) * 0 vanish.
     """
     logp = masked_log_softmax(scores, mask)
-    return -(logp.exp() * logp).sum()
+    return -(logp.exp() * logp).sum(axis=-1)

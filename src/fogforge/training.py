@@ -151,7 +151,7 @@ def infer_placement(model: PolicyModel, app: Application, devices: Sequence[Devi
     and the application to match the model's trained task count.
     """
     env = PlacementEnv(_wrapper_scenario(app, devices), WeightVector(0.5, 0.5))
-    collect_trajectory(model, env, mode="greedy")
+    collect_trajectory(model, [env], mode="greedy")
     return env.placement()
 
 
@@ -160,13 +160,13 @@ def evaluate_policy(
 ) -> float:
     """Mean weighted objective of greedy placements over ``scenarios``.
 
-    Greedy picks do not depend on the env's weights (observations carry none),
-    and the env scores its final state against the scenario's own bounds.
+    The scenarios are placed in lockstep. Greedy picks do not depend on the
+    env's weights (observations carry none), and each env scores its final
+    state against its scenario's own bounds.
     """
-    finals = [
-        collect_trajectory(model, PlacementEnv(sc, weights), mode="greedy")[1] for sc in scenarios
-    ]
-    return float(np.mean([final.weighted for final in finals]))
+    envs = [PlacementEnv(sc, weights) for sc in scenarios]
+    rolled = collect_trajectory(model, envs, mode="greedy")
+    return float(np.mean([final.weighted for _, final in rolled]))
 
 
 # --- training loop ------------------------------------------------------------
@@ -219,10 +219,8 @@ def train(
         streams = rng.spawn(config.envs_per_episode)
         eval_due = (episode + 1) % config.eval_interval == 0 or episode == budget - 1
         try:
-            rolled = [
-                collect_trajectory(model, PlacementEnv(datasets.train[p], config.weights), stream)
-                for p, stream in zip(picks, streams)
-            ]
+            envs = [PlacementEnv(datasets.train[p], config.weights) for p in picks]
+            rolled = collect_trajectory(model, envs, streams)
             trajectories = [transitions for transitions, _ in rolled]
             report = ppo_update(model, trajectories, config.ppo, optimizer)
             trained = episode + 1

@@ -60,9 +60,9 @@ def test_single_eligible_service_is_forced():
     # chain heads (0,0) and (1,0) eligible; restrict to one by masking
     obs.eligible[:] = False
     obs.eligible[0] = True
-    svc, _, logp, *_ = model.act(obs, mode="sample", rng=np.random.default_rng(1))
-    assert svc == 0
-    assert logp == pytest.approx(0.0, abs=1e-12)
+    svc, _, logp, *_ = model.act([obs], mode="sample", rngs=[np.random.default_rng(1)])
+    assert svc[0] == 0
+    assert logp[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uniform_scores_sample_uniformly_and_respect_mask():
@@ -75,16 +75,17 @@ def test_uniform_scores_sample_uniformly_and_respect_mask():
     assert len(eligible) == 3  # the three row heads
 
     rng = np.random.default_rng(2)
-    svc, *_ = model.act(obs, mode="sample", rng=rng)
-    assert obs.eligible[svc]
+    svc, *_ = model.act([obs], mode="sample", rngs=[rng])
+    assert obs.eligible[svc[0]]
     # the draws below reuse one pass's scores instead of rerunning the GIN each time
-    scores = model._decide(obs, mode="greedy").service_scores
-    np.testing.assert_array_equal(scores.data, scores.data[0])
-    logp = masked_log_softmax(scores, obs.eligible)
+    scores = model._decide([obs], mode="greedy").service_scores
+    np.testing.assert_array_equal(scores.data, scores.data[0, 0])
+    mask = obs.eligible[np.newaxis]
+    logp = masked_log_softmax(scores, mask)
     counts = np.zeros(env.task_count)
     draws = 30_000
     for _ in range(draws):
-        counts[_choose(scores, logp, obs.eligible, "sample", rng)] += 1
+        counts[_choose(scores, logp, mask, "sample", [rng])[0]] += 1
     assert counts[~obs.eligible].sum() == 0  # masked services never sampled
     np.testing.assert_allclose(counts[eligible] / draws, 1 / 3, atol=0.02)
 
@@ -99,9 +100,9 @@ def test_single_device_forced():
     env = PlacementEnv(scenario, HALF)
     model = fresh(env)
     obs = make_observation(env, env.reset())
-    _, dev, _, logp, *_ = model.act(obs, mode="sample", rng=np.random.default_rng(3))
-    assert dev == 0
-    assert logp == pytest.approx(0.0, abs=1e-12)
+    _, dev, _, logp, *_ = model.act([obs], mode="sample", rngs=[np.random.default_rng(3)])
+    assert dev[0] == 0
+    assert logp[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_identical_devices_get_identical_probabilities():
@@ -116,24 +117,24 @@ def test_identical_devices_get_identical_probabilities():
     env = PlacementEnv(scenario, HALF)
     model = fresh(env)
     obs = make_observation(env, env.reset())
-    ev1 = model.evaluate_actions(obs, 0, 1)
-    ev2 = model.evaluate_actions(obs, 0, 2)
+    ev1 = model.evaluate_actions([obs], [0], [1])
+    ev2 = model.evaluate_actions([obs], [0], [2])
     assert ev1["logp_d"].item() == pytest.approx(ev2["logp_d"].item(), abs=1e-9)
     # entropies are those of the distributions the log-probs describe
-    p_d = np.exp([model.evaluate_actions(obs, 0, k)["logp_d"].item() for k in range(3)])
+    p_d = np.exp([model.evaluate_actions([obs], [0], [k])["logp_d"].item() for k in range(3)])
     assert ev1["entropy_d"].item() == pytest.approx(-(p_d * np.log(p_d)).sum(), abs=1e-12)
     eligible = np.flatnonzero(obs.eligible)
-    p_s = np.exp([model.evaluate_actions(obs, s, 0)["logp_s"].item() for s in eligible])
+    p_s = np.exp([model.evaluate_actions([obs], [s], [0])["logp_s"].item() for s in eligible])
     assert ev1["entropy_s"].item() == pytest.approx(-(p_s * np.log(p_s)).sum(), abs=1e-12)
 
 
 def test_class_scores_match_a_full_device_pass():
     env = make_env(seed=0, device_count=1000, rows=9)
     model = PolicyModel(env.task_count, AgentConfig(), np.random.default_rng(0))
-    transitions, _ = collect_trajectory(model, env, mode="greedy")
+    [(transitions, _)] = collect_trajectory(model, [env], mode="greedy")
     assert len(env.device_classes) < len(env.device_ids) == 1001
     for t in transitions[:: len(transitions) // 8]:
-        d = model._decide(t.obs, t.service_index, t.device_pos)
+        d = model._decide([t.obs], [t.service_index], [t.device_pos])
         candidate = t.obs.service_features[t.service_index]
         rows = np.concatenate(
             [
@@ -144,7 +145,7 @@ def test_class_scores_match_a_full_device_pass():
             axis=1,
         )
         full = model.actor_d(Tensor(rows)).data.reshape(1001)
-        np.testing.assert_allclose(d.device_scores.data, full, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d.device_scores.data[0], full, rtol=0, atol=1e-12)
         assert t.device_pos == np.argmax(full)
 
 
@@ -163,45 +164,112 @@ def test_device_head_gradients_through_shared_classes():
     service = int(np.flatnonzero(obs.eligible)[0])
     for key in ("logp_d", "entropy_d"):  # device 2 shares its class with devices 1 and 4
         model.zero_grad()
-        model.evaluate_actions(obs, service, 2)[key].backward()
+        model.evaluate_actions([obs], [service], [2])[key].backward()
         for name, param in model.actor_d.named_parameters().items():
             saved = param.data.copy()
 
             def f(values):
                 param.data = values
-                out = model.evaluate_actions(obs, service, 2)[key].item()
+                out = model.evaluate_actions([obs], [service], [2])[key].item()
                 param.data = saved
                 return out
 
             assert max_rel_error(param.grad, finite_difference(f, saved)) < 1e-4, (key, name)
 
 
+def two_pools_env_pair(seed=0):
+    """Two envs of the same 2x2 app on pools of different sizes and device
+    classes, so a batch of their observations pads the device rows."""
+    cloud = Device(id=0, speed=1.0, latency=50.0, cost=20.0, is_cloud=True)
+    specs = ([(10, 5), (10, 5), (30, 1), (10, 5), (30, 1)], [(20, 2), (40, 1), (5, 9)])
+    config = ScenarioConfig(device_count=5, app_rows=(2,))
+    app = generate_scenario(config, seed).applications[0]
+    envs = []
+    for spec in specs:
+        pool = (cloud,) + tuple(
+            Device(id=k, speed=1.0, latency=latency, cost=cost)
+            for k, (latency, cost) in enumerate(spec, start=1)
+        )
+        scenario = Scenario(config=config, devices=pool, applications=(app,))
+        envs.append(PlacementEnv(scenario, HALF))
+    return envs
+
+
+def test_offset_class_gather_gradients_over_padded_pools():
+    envs = two_pools_env_pair()
+    model = fresh(envs[0], seed=23)
+    observations = [make_observation(env, env.reset()) for env in envs]
+    services = [int(np.flatnonzero(obs.eligible)[-1]) for obs in observations]
+    devices = [2, 3]
+    assert [len(env.device_classes) for env in envs] == [3, 4]
+    d = model._decide(observations, services, devices)
+    assert d.device_mask.tolist() == [[True] * 6, [True] * 4 + [False] * 2]
+    batched = model.evaluate_actions(observations, services, devices)
+    for k, obs in enumerate(observations):  # each row scores as its observation alone
+        alone = model.evaluate_actions([obs], [services[k]], [devices[k]])
+        for key, value in alone.items():
+            assert batched[key].data[k] == pytest.approx(value.item(), rel=1e-12, abs=1e-12), key
+    weights = np.array([0.7, -1.3])
+
+    def loss():
+        ev = model.evaluate_actions(observations, services, devices)
+        return ((ev["logp_d"] + ev["entropy_d"] * 0.5) * weights).sum()
+
+    model.zero_grad()
+    loss().backward()
+    for name, param in model.actor_d.named_parameters().items():
+        saved = param.data.copy()
+
+        def f(values):
+            param.data = values
+            out = loss().item()
+            param.data = saved
+            return out
+
+        assert max_rel_error(param.grad, finite_difference(f, saved)) < 1e-4, name
+
+
+def test_lockstep_rollouts_over_padded_pools_sample_per_env_streams():
+    envs = two_pools_env_pair(seed=1)
+    model = fresh(envs[0], seed=24)
+    lockstep = collect_trajectory(model, envs, [np.random.default_rng(s) for s in (5, 6)])
+    for env, seed, (batched, final) in zip(envs, (5, 6), lockstep):
+        [(serial, serial_final)] = collect_trajectory(model, [env], [np.random.default_rng(seed)])
+        assert [(t.service_index, t.device_pos) for t in batched] == [
+            (t.service_index, t.device_pos) for t in serial
+        ]
+        for a, b in zip(batched, serial):
+            assert a.logp_device == pytest.approx(b.logp_device, rel=1e-12, abs=1e-12)
+            assert a.logp_service == pytest.approx(b.logp_service, rel=1e-12, abs=1e-12)
+        assert final.weighted == serial_final.weighted
+
+
 def test_greedy_mode_is_deterministic():
     env = make_env(seed=4)
     model = fresh(env, seed=4)
-    first, _ = collect_trajectory(model, env, mode="greedy")
-    second, _ = collect_trajectory(model, env, mode="greedy")
+    [(first, _)] = collect_trajectory(model, [env], mode="greedy")
+    [(second, _)] = collect_trajectory(model, [env], mode="greedy")
     assert [(t.service_index, t.device_pos) for t in first] == [
         (t.service_index, t.device_pos) for t in second
     ]
     for t in first:  # greedy picks the highest-scoring eligible service and device
-        d = model._decide(t.obs, t.service_index, t.device_pos)
-        masked = np.where(t.obs.eligible, d.service_scores.data, -np.inf)
+        d = model._decide([t.obs], [t.service_index], [t.device_pos])
+        masked = np.where(t.obs.eligible, d.service_scores.data[0], -np.inf)
         assert t.service_index == np.argmax(masked)
-        assert t.device_pos == np.argmax(d.device_scores.data)
+        assert t.device_pos == np.argmax(d.device_scores.data[0])
 
 
 def test_trajectory_record_and_replay_consistency():
     env = make_env(seed=5)
     model = fresh(env, seed=5)
-    transitions, final_state = collect_trajectory(
-        model, env, rng=np.random.default_rng(6)
+    [(transitions, final_state)] = collect_trajectory(
+        model, [env], rngs=[np.random.default_rng(6)]
     )
     assert len(transitions) == env.task_count
     assert transitions[-1].done and not any(t.done for t in transitions[:-1])
     assert final_state.placed_mask.all()
     for t in transitions:
-        ev = model.evaluate_actions(t.obs, t.service_index, t.device_pos)
+        ev = model.evaluate_actions([t.obs], [t.service_index], [t.device_pos])
         assert ev["logp_s"].item() == t.logp_service
         assert ev["logp_d"].item() == t.logp_device
         assert ev["value_s"].item() == t.value_service
@@ -244,7 +312,7 @@ def test_non_finite_scores_raise_divergence(head, mode):
     model = fresh(env, seed=19)
     getattr(model, head).linears[-1].b.data[:] = np.nan
     with pytest.raises(DivergenceError, match="log-probabilities"):
-        collect_trajectory(model, env, np.random.default_rng(0), mode=mode)
+        collect_trajectory(model, [env], [np.random.default_rng(0)], mode=mode)
 
 
 def test_returns_are_suffix_sums():
@@ -268,7 +336,7 @@ def test_first_epoch_ratio_is_one():
     env = make_env(seed=7)
     model = fresh(env, seed=7)
     rng = np.random.default_rng(8)
-    trajectories = [collect_trajectory(model, env, rng=rng)[0] for _ in range(2)]
+    trajectories = [collect_trajectory(model, [env], [rng])[0][0] for _ in range(2)]
     opt = Adam(model.parameters(), lr=1e-3)
     report = ppo_update(model, trajectories, PpoHyper(update_epochs=1), opt)
     assert report.mean_ratio_s_first_epoch == pytest.approx(1.0, abs=1e-9)
@@ -277,8 +345,9 @@ def test_first_epoch_ratio_is_one():
 
 def reference_ppo_loss(model, trajectories, hyper):
     """Reference: the PPO loss of one epoch, built transition by transition
-    from scalar tape nodes, as ``ppo_update`` computed it before it stacked
-    the transitions into vectors. Returns the total and its six components."""
+    from one-observation passes and scalar tape nodes, as ``ppo_update``
+    computed it before it batched the transitions. Returns the total and its
+    six components."""
     lo, hi = 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio
     surrogates = {"s": [], "d": []}
     values = {"s": [], "d": []}
@@ -286,7 +355,7 @@ def reference_ppo_loss(model, trajectories, hyper):
     for traj in trajectories:
         for transition, ret in zip(traj, trajectory_returns([t.reward for t in traj])):
             ev = model.evaluate_actions(
-                transition.obs, transition.service_index, transition.device_pos
+                [transition.obs], [transition.service_index], [transition.device_pos]
             )
             for head, logp_old in (("s", transition.logp_service), ("d", transition.logp_device)):
                 ratio = (ev[f"logp_{head}"] - logp_old).exp()
@@ -317,20 +386,52 @@ def reference_ppo_loss(model, trajectories, hyper):
     return (head_losses["s"] + head_losses["d"]) * 0.5, components
 
 
-def test_vector_loss_matches_per_transition_reference():
-    config = TrainConfig.desk(seed=0)
+def desk_rollouts(seed, lockstep):
+    """The first episode's rollouts of a seeded desk run, with the envs and
+    streams ``train`` draws: in lockstep as ``train`` rolls them, or one env
+    at a time."""
+    config = TrainConfig.desk(seed=seed)
     datasets = build_datasets(config)
     rng = np.random.default_rng(config.seed)
     model = PolicyModel(datasets.task_count, config.agent, rng)
     picks = rng.integers(0, len(datasets.train), size=config.envs_per_episode)
     streams = rng.spawn(config.envs_per_episode)
-    trajectories = [
-        collect_trajectory(model, PlacementEnv(datasets.train[p], config.weights), stream)[0]
-        for p, stream in zip(picks, streams)
-    ]
+    envs = [PlacementEnv(datasets.train[p], config.weights) for p in picks]
+    if lockstep:
+        rolled = collect_trajectory(model, envs, streams)
+    else:
+        rolled = [
+            collect_trajectory(model, [env], [stream])[0] for env, stream in zip(envs, streams)
+        ]
+    return config, model, [transitions for transitions, _ in rolled]
+
+
+def test_vector_loss_matches_per_transition_reference():
+    # lockstep rollouts take the actions serial one-env rollouts take
+    for seed in range(3):
+        _, _, lockstep = desk_rollouts(seed, lockstep=True)
+        _, _, serial = desk_rollouts(seed, lockstep=False)
+        for batched_traj, serial_traj in zip(lockstep, serial, strict=True):
+            for a, b in zip(batched_traj, serial_traj, strict=True):
+                assert (a.service_index, a.device_pos) == (b.service_index, b.device_pos)
+                assert (a.reward, a.done) == (b.reward, b.done)
+                for key in ("logp_service", "logp_device", "value_service", "value_device"):
+                    assert getattr(a, key) == pytest.approx(getattr(b, key), rel=1e-12, abs=1e-12)
+
+    config, model, trajectories = desk_rollouts(0, lockstep=True)
+    flat = [t for traj in trajectories for t in traj]
+    # one batched pass scores every transition as its own one-observation pass does
+    batched = model.evaluate_actions(
+        [t.obs for t in flat], [t.service_index for t in flat], [t.device_pos for t in flat]
+    )
+    for k, t in enumerate(flat):
+        single = model.evaluate_actions([t.obs], [t.service_index], [t.device_pos])
+        for key, value in single.items():
+            assert batched[key].shape == (len(flat),), key
+            assert batched[key].data[k] == pytest.approx(value.item(), rel=1e-12, abs=1e-12), key
+
     # one unclipped epoch, so the gradients left behind are the raw loss gradients
     hyper = dataclasses.replace(config.ppo, update_epochs=1, grad_clip_norm=None)
-
     total, expected = reference_ppo_loss(model, trajectories, hyper)
     total.backward()
     reference_grads = {k: p.grad.copy() for k, p in model.named_parameters().items()}
@@ -349,7 +450,7 @@ def test_update_moves_parameters():
     model = fresh(env, seed=9)
     rng = np.random.default_rng(10)
     before = {k: v.data.copy() for k, v in model.named_parameters().items()}
-    trajectories = [collect_trajectory(model, env, rng=rng)[0] for _ in range(2)]
+    trajectories = [collect_trajectory(model, [env], [rng])[0][0] for _ in range(2)]
     report = ppo_update(model, trajectories, PpoHyper(), Adam(model.parameters(), lr=0.01))
     # the second epoch runs on moved parameters; the report keeps the first's ratios
     assert report.mean_ratio_s_first_epoch == pytest.approx(1.0, abs=1e-9)
@@ -365,7 +466,7 @@ def test_update_moves_parameters():
 def test_clipped_ratio_blocks_policy_gradient():
     env = make_env(seed=11)
     model = fresh(env, seed=11)
-    transitions, _ = collect_trajectory(model, env, rng=np.random.default_rng(12))
+    [(transitions, _)] = collect_trajectory(model, [env], [np.random.default_rng(12)])
     doctored = []
     for t in transitions:
         doctored.append(
@@ -405,7 +506,7 @@ def bandit_setup():
 
 
 def device_probability(model, obs, pos):
-    return float(np.exp(model.evaluate_actions(obs, 0, pos)["logp_d"].item()))
+    return float(np.exp(model.evaluate_actions([obs], [0], [pos])["logp_d"].item()))
 
 
 def test_bandit_favors_rewarding_device():
@@ -416,7 +517,7 @@ def test_bandit_favors_rewarding_device():
     p_start = device_probability(model, obs0, 1)
     opt = Adam(model.parameters(), lr=0.01)
     for _ in range(50):
-        trajectories = [collect_trajectory(model, env, rng=rng)[0] for _ in range(8)]
+        trajectories = [collect_trajectory(model, [env], [rng])[0][0] for _ in range(8)]
         ppo_update(model, trajectories, PpoHyper(), opt)
     p_end = device_probability(model, obs0, 1)
     assert p_end > p_start
@@ -429,22 +530,34 @@ def test_task_count_mismatch_rejected():
     model = fresh(env_big)
     obs = make_observation(env_small, env_small.reset())
     with pytest.raises(ConfigurationError):
-        model.act(obs, mode="greedy")
+        model.act([obs], mode="greedy")
 
 
 def test_divergent_update_aborts():
     env = make_env(seed=15)
     model = fresh(env, seed=15)
-    transitions, _ = collect_trajectory(model, env, rng=np.random.default_rng(16))
+    [(transitions, _)] = collect_trajectory(model, [env], [np.random.default_rng(16)])
     model.actor_s.linears[0].w.data[0, 0] = np.nan
     with pytest.raises(DivergenceError):
+        ppo_update(model, [transitions], PpoHyper(), Adam(model.parameters()))
+
+
+def test_overflowing_loss_raises_divergence():
+    env = make_env(seed=15)
+    model = fresh(env, seed=15)
+    # finite critic values whose squared error overflows: the loss, not the
+    # pass, is the first non-finite number, and it must not surface as a warning
+    model.critic_s.linears[-1].b.data[:] = 1e300
+    [(transitions, _)] = collect_trajectory(model, [env], [np.random.default_rng(16)])
+    assert np.isfinite(transitions[0].value_service)
+    with pytest.raises(DivergenceError, match="non-finite loss"):
         ppo_update(model, [transitions], PpoHyper(), Adam(model.parameters()))
 
 
 def test_non_finite_parameters_abort_update():
     env = make_env(seed=15)
     model = fresh(env, seed=15)
-    transitions, _ = collect_trajectory(model, env, rng=np.random.default_rng(16))
+    [(transitions, _)] = collect_trajectory(model, [env], [np.random.default_rng(16)])
     optimizer = Adam(model.parameters())
     optimizer.lr = np.inf  # finite loss, but the step leaves non-finite weights
     with pytest.raises(DivergenceError, match="parameters"):
@@ -466,8 +579,8 @@ def test_checkpoint_round_trip(tmp_path):
         assert n1 == n2
         np.testing.assert_array_equal(p1.data, p2.data)
 
-    ev_a = model.evaluate_actions(obs, 0, 0)
-    ev_b = clone.evaluate_actions(obs, 0, 0)
+    ev_a = model.evaluate_actions([obs], [0], [0])
+    ev_b = clone.evaluate_actions([obs], [0], [0])
     assert ev_a["logp_s"].item() == ev_b["logp_s"].item()
     assert ev_a["logp_d"].item() == ev_b["logp_d"].item()
 

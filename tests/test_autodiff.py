@@ -20,6 +20,7 @@ from fogforge.nn import (
     masked_entropy,
     masked_log_softmax,
     minimum,
+    no_grad,
 )
 
 TOL = 1e-4
@@ -90,6 +91,37 @@ def test_matmul_gradients():
         Tensor(np.ones(3), requires_grad=True) @ Tensor(np.ones(3))
 
 
+def test_batched_matmul_gradients():
+    # graph-by-graph neighbour sums (B, T, T) @ (B, T, F), and stacked rows
+    # times one weight matrix (B, T, F) @ (F, H), with B = 3 different graphs
+    rng = np.random.default_rng(21)
+    adj0 = (rng.random((3, 4, 4)) < 0.5).astype(float)
+    h0 = rng.normal(size=(3, 4, 2))
+    w0 = rng.normal(size=(2, 5))
+    weights = rng.normal(size=(3, 4, 2))
+    check_grad(lambda t: ((Tensor(adj0) @ t) * weights).sum(), h0)
+    check_grad(lambda t: ((t @ Tensor(h0)) * weights).sum(), adj0)
+    check_grad(lambda t: ((t @ Tensor(w0)) ** 2).sum(), h0)
+    check_grad(lambda t: ((Tensor(h0) @ t) ** 2).sum(), w0)
+    stacked = (Tensor(adj0) @ Tensor(h0)).data
+    rows = (Tensor(h0) @ Tensor(w0)).data
+    for b in range(3):  # each graph multiplies as it would alone
+        np.testing.assert_array_equal(stacked[b], (Tensor(adj0[b]) @ Tensor(h0[b])).data)
+        np.testing.assert_allclose(rows[b], (Tensor(h0[b]) @ Tensor(w0)).data, rtol=0, atol=1e-14)
+    with pytest.raises(AutodiffUsageError):
+        Tensor(h0) @ Tensor(rng.normal(size=(4, 2, 5)))  # stacks of different lengths
+
+
+def test_per_graph_mean_pool_gradients():
+    rng = np.random.default_rng(22)
+    x0 = rng.normal(size=(3, 5, 2))
+    weights = rng.normal(size=(3, 2))
+    check_grad(lambda t: (t.mean(axis=1) * weights).sum(), x0)
+    pooled = Tensor(x0).mean(axis=1).data
+    for b in range(3):
+        np.testing.assert_allclose(pooled[b], x0[b].mean(axis=0), rtol=0, atol=1e-15)
+
+
 def test_clip_minimum_gradients():
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(6,)) * 2.0
@@ -130,6 +162,22 @@ def test_gradient_accumulates_across_backward_calls():
     (p * 3.0).sum().backward()
     (p * 3.0).sum().backward()
     np.testing.assert_allclose(p.grad, [6.0])
+
+
+def test_no_grad_records_no_tape():
+    mlp = Mlp(MlpSpec(2, (3,), 1, batch_norm=True), np.random.default_rng(3))
+    x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]]))
+    with no_grad():
+        constant = mlp(x).sum()
+    assert not constant.requires_grad
+    assert constant._parents == () and constant._backward is None
+    recorded = mlp(x).sum()
+    assert recorded.requires_grad and recorded._parents
+    assert constant.item() == recorded.item()
+    with pytest.raises(ValueError):  # recording resumes after an error in the block
+        with no_grad():
+            raise ValueError
+    assert mlp(x).sum().requires_grad
 
 
 def test_backward_requires_scalar():
@@ -246,6 +294,34 @@ def test_fused_batchnorm_matches_composed_graph():
     assert bn(x)._parents == (x, bn.gamma, bn.beta)  # one tape node
 
 
+def test_batchnorm_normalises_each_graph_over_its_nodes():
+    # (graphs, nodes, features): each graph is normalised by its own statistics,
+    # exactly as a 2-d batch holding only that graph's rows
+    rng = np.random.default_rng(23)
+    bn = BatchNorm(3)
+    bn.gamma.data = rng.normal(size=3) + 1.5
+    bn.beta.data = rng.normal(size=3)
+    x0 = rng.normal(size=(4, 5, 3)) * rng.uniform(0.5, 3.0, size=(4, 1, 1)) + rng.normal(size=(4, 1, 3))
+    out = bn(Tensor(x0)).data
+    for b in range(4):
+        np.testing.assert_array_equal(out[b], bn(Tensor(x0[b])).data)
+    weights = rng.normal(size=x0.shape)
+    check_grad(lambda t: (bn(t) ** 3 * weights).sum(), x0)
+    for param in (bn.gamma, bn.beta):
+        bn.zero_grad()
+        (bn(Tensor(x0)) ** 3 * weights).sum().backward()
+        analytic = param.grad.copy()
+        saved = param.data.copy()
+
+        def f(values):
+            param.data = values
+            result = float((bn(Tensor(x0)).data ** 3 * weights).sum())
+            param.data = saved
+            return result
+
+        assert max_rel_error(analytic, finite_difference(f, saved)) < TOL
+
+
 def test_state_dict_round_trip():
     rng = np.random.default_rng(11)
     spec = MlpSpec(3, (4,), 2, batch_norm=True)
@@ -345,6 +421,42 @@ def test_masked_categorical_gradients():
     check_grad(lambda t: masked_log_softmax(t, mask)[np.array([1])].sum(), x0)
     check_grad(lambda t: (masked_log_softmax(t, mask) * np.arange(5.0)).sum(), x0)
     check_grad(lambda t: masked_entropy(t, mask), x0)
+
+
+def padded_rows(rng, widths, n):
+    """Score rows of different real widths padded to ``n``, with selection
+    masks that are false on the padding and on some real entries."""
+    scores = rng.normal(size=(len(widths), n)) * 3.0
+    mask = np.zeros(scores.shape, dtype=bool)
+    for row, width in enumerate(widths):
+        mask[row, :width] = rng.random(width) < 0.7
+        mask[row, int(rng.integers(width))] = True
+        scores[row, width:] = rng.choice([1000.0, -1000.0], size=n - width)  # padding
+    return scores, mask
+
+
+def test_row_wise_masked_categorical_with_padding():
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        scores, mask = padded_rows(rng, [6, 3, 1, 4], 6)
+        scores[1] -= 2000.0  # each row shifts by its own max, so no row underflows
+        weights = rng.normal(size=scores.shape)
+        check_grad(lambda t: (masked_log_softmax(t, mask) * weights).sum(), scores)
+        check_grad(lambda t: (masked_entropy(t, mask) * np.arange(1.0, 5.0)).sum(), scores)
+        logp = masked_log_softmax(Tensor(scores), mask).data
+        entropy = masked_entropy(Tensor(scores), mask).data
+        assert entropy.shape == (4,)
+        assert (logp[~mask] == 0.0).all()
+        for row in range(4):  # each row is the one-row distribution of its own entries
+            alone = masked_log_softmax(Tensor(scores[row]), mask[row]).data
+            np.testing.assert_allclose(logp[row], alone, rtol=0, atol=1e-12)
+            one = masked_entropy(Tensor(scores[row]), mask[row]).item()
+            assert entropy[row] == pytest.approx(one, rel=1e-12, abs=1e-12)
+        t = Tensor(scores, requires_grad=True)
+        masked_entropy(t, mask).sum().backward()
+        assert (t.grad[~mask] == 0.0).all()  # padding never receives gradient
+    with pytest.raises(ConfigurationError):  # one empty row is enough to refuse
+        masked_log_softmax(Tensor(np.ones((2, 3))), np.array([[True, False, False]] + [[False] * 3]))
 
 
 def test_masked_softmax_empty_mask_rejected():

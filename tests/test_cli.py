@@ -293,9 +293,8 @@ def test_bad_training_config_exits_2_before_writing(tmp_path, command, override)
 
 
 def run_cli(*args) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, where numpy's overflow warnings on a
-    diverging run print to stderr as they do for a user instead of failing
-    the test."""
+    """The CLI in a fresh interpreter, as a user runs it: a numpy warning
+    prints to stderr, where the tests look for it, instead of raising."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, "-m", "fogforge.cli", *map(str, args)],
@@ -327,8 +326,23 @@ def test_diverged_train_exits_3_with_start_parameters(tmp_path, epochs):
     run = tmp_path / "run"
     proc = run_cli("train", "--config", config, "--seed", 5, "--out", run)
     assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert_same_parameters(load_checkpoint(run / "checkpoints" / "best.json"), start_parameters(5))
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [("train", {"ppo": {"update_epochs": 1}}), ("train", {"ppo": {"update_epochs": 2}}),
+     ("sweep", {})],
+    ids=["train-1-epoch", "train-2-epochs", "sweep"],
+)
+def test_divergence_reports_only_through_exit_3(tmp_path, command, override):
+    # in process, under the suite's error::RuntimeWarning filter: a numpy
+    # overflow warning on the way to the divergence would end the run with 1
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({**TINY_TRAIN, "learning_rate": 1e300, **override}))
+    run = tmp_path / "run"
+    assert main([command, "--config", str(config), "--seed", "5", "--out", str(run)]) == 3
 
 
 def test_diverged_sweep_exits_3_and_lists_every_stage(tmp_path):
@@ -337,7 +351,7 @@ def test_diverged_sweep_exits_3_and_lists_every_stage(tmp_path):
     run = tmp_path / "run"
     proc = run_cli("sweep", "--config", config, "--seed", 5, "--out", run)
     assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.count("failed:") == 5
     checkpoints = sorted((run / "checkpoints").glob("w_*.json"))
     assert len(checkpoints) == 5
@@ -366,6 +380,18 @@ def test_weighted_solvers_refuse_zero_cost_bounds(tmp_path, zero_cost_file, args
     run = tmp_path / "run"
     assert main([*args, "--scenario", str(zero_cost_file), "--out", str(run)]) == 2
     assert not (run / "solutions.csv").exists()
+
+
+def test_evo_input_errors_leave_no_run_directory(tmp_path, zero_cost_file, scenario_file):
+    ga = ["evo", "--algorithm", "ga", "--population", "20", "--generations", "5"]
+    cases = {
+        "zero-cost-pool": [*ga, "--scenario", str(zero_cost_file)],
+        "bad-weights": [*ga, "--weights", "0.7,0.7", "--scenario", str(scenario_file)],
+    }
+    for name, args in cases.items():
+        run = tmp_path / name
+        assert main([*args, "--out", str(run)]) == 2, name
+        assert not run.exists(), name
 
 
 @pytest.mark.parametrize(

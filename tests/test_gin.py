@@ -72,6 +72,84 @@ def test_permutation_invariance_and_equivariance():
         )
 
 
+def random_batch(rng, graphs, tasks, feat_dim=5):
+    """``graphs`` random graphs of ``tasks`` nodes as (graphs*tasks, feat_dim)
+    rows and a (graphs, tasks, tasks) adjacency stack."""
+    parts = [random_graph(rng, tasks, feat_dim) for _ in range(graphs)]
+    return np.concatenate([f for f, _ in parts]), np.stack([a for _, a in parts])
+
+
+def test_batched_graphs_encode_as_they_do_alone():
+    rng = np.random.default_rng(11)
+    encoder = GinEncoder(GinConfig(), rng)
+    for graphs, tasks in ((2, 1), (3, 5), (8, 9)):
+        features, adjacency = random_batch(rng, graphs, tasks)
+        batch = encoder(features, adjacency)
+        assert batch.node_embeddings.shape == (graphs * tasks, 32)
+        assert batch.graph_embedding.shape == (graphs, 32)
+        for b in range(graphs):
+            rows = slice(b * tasks, (b + 1) * tasks)
+            alone = encoder(features[rows], adjacency[b])
+            np.testing.assert_allclose(
+                batch.node_embeddings.data[rows], alone.node_embeddings.data, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                batch.graph_embedding.data[b], alone.graph_embedding.data[0], rtol=0, atol=1e-12
+            )
+
+
+def test_per_graph_permutation_invariance_in_a_batch():
+    rng = np.random.default_rng(12)
+    encoder = GinEncoder(GinConfig(), rng)
+    for _ in range(30):
+        graphs, tasks = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+        features, adjacency = random_batch(rng, graphs, tasks)
+        base = encoder(features, adjacency)
+        # every graph gets its own node order
+        perms = [rng.permutation(tasks) for _ in range(graphs)]
+        order = np.concatenate([b * tasks + perm for b, perm in enumerate(perms)])
+        shuffled_adjacency = np.stack([a[np.ix_(p, p)] for a, p in zip(adjacency, perms)])
+        shuffled = encoder(features[order], shuffled_adjacency)
+        np.testing.assert_allclose(
+            shuffled.graph_embedding.data, base.graph_embedding.data, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            shuffled.node_embeddings.data, base.node_embeddings.data[order], atol=1e-9
+        )
+
+
+def test_batched_encoder_gradients():
+    # aggregation, per-graph norms and per-graph pooling together, over three
+    # graphs of different content
+    rng = np.random.default_rng(13)
+    config = GinConfig(node_feature_dim=3, hidden_dim=4, k_iterations=2, mlp_layers=2)
+    encoder = GinEncoder(config, rng)
+    features, adjacency = random_batch(rng, 3, 4, feat_dim=3)
+    target = rng.random((3, 4))
+    node_weights = rng.normal(size=(12, 4))
+
+    def loss_fn(x=features):
+        out = encoder(x, adjacency)
+        return ((out.graph_embedding - target) ** 2).sum() + (out.node_embeddings * node_weights).sum()
+
+    loss_fn().backward()
+    for name, param in encoder.named_parameters().items():
+        analytic = param.grad.copy()
+        saved = param.data.copy()
+
+        def f(values):
+            param.data = values
+            result = loss_fn().item()
+            param.data = saved
+            return result
+
+        assert max_rel_error(analytic, finite_difference(f, saved)) < 1e-4, name
+        param.zero_grad()
+    x = Tensor(features, requires_grad=True)
+    loss_fn(x).backward()
+    assert max_rel_error(x.grad, finite_difference(lambda v: loss_fn(v).item(), features)) < 1e-4
+
+
 def test_forward_is_deterministic():
     rng = np.random.default_rng(6)
     encoder = GinEncoder(GinConfig(), rng)
@@ -140,5 +218,9 @@ def test_shape_validation():
         encoder(np.ones((4, 3)), np.zeros((4, 4)))
     with pytest.raises(ConfigurationError):
         encoder(np.ones((4, 5)), np.zeros((3, 3)))
+    with pytest.raises(ConfigurationError):  # 2 graphs of 3 tasks need 6 rows
+        encoder(np.ones((4, 5)), np.zeros((2, 3, 3)))
+    with pytest.raises(ConfigurationError):
+        encoder(np.ones((6, 5)), np.zeros((2, 3, 2)))
     with pytest.raises(ConfigurationError):
         GinConfig(k_iterations=0)
