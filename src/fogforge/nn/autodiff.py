@@ -150,13 +150,6 @@ class Tensor:
             raise AutodiffUsageError(
                 f"matmul expects (..., n, k) @ (k, m) or two equal stacks, got {a.shape} @ {b.shape}"
             )
-        if a.data.ndim == 2 and b.data.ndim == 2:
-
-            def bw_2d(g):
-                grad_a = g @ b.data.T if a.requires_grad else None
-                return grad_a, a.data.T @ g if b.requires_grad else None
-
-            return _node(a.data @ b.data, (a, b), bw_2d)
         if b.data.ndim == 2:
             rows = a.data.reshape(-1, a.data.shape[-1])
             out = (rows @ b.data).reshape(*a.shape[:-1], b.data.shape[1])
