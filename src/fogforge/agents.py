@@ -86,11 +86,14 @@ class PpoHyper:
 
 @dataclass
 class Observation:
-    """Constant snapshot of everything the heads read at one step."""
+    """Constant snapshot of everything the heads read at one step.
+
+    The device head reads the candidate's service features from the first
+    three columns of ``node_features``.
+    """
 
     node_features: np.ndarray  # (tasks, 5): service features + degree features
     adjacency: np.ndarray  # (tasks, tasks)
-    service_features: np.ndarray  # (tasks, 3)
     alloc: np.ndarray  # (tasks,): normalized latency of each service's host
     eligible: np.ndarray  # (tasks,) bool
     device_classes: np.ndarray  # (classes, 3): the distinct device feature rows
@@ -114,8 +117,7 @@ def make_observation(env: PlacementEnv, state: EnvState) -> Observation:
     return Observation(
         node_features=np.concatenate([state.service_features, env.degree_features], axis=1),
         adjacency=env.adjacency,
-        service_features=state.service_features.copy(),
-        alloc=state.device_features[0, ::3].copy(),
+        alloc=state.host_latency.copy(),
         eligible=state.eligible_mask.copy(),
         device_classes=env.device_classes,
         device_class_of=env.device_class_of,
@@ -193,11 +195,9 @@ class PolicyModel(Module):
         if service_index is None and not eligible.any(axis=1).all():
             raise ConfigurationError("no eligible service: episode already terminal")
         rows = np.arange(batch)
+        nodes = np.concatenate([obs.node_features for obs in observations])
         with np.errstate(over="ignore", invalid="ignore"):
-            emb = self.gin(
-                np.concatenate([obs.node_features for obs in observations]),
-                np.array([obs.adjacency for obs in observations]),
-            )
+            emb = self.gin(nodes, np.array([obs.adjacency for obs in observations]))
             hidden = emb.graph_embedding.shape[1]
             tiled_hg = Tensor(np.ones((batch, tasks, 1))) * emb.graph_embedding.reshape(
                 batch, 1, hidden
@@ -210,9 +210,7 @@ class PolicyModel(Module):
             logp_s = s_logp[rows, service_index]
             value_s = self.critic_s(emb.graph_embedding).reshape(batch)
 
-            candidate = np.array([obs.service_features for obs in observations])[
-                rows, service_index
-            ]
+            candidate = nodes[rows * tasks + service_index, :3]
             alloc = np.array([obs.alloc for obs in observations])
             # every observation's distinct device rows, scored in one pass; each
             # device reads its class's score at its observation's offset

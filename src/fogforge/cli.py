@@ -45,7 +45,6 @@ from .reports import (
     write_metrics,
     write_solutions,
     write_svg,
-    write_trajectory,
 )
 from .scenarios import Scenario, ScenarioConfig, generate_scenario, load_scenario, save_scenario
 from .training import TrainConfig, build_datasets, infer_placement, sweep, train
@@ -57,7 +56,9 @@ EXIT_DIVERGED = 3
 
 
 class UsageError(ValueError):
-    """Bad flags or missing/invalid input files."""
+    """A bad flag or config file that no library type rejects; ``main`` prints
+    it, like ``ConfigurationError`` and ``InstanceTooLargeError``, as one
+    ``error:`` line and exits 2."""
 
 
 # --- shared helpers -----------------------------------------------------------
@@ -81,17 +82,7 @@ def parse_weights(raw: str) -> WeightVector:
         raise UsageError(f"weights must be 'w_time,w_cost', got {raw!r}") from None
     if len(parts) != 2:
         raise UsageError(f"weights must be 'w_time,w_cost', got {raw!r}")
-    try:
-        return WeightVector(parts[0], parts[1]).check()
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def load_scenario_arg(path: str) -> Scenario:
-    try:
-        return load_scenario(path)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from None
+    return WeightVector(parts[0], parts[1]).check()
 
 
 def positive_int(raw: str) -> int:
@@ -102,16 +93,13 @@ def positive_int(raw: str) -> int:
 
 
 def scenario_config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    try:
-        return ScenarioConfig(
-            device_count=args.devices,
-            app_rows=(args.rows,),
-            extra_edge_prob=args.edge_prob,
-            cloud_latency=args.cloud_latency,
-            cloud_cost=args.cloud_cost,
-        )
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from None
+    return ScenarioConfig(
+        device_count=args.devices,
+        app_rows=(args.rows,),
+        extra_edge_prob=args.edge_prob,
+        cloud_latency=args.cloud_latency,
+        cloud_cost=args.cloud_cost,
+    )
 
 
 def train_config_from_args(args: argparse.Namespace, seed: int) -> TrainConfig:
@@ -228,7 +216,7 @@ def emit_placement_run(
         [SolutionRow(time=point.time, cost=point.cost, w_time=weights.w_time,
                      w_cost=weights.w_cost, dominated=dominated)],
     )
-    write_trajectory(writer.path("trajectory.jsonl"), trajectory_rows(scenario, placement, weights))
+    write_metrics(writer.path("trajectory.jsonl"), trajectory_rows(scenario, placement, weights))
     return point
 
 
@@ -251,10 +239,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
     writer = RunWriter(args.out, "train", train_config_to_dict(config), seed)
-    (writer.run_dir / "config.json").write_text(
+    writer.path("config.json").write_text(
         json.dumps(train_config_to_dict(config), indent=2, sort_keys=True) + "\n"
     )
-    writer.outputs.append("config.json")
     datasets = build_datasets(config)
     result = train(config, datasets)
     write_metrics(writer.path("metrics.jsonl"), result.metrics)
@@ -278,10 +265,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
     writer = RunWriter(args.out, "sweep", train_config_to_dict(config), seed)
-    (writer.run_dir / "config.json").write_text(
+    writer.path("config.json").write_text(
         json.dumps(train_config_to_dict(config), indent=2, sort_keys=True) + "\n"
     )
-    writer.outputs.append("config.json")
     datasets = build_datasets(config)
     result = sweep(config, datasets)
     rows: list[dict] = []
@@ -311,16 +297,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    scenario = load_scenario_arg(args.scenario)
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from None
+    scenario = load_scenario(args.scenario)
+    model = load_checkpoint(args.checkpoint)
     app = scenario.applications[0]
-    try:
-        placement = infer_placement(model, app, scenario.devices)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from None
+    placement = infer_placement(model, app, scenario.devices)
     point = evaluate(app, placement, scenario.devices)
     ordered = sorted(placement.assignment.items())
     print("placement:", " ".join(f"s{app.service_index(s)}->d{d}" for s, d in ordered))
@@ -341,11 +321,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
-    scenario = load_scenario_arg(args.scenario)
-    try:
-        kind = StrategyKind.parse(args.strategy)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from None
+    scenario = load_scenario(args.scenario)
+    kind = StrategyKind.parse(args.strategy)
     weights = parse_weights(args.weights)
     app = scenario.applications[0]
     placement = run_baseline(kind, app, scenario.devices, seed=seed)
@@ -367,19 +344,16 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def cmd_evo(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
-    scenario = load_scenario_arg(args.scenario)
-    try:
-        config = EvoConfig(
-            population_size=args.population,
-            generations=args.generations,
-            mutation_prob=args.mutation,
-            crossover=args.crossover,
-            mutation=args.mutation_kind,
-            tournament_size=args.tournament,
-            seed=seed,
-        )
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from None
+    scenario = load_scenario(args.scenario)
+    config = EvoConfig(
+        population_size=args.population,
+        generations=args.generations,
+        mutation_prob=args.mutation,
+        crossover=args.crossover,
+        mutation=args.mutation_kind,
+        tournament_size=args.tournament,
+        seed=seed,
+    )
     app = scenario.applications[0]
     if args.algorithm == "ga":
         weights = parse_weights(args.weights)
@@ -397,7 +371,7 @@ def cmd_evo(args: argparse.Namespace) -> int:
             [SolutionRow(time=result.point.time, cost=result.point.cost,
                          w_time=weights.w_time, w_cost=weights.w_cost)],
         )
-        write_trajectory(
+        write_metrics(
             writer.path("trajectory.jsonl"), trajectory_rows(scenario, result.placement, weights)
         )
         write_front_csv(writer.path("front.csv"), [result.point], [result.placement])
@@ -424,13 +398,10 @@ def cmd_evo(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    scenario = load_scenario_arg(args.scenario)
+    scenario = load_scenario(args.scenario)
     app = scenario.applications[0]
     weight_list = [parse_weights(w) for w in args.weights] if args.weights else []
-    try:
-        result = brute_force_oracle(app, scenario.devices, weights=weight_list, cap=args.cap)
-    except (ConfigurationError, InstanceTooLargeError) as exc:
-        raise UsageError(str(exc)) from None
+    result = brute_force_oracle(app, scenario.devices, weights=weight_list, cap=args.cap)
     writer = RunWriter(args.out, "oracle", {"scenario": args.scenario, "cap": args.cap}, None)
     rows = [SolutionRow(time=p.time, cost=p.cost) for p in result.front]
     for optimum in result.weighted:
@@ -453,9 +424,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     labeled: dict[str, list[SolutionRow]] = {}
     for run_dir in args.runs:
         path = Path(run_dir)
-        label = path.name or str(path)
-        if label in labeled:
-            label = f"{label}#{len(labeled)}"
+        label = name = path.name or str(path)
+        suffix = len(labeled)
+        while label in labeled:  # a suffixed label may itself be taken
+            label = f"{name}#{suffix}"
+            suffix += 1
         labeled[label] = read_solutions(path / "solutions.csv")
     report = compare_solutions(labeled)
     writer = RunWriter(args.out, "compare", {"runs": list(args.runs)}, None)
@@ -580,15 +553,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigurationError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

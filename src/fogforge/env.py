@@ -9,11 +9,14 @@ the cumulative time reward telescopes to initial minus final response time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from fogforge.model import (
     Application,
+    ConfigurationError,
+    Device,
     InvalidPlacementError,
     NormBounds,
     ObjectivePoint,
@@ -22,10 +25,9 @@ from fogforge.model import (
     WeightVector,
     _Instance,
     analytic_bounds,
-    evaluate,
+    evaluate,  # unused here; kept so tracers that wrap ``fogforge.env.evaluate`` still find it
     weighted_objective,
 )
-from fogforge.scenarios import Scenario
 
 
 class IllegalActionError(RuntimeError):
@@ -47,18 +49,18 @@ class RewardBreakdown:
 
 @dataclass
 class EnvState:
-    """Observation: per-service features plus host-device features.
+    """Observation: per-service features plus each service's host latency.
 
     ``service_features`` is (tasks, 3): execution time of the service on its
     current host, accumulated inbound latency charge (access latency for row
     heads plus cross-device edge charges), and the re-placed flag, the first
-    two normalized to [0, 1] by per-scenario bounds. ``device_features`` is
-    (3, 3*tasks): normalized latency/speed/cost of each service's host,
-    replicated once per service-feature column.
+    two normalized to [0, 1] by per-scenario bounds. ``host_latency`` is
+    (tasks,): the latency of each service's host, normalized by the pool's
+    largest latency.
     """
 
     service_features: np.ndarray
-    device_features: np.ndarray
+    host_latency: np.ndarray
     placed_mask: np.ndarray
     eligible_mask: np.ndarray
     assignment: np.ndarray
@@ -70,20 +72,28 @@ class EnvState:
 
 class PlacementEnv:
     def __init__(
-        self, scenario: Scenario, weights: WeightVector, bounds: NormBounds | None = None
+        self,
+        app: Application,
+        devices: Sequence[Device],
+        weights: WeightVector,
+        bounds: NormBounds | None = None,
     ) -> None:
-        """Places the scenario's first application; ``bounds`` default to
-        :func:`analytic_bounds`."""
-        self.scenario = scenario
-        self.app: Application = scenario.applications[0]
-        self.devices = scenario.devices
+        """Places ``app`` on ``devices``, whose one cloud hosts every service at
+        reset; ``bounds`` default to :func:`analytic_bounds`."""
+        clouds = [k for k, d in enumerate(devices) if d.is_cloud]
+        if len(clouds) != 1:
+            raise ConfigurationError(
+                f"device pool must have exactly one cloud, found {len(clouds)}"
+            )
+        self.app = app
+        self.devices = tuple(devices)
         self.weights = weights.check()
         self.bounds = bounds if bounds is not None else analytic_bounds(self.app, self.devices)
 
         self.services: list[Service] = list(self.app.services())
         self.task_count = len(self.services)
         self._svc_index = {s: k for k, s in enumerate(self.services)}
-        self._cloud_pos = next(k for k, d in enumerate(self.devices) if d.is_cloud)
+        self._cloud_pos = clouds[0]
         self._inst = _Instance.build(self.app, self.devices)
         self.device_ids = self._inst.ids
         src, dst = self._inst.src, self._inst.dst
@@ -101,11 +111,10 @@ class PlacementEnv:
         self.adjacency[src, dst] = 1.0
         self.adjacency[dst, src] = 1.0
         lat, speed, cost = self._inst.latency, self._inst.speed, self._inst.cost
-        self.device_features_all = np.stack([norm(lat), norm(speed), norm(cost)], axis=1)
+        # each device's normalized (latency, speed, cost)
+        self.device_rows = np.stack([norm(lat), norm(speed), norm(cost)], axis=1)
         # the distinct device rows, which the device head scores once each
-        self.device_classes, class_of = np.unique(
-            self.device_features_all, axis=0, return_inverse=True
-        )
+        self.device_classes, class_of = np.unique(self.device_rows, axis=0, return_inverse=True)
         self.device_class_of = class_of.reshape(-1)  # numpy 2.0.0 returns it 2-d
 
         # feature-normalization denominators, fixed per scenario
@@ -128,9 +137,6 @@ class PlacementEnv:
 
     def placement(self) -> Placement:
         return Placement.from_vector(self.app, self.device_ids[self._assignment])
-
-    def objectives(self) -> ObjectivePoint:
-        return evaluate(self.app, self.placement(), self.devices)
 
     def _score(self) -> tuple[ObjectivePoint, float]:
         """Objectives of the current assignment and their weighted scalarization."""
@@ -160,14 +166,11 @@ class PlacementEnv:
         )
 
         service_features = np.stack([exec_f, lat_f, self._placed.astype(float)], axis=1)
-        device_features = np.repeat(
-            self.device_features_all[self._assignment].T, 3, axis=1
-        )
 
         point, weighted = self._scored = self._score()
         return EnvState(
             service_features=service_features,
-            device_features=device_features,
+            host_latency=self.device_rows[self._assignment, 0],
             placed_mask=self._placed.copy(),
             eligible_mask=self.eligible_services(),
             assignment=self.device_ids[self._assignment],

@@ -102,9 +102,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         a, b = self, other
@@ -115,21 +112,6 @@ class Tensor:
         return _node(a.data * b.data, (a, b), bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
-
-        def bw(g):
-            return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-            )
-
-        return _node(a.data / b.data, (a, b), bw)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
 
     def __pow__(self, exponent: float):
         a = self
@@ -174,17 +156,10 @@ class Tensor:
         out_data = np.exp(a.data)
         return _node(out_data, (a,), lambda g: (g * out_data,))
 
-    def log(self):
-        a = self
-        return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
     def tanh(self):
         a = self
         out_data = np.tanh(a.data)
         return _node(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
-
-    def sqrt(self):
-        return self**0.5
 
     def clip(self, lo: float, hi: float):
         """Clamp values; gradient is 1 inside [lo, hi] and 0 outside."""
@@ -212,11 +187,6 @@ class Tensor:
     def reshape(self, *shape):
         a = self
         return _node(a.data.reshape(*shape), (a,), lambda g: (g.reshape(a.shape),))
-
-    @property
-    def T(self):
-        a = self
-        return _node(a.data.T, (a,), lambda g: (g.T,))
 
     def __getitem__(self, index):
         a = self

@@ -136,7 +136,7 @@ def trajectory_rows(scenario: Scenario, placement: Placement, weights: WeightVec
     policy rollout would. Step 0 is the reporting-only pseudo step charging
     the initial all-in-cloud objectives.
     """
-    env = PlacementEnv(scenario, weights)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, weights)
     state = env.reset()
     rows = [
         {
@@ -172,10 +172,6 @@ def trajectory_rows(scenario: Scenario, placement: Placement, weights: WeightVec
             }
         )
     return rows
-
-
-def write_trajectory(path: str | Path, rows: Sequence[dict]) -> None:
-    write_metrics(path, rows)
 
 
 # --- manifest -----------------------------------------------------------------

@@ -136,21 +136,13 @@ def build_datasets(config: TrainConfig) -> ScenarioDataset:
 
 # --- inference ----------------------------------------------------------------
 
-def _wrapper_scenario(app: Application, devices: Sequence[Device]) -> Scenario:
-    return Scenario(
-        config=ScenarioConfig(device_count=max(1, len(devices) - 1)),
-        devices=tuple(devices),
-        applications=(app,),
-    )
-
-
 def infer_placement(model: PolicyModel, app: Application, devices: Sequence[Device]) -> Placement:
     """Greedy rollout of the trained policy; always a valid total placement.
 
-    Requires the device pool to contain the cloud device (the initial host)
+    Requires the device pool to contain exactly one cloud (the initial host)
     and the application to match the model's trained task count.
     """
-    env = PlacementEnv(_wrapper_scenario(app, devices), WeightVector(0.5, 0.5))
+    env = PlacementEnv(app, devices, WeightVector(0.5, 0.5))
     collect_trajectory(model, [env], mode="greedy")
     return env.placement()
 
@@ -164,7 +156,7 @@ def evaluate_policy(
     env's weights (observations carry none), and each env scores its final
     state against its scenario's own bounds.
     """
-    envs = [PlacementEnv(sc, weights) for sc in scenarios]
+    envs = [PlacementEnv(sc.applications[0], sc.devices, weights) for sc in scenarios]
     rolled = collect_trajectory(model, envs, mode="greedy")
     return float(np.mean([final.weighted for _, final in rolled]))
 
@@ -219,7 +211,8 @@ def train(
         streams = rng.spawn(config.envs_per_episode)
         eval_due = (episode + 1) % config.eval_interval == 0 or episode == budget - 1
         try:
-            envs = [PlacementEnv(datasets.train[p], config.weights) for p in picks]
+            scenarios = [datasets.train[p] for p in picks]
+            envs = [PlacementEnv(sc.applications[0], sc.devices, config.weights) for sc in scenarios]
             rolled = collect_trajectory(model, envs, streams)
             trajectories = [transitions for transitions, _ in rolled]
             report = ppo_update(model, trajectories, config.ppo, optimizer)

@@ -112,7 +112,7 @@ def test_criterion_02_reward_ledger_exact_integers():
         devices=devices,
         applications=(app,),
     )
-    env = PlacementEnv(scenario, HALF)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
     state = env.reset()
     rewards = [-state.t_app]
     times = [state.t_app]
@@ -133,7 +133,7 @@ def test_criterion_03_telescoping_over_1000_trajectories():
             ScenarioConfig(device_count=2 + seed % 5, app_rows=(3,)), seed=seed
         )
         app = scenario.applications[0]
-        env = PlacementEnv(scenario, HALF)
+        env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
         for _ in range(5):
             start = env.reset()
             trace = rollout_random(env, rng)

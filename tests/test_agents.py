@@ -28,7 +28,7 @@ from fogforge.env import PlacementEnv
 from fogforge.gin import GinConfig
 from fogforge.model import ConfigurationError, Device, WeightVector
 from fogforge.nn import Adam, Tensor, concat, masked_log_softmax, minimum
-from fogforge.scenarios import Scenario, ScenarioConfig, generate_scenario
+from fogforge.scenarios import ScenarioConfig, generate_scenario
 from fogforge.training import TrainConfig, build_datasets
 
 HALF = WeightVector(0.5, 0.5)
@@ -45,7 +45,7 @@ def make_env(seed=0, device_count=3, rows=3, **kw):
     scenario = generate_scenario(
         ScenarioConfig(device_count=device_count, app_rows=(rows,), **kw), seed=seed
     )
-    return PlacementEnv(scenario, HALF)
+    return PlacementEnv(scenario.applications[0], scenario.devices, HALF)
 
 
 def fresh(env, seed=0, config=SMALL):
@@ -92,12 +92,8 @@ def test_uniform_scores_sample_uniformly_and_respect_mask():
 
 def test_single_device_forced():
     cloud = Device(id=0, speed=1.0, latency=50.0, cost=20.0, is_cloud=True)
-    scenario = Scenario(
-        config=ScenarioConfig(device_count=1, app_rows=(2,)),
-        devices=(cloud,),
-        applications=(generate_scenario(ScenarioConfig(device_count=1, app_rows=(2,)), 0).applications[0],),
-    )
-    env = PlacementEnv(scenario, HALF)
+    app = generate_scenario(ScenarioConfig(device_count=1, app_rows=(2,)), 0).applications[0]
+    env = PlacementEnv(app, (cloud,), HALF)
     model = fresh(env)
     obs = make_observation(env, env.reset())
     _, dev, _, logp, *_ = model.act([obs], mode="sample", rngs=[np.random.default_rng(3)])
@@ -109,12 +105,8 @@ def test_identical_devices_get_identical_probabilities():
     cloud = Device(id=0, speed=1.0, latency=50.0, cost=20.0, is_cloud=True)
     twin_a = Device(id=1, speed=1.0, latency=10.0, cost=5.0)
     twin_b = Device(id=2, speed=1.0, latency=10.0, cost=5.0)
-    scenario = Scenario(
-        config=ScenarioConfig(device_count=2, app_rows=(2,)),
-        devices=(cloud, twin_a, twin_b),
-        applications=(generate_scenario(ScenarioConfig(device_count=2, app_rows=(2,)), 1).applications[0],),
-    )
-    env = PlacementEnv(scenario, HALF)
+    app = generate_scenario(ScenarioConfig(device_count=2, app_rows=(2,)), 1).applications[0]
+    env = PlacementEnv(app, (cloud, twin_a, twin_b), HALF)
     model = fresh(env)
     obs = make_observation(env, env.reset())
     ev1 = model.evaluate_actions([obs], [0], [1])
@@ -135,10 +127,10 @@ def test_class_scores_match_a_full_device_pass():
     assert len(env.device_classes) < len(env.device_ids) == 1001
     for t in transitions[:: len(transitions) // 8]:
         d = model._decide([t.obs], [t.service_index], [t.device_pos])
-        candidate = t.obs.service_features[t.service_index]
+        candidate = t.obs.node_features[t.service_index, :3]
         rows = np.concatenate(
             [
-                env.device_features_all,
+                env.device_rows,
                 np.tile(candidate, (1001, 1)),
                 np.tile(t.obs.alloc, (1001, 1)),
             ],
@@ -157,7 +149,7 @@ def test_device_head_gradients_through_shared_classes():
     )
     config = ScenarioConfig(device_count=5, app_rows=(2,))
     app = generate_scenario(config, 2).applications[0]
-    env = PlacementEnv(Scenario(config=config, devices=pool, applications=(app,)), HALF)
+    env = PlacementEnv(app, pool, HALF)
     assert len(env.device_classes) == 3
     model = fresh(env, seed=21)
     obs = make_observation(env, env.reset())
@@ -190,8 +182,7 @@ def two_pools_env_pair(seed=0):
             Device(id=k, speed=1.0, latency=latency, cost=cost)
             for k, (latency, cost) in enumerate(spec, start=1)
         )
-        scenario = Scenario(config=config, devices=pool, applications=(app,))
-        envs.append(PlacementEnv(scenario, HALF))
+        envs.append(PlacementEnv(app, pool, HALF))
     return envs
 
 
@@ -396,7 +387,8 @@ def desk_rollouts(seed, lockstep):
     model = PolicyModel(datasets.task_count, config.agent, rng)
     picks = rng.integers(0, len(datasets.train), size=config.envs_per_episode)
     streams = rng.spawn(config.envs_per_episode)
-    envs = [PlacementEnv(datasets.train[p], config.weights) for p in picks]
+    scenarios = [datasets.train[p] for p in picks]
+    envs = [PlacementEnv(sc.applications[0], sc.devices, config.weights) for sc in scenarios]
     if lockstep:
         rolled = collect_trajectory(model, envs, streams)
     else:
@@ -499,10 +491,7 @@ def bandit_setup():
         Device(id=0, speed=1.0, latency=50.0, cost=10.0, is_cloud=True),
         Device(id=1, speed=1.0, latency=1.0, cost=10.0),
     )
-    scenario = Scenario(
-        config=ScenarioConfig(device_count=1, app_rows=(1,)), devices=devices, applications=(app,)
-    )
-    return PlacementEnv(scenario, WeightVector(1.0, 0.0))
+    return PlacementEnv(app, devices, WeightVector(1.0, 0.0))
 
 
 def device_probability(model, obs, pos):

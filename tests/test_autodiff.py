@@ -22,6 +22,7 @@ from fogforge.nn import (
     minimum,
     no_grad,
 )
+from fogforge.nn.autodiff import _node, _unbroadcast
 
 TOL = 1e-4
 
@@ -43,25 +44,39 @@ def test_elementwise_op_gradients():
     cases = [
         (lambda t: (t * 3.0 + 1.0).sum(), x0),
         (lambda t: (t - t * t).sum(), x0),
-        (lambda t: (t / 2.5).sum(), x0),
-        (lambda t: (2.0 / t).sum(), pos),
         (lambda t: (-t).sum(), x0),
         (lambda t: (t**3).sum(), x0),
         (lambda t: (t**0.5).sum(), pos),
         (lambda t: t.exp().sum(), x0),
-        (lambda t: t.log().sum(), pos),
         (lambda t: t.tanh().sum(), x0),
         (lambda t: t.mean(), x0),
         (lambda t: t.sum(axis=0).sum(), x0),
         (lambda t: t.mean(axis=1, keepdims=True).sum(), x0),
         (lambda t: t.reshape(12, 1).sum(), x0),
-        (lambda t: t.T.sum(), x0),
         (lambda t: t[1:, ::2].sum(), x0),
         (lambda t: (t[0] * t[2]).sum(), x0),
         (lambda t: (t[np.array([0, 2, 0, 1])] ** 2).sum(), x0),
     ]
     for build, point in cases:
         check_grad(build, point)
+
+
+# --- reference ops --------------------------------------------------------------
+# The composed references below need division and log, which no package path
+# uses; each is one tape node, built the way the package's own ops are.
+
+def divide(a: Tensor, b: Tensor) -> Tensor:
+    def bw(g):
+        return (
+            _unbroadcast(g / b.data, a.shape),
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+        )
+
+    return _node(a.data / b.data, (a, b), bw)
+
+
+def log(a: Tensor) -> Tensor:
+    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def test_broadcast_gradients():
@@ -267,7 +282,7 @@ def composed_batchnorm(bn, x):
     """Batch norm as a graph of elementwise tape ops: the reference for the fused node."""
     mu = x.mean(axis=0, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=0, keepdims=True)
-    xhat = (x - mu) / (var + bn.eps).sqrt()
+    xhat = divide(x - mu, (var + bn.eps) ** 0.5)
     return xhat * bn.gamma + bn.beta
 
 
@@ -352,7 +367,7 @@ def composed_masked_log_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
     shift = float(scores.data[mask].max())
     centered = (scores - shift) * keep
     denom = (centered.exp() * keep).sum()
-    return (centered - denom.log()) * keep
+    return (centered - log(denom)) * keep
 
 
 def test_fused_masked_log_softmax_matches_composed_graph():

@@ -114,7 +114,8 @@ def test_all_in_cloud_reports_reset_time(tmp_path, scenario_file, capsys):
     assert main(["baseline", "--strategy", "all-in-cloud",
                  "--scenario", str(scenario_file), "--out", str(run)]) == 0
     reported = float(capsys.readouterr().out.split("time=")[1].split()[0])
-    env = PlacementEnv(load_scenario(scenario_file), WeightVector(0.5, 0.5))
+    scenario = load_scenario(scenario_file)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, WeightVector(0.5, 0.5))
     assert reported == env.reset().t_app
     metrics = [json.loads(line) for line in (run / "metrics.jsonl").open()]
     assert metrics[0]["time"] == reported
@@ -174,6 +175,30 @@ def test_oracle_cap_exceeded(tmp_path, scenario_file):
 
 
 @pytest.mark.parametrize(
+    "case",
+    ["missing-scenario", "unknown-strategy", "oracle-cap", "missing-checkpoint", "odd-population"],
+)
+def test_input_errors_exit_2_with_one_error_line(tmp_path, scenario_file, capsys, case):
+    scenario, out = str(scenario_file), str(tmp_path / "run")
+    argv = {
+        "missing-scenario": ["baseline", "--strategy", "all-in-cloud",
+                             "--scenario", str(tmp_path / "nope.json"), "--out", out],
+        "unknown-strategy": ["baseline", "--strategy", "mystery", "--scenario", scenario,
+                             "--out", out],
+        "oracle-cap": ["oracle", "--scenario", scenario, "--cap", "10", "--out", out],
+        "missing-checkpoint": ["infer", "--checkpoint", str(tmp_path / "nope.json"),
+                               "--scenario", scenario],
+        "odd-population": ["evo", "--algorithm", "nsga2", "--scenario", scenario,
+                           "--population", "21", "--out", out],
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "defect",
     ["nan-latency", "negative-ops", "duplicate-edge", "negative-device-id", "non-numeric-speed"],
 )
@@ -210,6 +235,19 @@ def test_compare_runs(tmp_path, scenario_file):
     assert svg.lstrip().startswith("<svg")
     lines = (cmp_dir / "comparison.csv").read_text().splitlines()
     assert lines[0] == "label,time,cost,joint_front_flag"
+
+
+def test_compare_keeps_every_run_when_a_suffixed_label_is_taken(tmp_path, scenario_file):
+    runs = [tmp_path / "x" / "a", tmp_path / "y" / "a#2", tmp_path / "z" / "a"]
+    for run in runs:
+        assert main(["baseline", "--strategy", "greedy-edge",
+                     "--scenario", str(scenario_file), "--out", str(run)]) == 0
+    out = tmp_path / "cmp"
+    assert main(["compare", *map(str, runs), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["hypervolume"]) == ["a", "a#2", "a#3"]
+    labels = [line.split(",")[0] for line in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert sorted(labels) == ["a", "a#2", "a#3"]
 
 
 def test_compare_run_with_itself(tmp_path, scenario_file):

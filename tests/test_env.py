@@ -1,11 +1,14 @@
 """Environment mechanics: eligibility, difference rewards, telescoping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fogforge.env import Action, IllegalActionError, PlacementEnv, rollout_random
 from fogforge.model import (
     Application,
+    ConfigurationError,
     Device,
     WeightVector,
     placement_cost,
@@ -16,7 +19,7 @@ from fogforge.scenarios import Scenario, ScenarioConfig, generate_scenario
 HALF = WeightVector(0.5, 0.5)
 
 
-def chain3_scenario():
+def chain3_env():
     """Three-service chain, zero ops: the worked reward-evolution example."""
     app = Application(rows=1, cols=3, ops=((0.0, 0.0, 0.0),), edges=Application.chain_edges(1, 3))
     devices = (
@@ -25,8 +28,7 @@ def chain3_scenario():
         Device(id=2, speed=1.0, latency=2.0, cost=1.0),
         Device(id=3, speed=1.0, latency=30.0, cost=1.0),
     )
-    config = ScenarioConfig(device_count=3, app_rows=(1,), op_count=0.0)
-    return Scenario(config=config, devices=devices, applications=(app,))
+    return PlacementEnv(app, devices, HALF)
 
 
 def grid_scenario(seed=0, **overrides):
@@ -37,7 +39,7 @@ def grid_scenario(seed=0, **overrides):
 
 def test_reset_all_on_cloud():
     scenario = grid_scenario(op_count=0.0)
-    env = PlacementEnv(scenario, HALF)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
     state = env.reset()
     assert state.t_app == pytest.approx(150.0)  # 3 row heads x cloud latency 50
     assert not state.placed_mask.any()
@@ -47,18 +49,19 @@ def test_reset_all_on_cloud():
 
 
 def test_reset_is_reproducible():
-    env = PlacementEnv(grid_scenario(seed=3), HALF)
+    scenario = grid_scenario(seed=3)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
     a = env.reset()
     rollout_random(env, np.random.default_rng(0))
     b = env.reset()
     np.testing.assert_array_equal(a.service_features, b.service_features)
-    np.testing.assert_array_equal(a.device_features, b.device_features)
+    np.testing.assert_array_equal(a.host_latency, b.host_latency)
     np.testing.assert_array_equal(a.assignment, b.assignment)
     assert a.t_app == b.t_app and a.cost == b.cost
 
 
 def test_reward_evolution_example():
-    env = PlacementEnv(chain3_scenario(), HALF)
+    env = chain3_env()
     state = env.reset()
     assert state.t_app == pytest.approx(60.0)
 
@@ -86,8 +89,7 @@ def test_eligibility_respects_dependencies():
         Device(id=0, speed=1.0, latency=50.0, cost=1.0, is_cloud=True),
         Device(id=1, speed=1.0, latency=1.0, cost=1.0),
     )
-    config = ScenarioConfig(device_count=1, op_count=0.0)
-    env = PlacementEnv(Scenario(config=config, devices=devices, applications=(app,)), HALF)
+    env = PlacementEnv(app, devices, HALF)
     env.reset()
 
     first = env.eligible_services()
@@ -99,7 +101,7 @@ def test_eligibility_respects_dependencies():
 
 
 def test_eligibility_chain_and_terminal():
-    env = PlacementEnv(chain3_scenario(), HALF)
+    env = chain3_env()
     env.reset()
     env.step(Action((0, 0), 0))
     mask = env.eligible_services()
@@ -111,7 +113,7 @@ def test_eligibility_chain_and_terminal():
 
 def test_noop_move_zero_reward():
     scenario = grid_scenario()
-    env = PlacementEnv(scenario, HALF)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
     env.reset()
     mask = env.eligible_services()
     svc = env.services[int(np.flatnonzero(mask)[0])]
@@ -122,7 +124,7 @@ def test_noop_move_zero_reward():
 
 
 def test_illegal_actions_raise():
-    env = PlacementEnv(chain3_scenario(), HALF)
+    env = chain3_env()
     env.reset()
     with pytest.raises(IllegalActionError):
         env.step(Action((0, 1), 0))  # predecessor not placed yet
@@ -138,7 +140,8 @@ def test_illegal_actions_raise():
 def test_trajectory_length_equals_service_count():
     rng = np.random.default_rng(5)
     for seed in range(5):
-        env = PlacementEnv(grid_scenario(seed=seed), HALF)
+        scenario = grid_scenario(seed=seed)
+        env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
         trace = rollout_random(env, rng)
         assert len(trace) == 9
 
@@ -147,7 +150,7 @@ def test_telescoping_identity():
     rng = np.random.default_rng(11)
     for seed in range(20):
         scenario = grid_scenario(seed=seed, device_count=5)
-        env = PlacementEnv(scenario, HALF)
+        env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
         start = env.reset()
         trace = rollout_random(env, rng)
         final = env.placement()
@@ -165,7 +168,7 @@ def test_reward_weighting():
     scenario = grid_scenario(seed=2)
     bounds = scenario.bounds()
     for weights in [WeightVector(1.0, 0.0), WeightVector(0.25, 0.75)]:
-        env = PlacementEnv(scenario, weights)
+        env = PlacementEnv(scenario.applications[0], scenario.devices, weights)
         env.reset()
         trace = rollout_random(env, np.random.default_rng(7))
         for _, r in trace:
@@ -178,15 +181,15 @@ def test_reward_weighting():
 
 def test_state_shapes_and_ranges():
     scenario = grid_scenario(seed=8, device_count=6)
-    env = PlacementEnv(scenario, HALF)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
     state = env.reset()
     assert state.service_features.shape == (9, 3)
-    assert state.device_features.shape == (3, 27)
+    assert state.host_latency.shape == (9,)
     rng = np.random.default_rng(13)
     done = False
     while not done:
         assert (state.service_features >= 0).all() and (state.service_features <= 1).all()
-        assert (state.device_features >= 0).all() and (state.device_features <= 1).all()
+        assert (state.host_latency >= 0).all() and (state.host_latency <= 1).all()
         mask = env.eligible_services()
         svc = env.services[int(rng.choice(np.flatnonzero(mask)))]
         dev = int(rng.choice(env.device_ids))
@@ -195,24 +198,41 @@ def test_state_shapes_and_ranges():
     assert (state.service_features[:, 2] == 1.0).all()
 
 
-def test_device_feature_replication():
+def test_host_latency_tracks_each_service_host():
     scenario = grid_scenario(seed=4, device_count=5)
-    env = PlacementEnv(scenario, HALF)
-    state = env.reset()
-    rollups = state.device_features
-    # lat/speed/cost rows are constant across the three replicated columns
-    for t in range(9):
-        block = rollups[:, 3 * t : 3 * t + 3]
-        assert (block == block[:, :1]).all()
     max_lat = max(d.latency for d in scenario.devices)
-    np.testing.assert_allclose(
-        rollups[0, ::3], [scenario.cloud.latency / max_lat] * 9
-    )
+    normalised = {d.id: d.latency / max_lat for d in scenario.devices}
+    env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
+
+    def expected():
+        hosts = env.placement().assignment
+        return [normalised[hosts[s]] for s in env.services]
+
+    state = env.reset()
+    np.testing.assert_array_equal(state.host_latency, [scenario.cloud.latency / max_lat] * 9)
+    trace = rollout_random(env, np.random.default_rng(17))
+    state = env.reset()
+    moved = 0
+    for action, _ in trace:  # replay the random episode, checking every step
+        state, _, _ = env.step(action)
+        np.testing.assert_array_equal(state.host_latency, expected())
+        moved += action.device != scenario.cloud.id
+    assert moved > 0
+
+
+def test_device_pool_needs_exactly_one_cloud():
+    scenario = grid_scenario(seed=5)
+    app, devices = scenario.applications[0], scenario.devices
+    no_cloud = tuple(replace(d, is_cloud=False) for d in devices)
+    two_clouds = devices + (Device(id=99, speed=1.0, latency=50.0, cost=20.0, is_cloud=True),)
+    for pool, found in ((no_cloud, 0), (two_clouds, 2)):
+        with pytest.raises(ConfigurationError, match=f"exactly one cloud, found {found}"):
+            PlacementEnv(app, pool, HALF)
 
 
 def test_static_graph_helpers():
     scenario = grid_scenario(seed=6)
-    env = PlacementEnv(scenario, HALF)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
     app = scenario.applications[0]
     assert env.adjacency.shape == (9, 9)
     np.testing.assert_array_equal(env.adjacency, env.adjacency.T)
@@ -240,10 +260,10 @@ def test_device_classes_rebuild_the_feature_rows():
     )
     generated = [grid_scenario(seed=s, device_count=n) for s in range(3) for n in (20, 1000)]
     for scenario in [*generated, all_distinct]:
-        env = PlacementEnv(scenario, HALF)
+        env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
         assert env.device_class_of.shape == (len(scenario.devices),)
         np.testing.assert_array_equal(
-            env.device_classes[env.device_class_of], env.device_features_all
+            env.device_classes[env.device_class_of], env.device_rows
         )
         assert len(np.unique(env.device_classes, axis=0)) == len(env.device_classes)
         if scenario is all_distinct:

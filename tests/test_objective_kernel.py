@@ -22,7 +22,6 @@ from fogforge.model import (
     evaluate,
     latency_contribution_matrix,
 )
-from fogforge.scenarios import Scenario, ScenarioConfig
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -115,8 +114,7 @@ def test_kernel_matches_reference_walks(app, devices, data):
 @PROPERTY
 @given(apps(), device_pools(), st.data())
 def test_env_eligibility_and_telescoping(app, devices, data):
-    scenario = Scenario(config=ScenarioConfig(), devices=devices, applications=(app,))
-    env = PlacementEnv(scenario, WeightVector(0.5, 0.5), bounds=NormBounds(1.0, 1.0))
+    env = PlacementEnv(app, devices, WeightVector(0.5, 0.5), bounds=NormBounds(1.0, 1.0))
     preds = {s: [src for src, dst in app.edges if dst == s] for s in env.services}
     start = env.reset()
     state, r_time, r_cost, done = start, 0.0, 0.0, False

@@ -1,11 +1,13 @@
 """Training loop, checkpoint selection, parameter transfer, and the sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fogforge.agents import AgentConfig, PolicyModel
 from fogforge.gin import GinConfig
-from fogforge.model import ConfigurationError, WeightVector, evaluate, pareto_front
+from fogforge.model import ConfigurationError, Device, WeightVector, evaluate, pareto_front
 from fogforge.scenarios import ScenarioConfig, generate_scenario
 from fogforge.training import (
     SWEEP_SCHEDULE,
@@ -239,6 +241,18 @@ def test_inference_dimension_mismatch(tiny):
     small = generate_scenario(ScenarioConfig(device_count=3, app_rows=(2,)), seed=5)
     with pytest.raises(ConfigurationError, match="tasks"):
         infer_placement(model, small.applications[0], small.devices)
+
+
+def test_inference_needs_exactly_one_cloud(tiny):
+    config, datasets = tiny
+    model = PolicyModel(9, config.agent, np.random.default_rng(3))
+    scenario = datasets.validation[0]
+    devices = scenario.devices
+    no_cloud = tuple(replace(d, is_cloud=False) for d in devices)
+    two_clouds = devices + (Device(id=99, speed=1.0, latency=50.0, cost=20.0, is_cloud=True),)
+    for pool, found in ((no_cloud, 0), (two_clouds, 2)):
+        with pytest.raises(ConfigurationError, match=f"exactly one cloud, found {found}"):
+            infer_placement(model, scenario.applications[0], pool)
 
 
 def test_trained_inference_near_optimal_on_dominant_device():
