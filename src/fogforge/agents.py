@@ -1,14 +1,15 @@
 """Policy model (graph encoder plus two actor-critic heads) and PPO updates.
 
-The service head scores each node from the concatenated graph and node
+The heads read the env's :class:`~fogforge.env.EnvState` as it is. The
+service head scores each node from the concatenated graph and node
 embeddings, masked to eligible services. The device head scores every device
-from its own features joined with the candidate service's features and the
-current allocation vector; all devices are legal. Devices with equal feature
+from its own features joined with the candidate service's features and each
+service's host latency; all devices are legal. Devices with equal feature
 rows get equal scores, so the head runs once per distinct device row and
 each device reads its row's score.
 
-Every pass is batched: ``PolicyModel._decide`` scores B observations in one
-tape pass (one observation is B = 1). Rollouts step their envs in lockstep
+Every pass is batched: ``PolicyModel._decide`` scores B states in one tape
+pass (one state is B = 1). Rollouts step their envs in lockstep
 through one pass per step, and one PPO update re-scores all of its
 transitions in one pass per epoch, computes the losses on the resulting
 vectors, and takes a single Adam step over all parameters, averaging the two
@@ -85,24 +86,8 @@ class PpoHyper:
 
 
 @dataclass
-class Observation:
-    """Constant snapshot of everything the heads read at one step.
-
-    The device head reads the candidate's service features from the first
-    three columns of ``node_features``.
-    """
-
-    node_features: np.ndarray  # (tasks, 5): service features + degree features
-    adjacency: np.ndarray  # (tasks, tasks)
-    alloc: np.ndarray  # (tasks,): normalized latency of each service's host
-    eligible: np.ndarray  # (tasks,) bool
-    device_classes: np.ndarray  # (classes, 3): the distinct device feature rows
-    device_class_of: np.ndarray  # (devices,): each device's row in device_classes
-
-
-@dataclass
 class Transition:
-    obs: Observation
+    obs: EnvState  # the state in which the action was chosen
     service_index: int
     device_pos: int
     logp_service: float
@@ -113,26 +98,17 @@ class Transition:
     done: bool
 
 
-def make_observation(env: PlacementEnv, state: EnvState) -> Observation:
-    return Observation(
-        node_features=np.concatenate([state.service_features, env.degree_features], axis=1),
-        adjacency=env.adjacency,
-        alloc=state.host_latency.copy(),
-        eligible=state.eligible_mask.copy(),
-        device_classes=env.device_classes,
-        device_class_of=env.device_class_of,
-    )
-
-
 class _Decision(NamedTuple):
-    """One batched head pass over B observations: per row, the two indices,
-    the score rows, and the log-probability and critic value of each choice.
-    Pools of different sizes pad the device rows; ``device_mask`` marks each
-    row's real devices."""
+    """One batched head pass over B states: per row, the two indices, the
+    score rows with their masks, and the log-probability and critic value of
+    each choice. ``service_mask`` marks each row's eligible services. Pools of
+    different sizes pad the device rows; ``device_mask`` marks each row's real
+    devices."""
 
     service_index: np.ndarray  # (B,) int
     device_pos: np.ndarray  # (B,) int
     service_scores: Tensor  # (B, tasks)
+    service_mask: np.ndarray  # (B, tasks) bool
     device_scores: Tensor  # (B, most devices)
     device_mask: np.ndarray  # (B, most devices) bool
     logp_s: Tensor  # (B,)
@@ -144,7 +120,7 @@ class _Decision(NamedTuple):
 class PolicyModel(Module):
     """Checkpointable parameter set: encoder + the four head MLPs.
 
-    The allocation vector bakes the task count into the device-head input, so
+    The host-latency vector bakes the task count into the device-head input, so
     a model only ever runs on applications of the size it was built for; the
     number of devices is free because devices are scored row-wise.
     """
@@ -169,15 +145,16 @@ class PolicyModel(Module):
 
     def _decide(
         self,
-        observations: Sequence[Observation],
+        states: Sequence[EnvState],
         service_index: np.ndarray | None = None,
         device_pos: np.ndarray | None = None,
         mode: str = "sample",
         rngs: Sequence[np.random.Generator] | None = None,
     ) -> _Decision:
-        """Score both heads on a batch of observations in one tape pass;
-        choose by ``mode`` whichever indices are not given, row ``k`` drawing
-        from ``rngs[k]``.
+        """Score both heads on a batch of env states in one tape pass; choose
+        by ``mode`` whichever indices are not given, row ``k`` drawing from
+        ``rngs[k]``. The device head reads the candidate's service features
+        from the first three columns of ``node_features``.
 
         Rollouts, greedy placement and the PPO update all score the heads here,
         so an update re-scores exactly what its rollouts sampled. Overflow in
@@ -185,19 +162,19 @@ class PolicyModel(Module):
         log-probabilities, which raise :class:`DivergenceError`.
         """
         tasks = self.task_count
-        batch = len(observations)
-        for obs in observations:
-            if obs.node_features.shape[0] != tasks:
+        batch = len(states)
+        for state in states:
+            if state.node_features.shape[0] != tasks:
                 raise ConfigurationError(
-                    f"model built for {tasks} tasks, observation has {obs.node_features.shape[0]}"
+                    f"model built for {tasks} tasks, state has {state.node_features.shape[0]}"
                 )
-        eligible = np.array([obs.eligible for obs in observations])
+        eligible = np.array([state.eligible_mask for state in states])
         if service_index is None and not eligible.any(axis=1).all():
             raise ConfigurationError("no eligible service: episode already terminal")
         rows = np.arange(batch)
-        nodes = np.concatenate([obs.node_features for obs in observations])
+        nodes = np.concatenate([state.node_features for state in states])
         with np.errstate(over="ignore", invalid="ignore"):
-            emb = self.gin(nodes, np.array([obs.adjacency for obs in observations]))
+            emb = self.gin(nodes, np.array([state.adjacency for state in states]))
             hidden = emb.graph_embedding.shape[1]
             tiled_hg = Tensor(np.ones((batch, tasks, 1))) * emb.graph_embedding.reshape(
                 batch, 1, hidden
@@ -211,47 +188,47 @@ class PolicyModel(Module):
             value_s = self.critic_s(emb.graph_embedding).reshape(batch)
 
             candidate = nodes[rows * tasks + service_index, :3]
-            alloc = np.array([obs.alloc for obs in observations])
-            # every observation's distinct device rows, scored in one pass; each
-            # device reads its class's score at its observation's offset
-            counts = np.array([len(obs.device_classes) for obs in observations])
+            host_latency = np.array([state.host_latency for state in states])
+            # every state's distinct device rows, scored in one pass; each
+            # device reads its class's score at its state's offset
+            counts = np.array([len(state.device_classes) for state in states])
             owner = np.repeat(rows, counts)
             class_rows = np.concatenate(
                 [
-                    np.concatenate([obs.device_classes for obs in observations]),
+                    np.concatenate([state.device_classes for state in states]),
                     candidate[owner],
-                    alloc[owner],
+                    host_latency[owner],
                 ],
                 axis=1,
             )
-            sizes = [len(obs.device_class_of) for obs in observations]
+            sizes = [len(state.device_class_of) for state in states]
             gather = np.zeros((batch, max(sizes)), dtype=np.intp)
             device_mask = np.zeros(gather.shape, dtype=bool)
-            for k, (obs, offset) in enumerate(zip(observations, np.cumsum(counts) - counts)):
-                gather[k, : sizes[k]] = offset + obs.device_class_of
+            for k, (state, offset) in enumerate(zip(states, np.cumsum(counts) - counts)):
+                gather[k, : sizes[k]] = offset + state.device_class_of
                 device_mask[k, : sizes[k]] = True
             d_scores = self.actor_d(Tensor(class_rows)).reshape(len(class_rows))[gather]
             d_logp = _finite(masked_log_softmax(d_scores, device_mask), "device")
             if device_pos is None:
                 device_pos = _choose(d_scores, d_logp, device_mask, mode, rngs)
             logp_d = d_logp[rows, device_pos]
-            critic_in = np.concatenate([candidate, alloc], axis=1)
+            critic_in = np.concatenate([candidate, host_latency], axis=1)
             value_d = self.critic_d(Tensor(critic_in)).reshape(batch)
         return _Decision(
-            service_index, device_pos, s_scores, d_scores, device_mask,
+            service_index, device_pos, s_scores, eligible, d_scores, device_mask,
             logp_s, logp_d, value_s, value_d,
         )
 
     def act(
         self,
-        observations: Sequence[Observation],
+        states: Sequence[EnvState],
         mode: str = "sample",
         rngs: Sequence[np.random.Generator] | None = None,
     ) -> tuple[np.ndarray, ...]:
-        """One full decision per observation: service and device indices plus
-        their log-probs and values, each as a (B,) array. Records no tape."""
+        """One full decision per state: service and device indices plus their
+        log-probs and values, each as a (B,) array. Records no tape."""
         with no_grad():
-            d = self._decide(observations, mode=mode, rngs=rngs)
+            d = self._decide(states, mode=mode, rngs=rngs)
         return (
             d.service_index,
             d.device_pos,
@@ -263,19 +240,18 @@ class PolicyModel(Module):
 
     def evaluate_actions(
         self,
-        observations: Sequence[Observation],
+        states: Sequence[EnvState],
         service_index: Sequence[int] | np.ndarray,
         device_pos: Sequence[int] | np.ndarray,
     ) -> dict[str, Tensor]:
         """Differentiable (B,) log-probs, values, and entropies for stored actions."""
-        d = self._decide(observations, np.asarray(service_index), np.asarray(device_pos))
-        eligible = np.array([obs.eligible for obs in observations])
+        d = self._decide(states, np.asarray(service_index), np.asarray(device_pos))
         return {
             "logp_s": d.logp_s,
             "logp_d": d.logp_d,
             "value_s": d.value_s,
             "value_d": d.value_d,
-            "entropy_s": masked_entropy(d.service_scores, eligible),
+            "entropy_s": masked_entropy(d.service_scores, d.service_mask),
             "entropy_d": masked_entropy(d.device_scores, d.device_mask),
         }
 
@@ -325,14 +301,13 @@ def collect_trajectory(
     states = [env.reset() for env in envs]
     transitions: list[list[Transition]] = [[] for _ in envs]
     for _ in range(model.task_count):
-        observations = [make_observation(env, state) for env, state in zip(envs, states)]
-        svc, dev_pos, logp_s, logp_d, value_s, value_d = model.act(observations, mode, rngs)
-        for k, (env, obs) in enumerate(zip(envs, observations)):
+        svc, dev_pos, logp_s, logp_d, value_s, value_d = model.act(states, mode, rngs)
+        for k, (env, state) in enumerate(zip(envs, states)):
             action = Action(env.services[svc[k]], int(env.device_ids[dev_pos[k]]))
             states[k], reward, done = env.step(action)
             transitions[k].append(
                 Transition(
-                    obs=obs,
+                    obs=state,
                     service_index=int(svc[k]),
                     device_pos=int(dev_pos[k]),
                     logp_service=float(logp_s[k]),
@@ -392,7 +367,7 @@ def ppo_update(
         "s": np.array([t.logp_service for t in flat]),
         "d": np.array([t.logp_device for t in flat]),
     }
-    observations = [t.obs for t in flat]
+    states = [t.obs for t in flat]
     services = np.array([t.service_index for t in flat])
     devices = np.array([t.device_pos for t in flat])
 
@@ -403,7 +378,7 @@ def ppo_update(
     grad_norm = 0.0
 
     for epoch in range(hyper.update_epochs):
-        ev = model.evaluate_actions(observations, services, devices)
+        ev = model.evaluate_actions(states, services, devices)
         with np.errstate(over="ignore", invalid="ignore"):
             head_losses = {}
             for head in ("s", "d"):

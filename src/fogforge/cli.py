@@ -64,15 +64,15 @@ class UsageError(ValueError):
 # --- shared helpers -----------------------------------------------------------
 
 def resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get("FOGFORGE_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"FOGFORGE_SEED must be an integer, got {raw!r}") from None
+    if value is None:
+        raw = os.environ.get("FOGFORGE_SEED", "0")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"FOGFORGE_SEED must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise UsageError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def parse_weights(raw: str) -> WeightVector:
@@ -109,7 +109,7 @@ def train_config_from_args(args: argparse.Namespace, seed: int) -> TrainConfig:
         if not path.is_file():
             raise UsageError(f"{path}: no such config file")
         try:
-            overrides = json.loads(path.read_text())
+            overrides = _json_object(json.loads(path.read_text()), f"{path}: the config")
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: invalid JSON ({exc})") from None
     for key, value in (
@@ -125,9 +125,7 @@ def train_config_from_args(args: argparse.Namespace, seed: int) -> TrainConfig:
     if args.weights is not None:
         overrides["weights"] = parse_weights(args.weights)
     if args.devices is not None or args.rows is not None:
-        scenario = overrides.get("scenario", {})
-        if not isinstance(scenario, dict):
-            scenario = {}
+        scenario = _json_object(overrides.get("scenario", {}), "scenario")
         if args.devices is not None:
             scenario["device_count"] = args.devices
         if args.rows is not None:
@@ -140,25 +138,29 @@ def train_config_from_args(args: argparse.Namespace, seed: int) -> TrainConfig:
         raise UsageError(f"bad training config: {exc}") from None
 
 
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _train_config_from_dict(raw: dict) -> TrainConfig:
     data = dict(raw)
     if "weights" in data and not isinstance(data["weights"], WeightVector):
         data["weights"] = WeightVector(*data["weights"])
-    if "scenario" in data and isinstance(data["scenario"], dict):
-        sc = dict(data["scenario"])
-        if "app_rows" in sc:
-            sc["app_rows"] = tuple(sc["app_rows"])
-        for key in ("latency_choices", "cost_choices"):
+    if "scenario" in data:
+        sc = _json_object(data["scenario"], "scenario")
+        for key in ("app_rows", "latency_choices", "cost_choices"):
             if key in sc:
                 sc[key] = tuple(sc[key])
         data["scenario"] = ScenarioConfig(**sc)
-    if "agent" in data and isinstance(data["agent"], dict):
-        agent = dict(data["agent"])
-        if "gin" in agent and isinstance(agent["gin"], dict):
-            agent["gin"] = GinConfig(**agent["gin"])
+    if "agent" in data:
+        agent = _json_object(data["agent"], "agent")
+        if "gin" in agent:
+            agent["gin"] = GinConfig(**_json_object(agent["gin"], "agent.gin"))
         data["agent"] = AgentConfig(**agent)
-    if "ppo" in data and isinstance(data["ppo"], dict):
-        data["ppo"] = PpoHyper(**data["ppo"])
+    if "ppo" in data:
+        data["ppo"] = PpoHyper(**_json_object(data["ppo"], "ppo"))
     return TrainConfig(**data)
 
 

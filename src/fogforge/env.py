@@ -49,22 +49,24 @@ class RewardBreakdown:
 
 @dataclass
 class EnvState:
-    """Observation: per-service features plus each service's host latency.
+    """Everything the policy reads at one step, plus the step's objectives.
 
-    ``service_features`` is (tasks, 3): execution time of the service on its
+    ``node_features`` is (tasks, 5): execution time of the service on its
     current host, accumulated inbound latency charge (access latency for row
-    heads plus cross-device edge charges), and the re-placed flag, the first
-    two normalized to [0, 1] by per-scenario bounds. ``host_latency`` is
-    (tasks,): the latency of each service's host, normalized by the pool's
-    largest latency.
+    heads plus cross-device edge charges), the re-placed flag, and the env's
+    ``degree_features``; the first two are normalized to [0, 1] by
+    per-scenario bounds. ``host_latency`` is (tasks,): the latency of each
+    service's host, normalized by the pool's largest latency. Each state's
+    arrays are built anew, so a kept state never changes; ``adjacency``,
+    ``device_classes`` and ``device_class_of`` are the env's own static arrays.
     """
 
-    service_features: np.ndarray
+    node_features: np.ndarray
     host_latency: np.ndarray
-    placed_mask: np.ndarray
     eligible_mask: np.ndarray
-    assignment: np.ndarray
-    step_count: int
+    adjacency: np.ndarray
+    device_classes: np.ndarray
+    device_class_of: np.ndarray
     t_app: float
     cost: float
     weighted: float
@@ -125,7 +127,6 @@ class PlacementEnv:
 
         self._assignment = np.full(self.task_count, self._cloud_pos, dtype=np.int64)
         self._placed = np.zeros(self.task_count, dtype=bool)
-        self._steps = 0
         self._scored: tuple[ObjectivePoint, float] | None = None  # set by each state
 
     # positions index self.devices; ids are translated at the boundary
@@ -165,16 +166,14 @@ class PlacementEnv:
             where=self._lat_bound > 0,
         )
 
-        service_features = np.stack([exec_f, lat_f, self._placed.astype(float)], axis=1)
-
         point, weighted = self._scored = self._score()
         return EnvState(
-            service_features=service_features,
+            node_features=np.column_stack([exec_f, lat_f, self._placed, self.degree_features]),
             host_latency=self.device_rows[self._assignment, 0],
-            placed_mask=self._placed.copy(),
             eligible_mask=self.eligible_services(),
-            assignment=self.device_ids[self._assignment],
-            step_count=self._steps,
+            adjacency=self.adjacency,
+            device_classes=self.device_classes,
+            device_class_of=self.device_class_of,
             t_app=point.time,
             cost=point.cost,
             weighted=weighted,
@@ -183,7 +182,6 @@ class PlacementEnv:
     def reset(self) -> EnvState:
         self._assignment[:] = self._cloud_pos
         self._placed[:] = False
-        self._steps = 0
         return self._state()
 
     def step(self, action: Action) -> tuple[EnvState, RewardBreakdown, bool]:
@@ -199,7 +197,6 @@ class PlacementEnv:
         prev, prev_w = self._scored
         self._assignment[k] = pos
         self._placed[k] = True
-        self._steps += 1
         state = self._state()
         reward = RewardBreakdown(
             r_time=prev.time - state.t_app,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,20 +84,21 @@ def read_solutions(path: str | Path) -> list[SolutionRow]:
             )
         rows = []
         for record in reader:
-            if len(record) != len(SOLUTIONS_COLUMNS):
+            if len(record) != len(SOLUTIONS_COLUMNS) or record[4] not in ("0", "1"):
                 raise ConfigurationError(f"{path}: malformed row {record!r}")
             try:
-                rows.append(
-                    SolutionRow(
-                        w_time=float(record[0]) if record[0] else None,
-                        w_cost=float(record[1]) if record[1] else None,
-                        time=float(record[2]),
-                        cost=float(record[3]),
-                        dominated=bool(int(record[4])),
-                    )
+                row = SolutionRow(
+                    w_time=float(record[0]) if record[0] else None,
+                    w_cost=float(record[1]) if record[1] else None,
+                    time=float(record[2]),
+                    cost=float(record[3]),
+                    dominated=record[4] == "1",
                 )
             except ValueError as exc:
                 raise ConfigurationError(f"{path}: malformed row {record!r} ({exc})") from exc
+            if not (math.isfinite(row.time) and math.isfinite(row.cost)):
+                raise ConfigurationError(f"{path}: malformed row {record!r} (non-finite objective)")
+            rows.append(row)
     return rows
 
 

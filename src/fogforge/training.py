@@ -153,7 +153,7 @@ def evaluate_policy(
     """Mean weighted objective of greedy placements over ``scenarios``.
 
     The scenarios are placed in lockstep. Greedy picks do not depend on the
-    env's weights (observations carry none), and each env scores its final
+    env's weights (the heads read none), and each env scores its final
     state against its scenario's own bounds.
     """
     envs = [PlacementEnv(sc.applications[0], sc.devices, weights) for sc in scenarios]

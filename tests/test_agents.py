@@ -19,7 +19,6 @@ from fogforge.agents import (
     _choose,
     collect_trajectory,
     load_checkpoint,
-    make_observation,
     ppo_update,
     save_checkpoint,
     trajectory_returns,
@@ -55,11 +54,10 @@ def fresh(env, seed=0, config=SMALL):
 def test_single_eligible_service_is_forced():
     env = make_env(extra_edge_prob=0.0, rows=2)
     model = fresh(env)
-    state = env.reset()
-    obs = make_observation(env, state)
+    obs = env.reset()
     # chain heads (0,0) and (1,0) eligible; restrict to one by masking
-    obs.eligible[:] = False
-    obs.eligible[0] = True
+    obs.eligible_mask[:] = False
+    obs.eligible_mask[0] = True
     svc, _, logp, *_ = model.act([obs], mode="sample", rngs=[np.random.default_rng(1)])
     assert svc[0] == 0
     assert logp[0] == pytest.approx(0.0, abs=1e-12)
@@ -70,23 +68,23 @@ def test_uniform_scores_sample_uniformly_and_respect_mask():
     model = fresh(env)
     for p in model.actor_s.parameters():
         p.data = np.zeros_like(p.data)  # identical scores for every node
-    obs = make_observation(env, env.reset())
-    eligible = np.flatnonzero(obs.eligible)
+    obs = env.reset()
+    eligible = np.flatnonzero(obs.eligible_mask)
     assert len(eligible) == 3  # the three row heads
 
     rng = np.random.default_rng(2)
     svc, *_ = model.act([obs], mode="sample", rngs=[rng])
-    assert obs.eligible[svc[0]]
+    assert obs.eligible_mask[svc[0]]
     # the draws below reuse one pass's scores instead of rerunning the GIN each time
     scores = model._decide([obs], mode="greedy").service_scores
     np.testing.assert_array_equal(scores.data, scores.data[0, 0])
-    mask = obs.eligible[np.newaxis]
+    mask = obs.eligible_mask[np.newaxis]
     logp = masked_log_softmax(scores, mask)
     counts = np.zeros(env.task_count)
     draws = 30_000
     for _ in range(draws):
         counts[_choose(scores, logp, mask, "sample", [rng])[0]] += 1
-    assert counts[~obs.eligible].sum() == 0  # masked services never sampled
+    assert counts[~obs.eligible_mask].sum() == 0  # masked services never sampled
     np.testing.assert_allclose(counts[eligible] / draws, 1 / 3, atol=0.02)
 
 
@@ -95,7 +93,7 @@ def test_single_device_forced():
     app = generate_scenario(ScenarioConfig(device_count=1, app_rows=(2,)), 0).applications[0]
     env = PlacementEnv(app, (cloud,), HALF)
     model = fresh(env)
-    obs = make_observation(env, env.reset())
+    obs = env.reset()
     _, dev, _, logp, *_ = model.act([obs], mode="sample", rngs=[np.random.default_rng(3)])
     assert dev[0] == 0
     assert logp[0] == pytest.approx(0.0, abs=1e-12)
@@ -108,14 +106,14 @@ def test_identical_devices_get_identical_probabilities():
     app = generate_scenario(ScenarioConfig(device_count=2, app_rows=(2,)), 1).applications[0]
     env = PlacementEnv(app, (cloud, twin_a, twin_b), HALF)
     model = fresh(env)
-    obs = make_observation(env, env.reset())
+    obs = env.reset()
     ev1 = model.evaluate_actions([obs], [0], [1])
     ev2 = model.evaluate_actions([obs], [0], [2])
     assert ev1["logp_d"].item() == pytest.approx(ev2["logp_d"].item(), abs=1e-9)
     # entropies are those of the distributions the log-probs describe
     p_d = np.exp([model.evaluate_actions([obs], [0], [k])["logp_d"].item() for k in range(3)])
     assert ev1["entropy_d"].item() == pytest.approx(-(p_d * np.log(p_d)).sum(), abs=1e-12)
-    eligible = np.flatnonzero(obs.eligible)
+    eligible = np.flatnonzero(obs.eligible_mask)
     p_s = np.exp([model.evaluate_actions([obs], [s], [0])["logp_s"].item() for s in eligible])
     assert ev1["entropy_s"].item() == pytest.approx(-(p_s * np.log(p_s)).sum(), abs=1e-12)
 
@@ -132,7 +130,7 @@ def test_class_scores_match_a_full_device_pass():
             [
                 env.device_rows,
                 np.tile(candidate, (1001, 1)),
-                np.tile(t.obs.alloc, (1001, 1)),
+                np.tile(t.obs.host_latency, (1001, 1)),
             ],
             axis=1,
         )
@@ -152,8 +150,8 @@ def test_device_head_gradients_through_shared_classes():
     env = PlacementEnv(app, pool, HALF)
     assert len(env.device_classes) == 3
     model = fresh(env, seed=21)
-    obs = make_observation(env, env.reset())
-    service = int(np.flatnonzero(obs.eligible)[0])
+    obs = env.reset()
+    service = int(np.flatnonzero(obs.eligible_mask)[0])
     for key in ("logp_d", "entropy_d"):  # device 2 shares its class with devices 1 and 4
         model.zero_grad()
         model.evaluate_actions([obs], [service], [2])[key].backward()
@@ -171,7 +169,7 @@ def test_device_head_gradients_through_shared_classes():
 
 def two_pools_env_pair(seed=0):
     """Two envs of the same 2x2 app on pools of different sizes and device
-    classes, so a batch of their observations pads the device rows."""
+    classes, so a batch of their states pads the device rows."""
     cloud = Device(id=0, speed=1.0, latency=50.0, cost=20.0, is_cloud=True)
     specs = ([(10, 5), (10, 5), (30, 1), (10, 5), (30, 1)], [(20, 2), (40, 1), (5, 9)])
     config = ScenarioConfig(device_count=5, app_rows=(2,))
@@ -189,21 +187,21 @@ def two_pools_env_pair(seed=0):
 def test_offset_class_gather_gradients_over_padded_pools():
     envs = two_pools_env_pair()
     model = fresh(envs[0], seed=23)
-    observations = [make_observation(env, env.reset()) for env in envs]
-    services = [int(np.flatnonzero(obs.eligible)[-1]) for obs in observations]
+    states = [env.reset() for env in envs]
+    services = [int(np.flatnonzero(state.eligible_mask)[-1]) for state in states]
     devices = [2, 3]
     assert [len(env.device_classes) for env in envs] == [3, 4]
-    d = model._decide(observations, services, devices)
+    d = model._decide(states, services, devices)
     assert d.device_mask.tolist() == [[True] * 6, [True] * 4 + [False] * 2]
-    batched = model.evaluate_actions(observations, services, devices)
-    for k, obs in enumerate(observations):  # each row scores as its observation alone
-        alone = model.evaluate_actions([obs], [services[k]], [devices[k]])
+    batched = model.evaluate_actions(states, services, devices)
+    for k, state in enumerate(states):  # each row scores as its state alone
+        alone = model.evaluate_actions([state], [services[k]], [devices[k]])
         for key, value in alone.items():
             assert batched[key].data[k] == pytest.approx(value.item(), rel=1e-12, abs=1e-12), key
     weights = np.array([0.7, -1.3])
 
     def loss():
-        ev = model.evaluate_actions(observations, services, devices)
+        ev = model.evaluate_actions(states, services, devices)
         return ((ev["logp_d"] + ev["entropy_d"] * 0.5) * weights).sum()
 
     model.zero_grad()
@@ -245,7 +243,7 @@ def test_greedy_mode_is_deterministic():
     ]
     for t in first:  # greedy picks the highest-scoring eligible service and device
         d = model._decide([t.obs], [t.service_index], [t.device_pos])
-        masked = np.where(t.obs.eligible, d.service_scores.data[0], -np.inf)
+        masked = np.where(t.obs.eligible_mask, d.service_scores.data[0], -np.inf)
         assert t.service_index == np.argmax(masked)
         assert t.device_pos == np.argmax(d.device_scores.data[0])
 
@@ -258,7 +256,7 @@ def test_trajectory_record_and_replay_consistency():
     )
     assert len(transitions) == env.task_count
     assert transitions[-1].done and not any(t.done for t in transitions[:-1])
-    assert final_state.placed_mask.all()
+    assert (final_state.node_features[:, 2] == 1.0).all()
     for t in transitions:
         ev = model.evaluate_actions([t.obs], [t.service_index], [t.device_pos])
         assert ev["logp_s"].item() == t.logp_service
@@ -336,7 +334,7 @@ def test_first_epoch_ratio_is_one():
 
 def reference_ppo_loss(model, trajectories, hyper):
     """Reference: the PPO loss of one epoch, built transition by transition
-    from one-observation passes and scalar tape nodes, as ``ppo_update``
+    from one-state passes and scalar tape nodes, as ``ppo_update``
     computed it before it batched the transitions. Returns the total and its
     six components."""
     lo, hi = 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio
@@ -412,7 +410,7 @@ def test_vector_loss_matches_per_transition_reference():
 
     config, model, trajectories = desk_rollouts(0, lockstep=True)
     flat = [t for traj in trajectories for t in traj]
-    # one batched pass scores every transition as its own one-observation pass does
+    # one batched pass scores every transition as its own one-state pass does
     batched = model.evaluate_actions(
         [t.obs for t in flat], [t.service_index for t in flat], [t.device_pos for t in flat]
     )
@@ -502,7 +500,7 @@ def test_bandit_favors_rewarding_device():
     env = bandit_setup()
     model = fresh(env, seed=13)
     rng = np.random.default_rng(14)
-    obs0 = make_observation(env, env.reset())
+    obs0 = env.reset()
     p_start = device_probability(model, obs0, 1)
     opt = Adam(model.parameters(), lr=0.01)
     for _ in range(50):
@@ -517,7 +515,7 @@ def test_task_count_mismatch_rejected():
     env_small = make_env(rows=2)
     env_big = make_env(rows=3)
     model = fresh(env_big)
-    obs = make_observation(env_small, env_small.reset())
+    obs = env_small.reset()
     with pytest.raises(ConfigurationError):
         model.act([obs], mode="greedy")
 
@@ -556,7 +554,7 @@ def test_non_finite_parameters_abort_update():
 def test_checkpoint_round_trip(tmp_path):
     env = make_env(seed=17)
     model = fresh(env, seed=17)
-    obs = make_observation(env, env.reset())
+    obs = env.reset()
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
     clone = load_checkpoint(path)

@@ -304,6 +304,27 @@ def test_env_var_seed_must_be_integer(tmp_path, monkeypatch):
     assert main(["generate", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "sweep", "evo", "baseline"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_exits_2_before_writing(tmp_path, monkeypatch, scenario_file, command, source):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(TINY_TRAIN))
+    out = tmp_path / "out"
+    args = {
+        "generate": [],
+        "train": ["--config", config],
+        "sweep": ["--config", config],
+        "evo": ["--algorithm", "ga", "--scenario", scenario_file],
+        "baseline": ["--strategy", "random-devices", "--scenario", scenario_file],
+    }[command]
+    if source == "flag":
+        args = [*args, "--seed", "-1"]
+    else:
+        monkeypatch.setenv("FOGFORGE_SEED", "-3")
+    assert main([command, *map(str, args), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # --- bad input exits 2, divergence exits 3 ------------------------------------
 
 BAD_TRAIN_CONFIGS = {
@@ -317,6 +338,10 @@ BAD_TRAIN_CONFIGS = {
     "fractional-episodes": {"episodes": 2.5},
     "fractional-train-size": {"train_size": 2.0},
     "fractional-head-width": {"agent": {**TINY_TRAIN["agent"], "head_width": 2.5}},
+    "scalar-scenario": {"scenario": 5},
+    "scalar-agent": {"agent": "small"},
+    "list-gin": {"agent": {**TINY_TRAIN["agent"], "gin": [8, 2, 2]}},
+    "list-ppo": {"ppo": [1]},
 }
 
 
@@ -328,6 +353,20 @@ def test_bad_training_config_exits_2_before_writing(tmp_path, command, override)
     run = tmp_path / "run"
     assert main([command, "--config", str(config), "--out", str(run)]) == 2
     assert not (run / "config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [[1], 5, "train", {**TINY_TRAIN, "scenario": 5}],
+    ids=["list", "number", "string", "scalar-scenario"],
+)
+@pytest.mark.parametrize("flags", [[], ["--devices", "3"]], ids=["plain", "devices-flag"])
+def test_non_object_config_exits_2_before_writing(tmp_path, body, flags):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(body))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), *flags, "--out", str(run)]) == 2
+    assert not run.exists()
 
 
 def run_cli(*args) -> subprocess.CompletedProcess:

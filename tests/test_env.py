@@ -1,11 +1,12 @@
 """Environment mechanics: eligibility, difference rewards, telescoping."""
 
-from dataclasses import replace
+import copy
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fogforge.env import Action, IllegalActionError, PlacementEnv, rollout_random
+from fogforge.env import Action, EnvState, IllegalActionError, PlacementEnv, rollout_random
 from fogforge.model import (
     Application,
     ConfigurationError,
@@ -42,10 +43,9 @@ def test_reset_all_on_cloud():
     env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
     state = env.reset()
     assert state.t_app == pytest.approx(150.0)  # 3 row heads x cloud latency 50
-    assert not state.placed_mask.any()
-    assert (state.assignment == scenario.cloud.id).all()
+    assert not state.node_features[:, 2].any()
+    assert set(env.placement().assignment.values()) == {scenario.cloud.id}
     assert state.cost == pytest.approx(9 * scenario.cloud.cost)
-    assert state.step_count == 0
 
 
 def test_reset_is_reproducible():
@@ -54,9 +54,9 @@ def test_reset_is_reproducible():
     a = env.reset()
     rollout_random(env, np.random.default_rng(0))
     b = env.reset()
-    np.testing.assert_array_equal(a.service_features, b.service_features)
+    np.testing.assert_array_equal(a.node_features, b.node_features)
     np.testing.assert_array_equal(a.host_latency, b.host_latency)
-    np.testing.assert_array_equal(a.assignment, b.assignment)
+    np.testing.assert_array_equal(a.eligible_mask, b.eligible_mask)
     assert a.t_app == b.t_app and a.cost == b.cost
 
 
@@ -183,19 +183,18 @@ def test_state_shapes_and_ranges():
     scenario = grid_scenario(seed=8, device_count=6)
     env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
     state = env.reset()
-    assert state.service_features.shape == (9, 3)
+    assert state.node_features.shape == (9, 5)
     assert state.host_latency.shape == (9,)
     rng = np.random.default_rng(13)
     done = False
     while not done:
-        assert (state.service_features >= 0).all() and (state.service_features <= 1).all()
+        assert (state.node_features >= 0).all() and (state.node_features <= 1).all()
         assert (state.host_latency >= 0).all() and (state.host_latency <= 1).all()
         mask = env.eligible_services()
         svc = env.services[int(rng.choice(np.flatnonzero(mask)))]
         dev = int(rng.choice(env.device_ids))
         state, _, done = env.step(Action(svc, dev))
-    assert state.placed_mask.all()
-    assert (state.service_features[:, 2] == 1.0).all()
+    assert (state.node_features[:, 2] == 1.0).all()
 
 
 def test_host_latency_tracks_each_service_host():
@@ -218,6 +217,37 @@ def test_host_latency_tracks_each_service_host():
         np.testing.assert_array_equal(state.host_latency, expected())
         moved += action.device != scenario.cloud.id
     assert moved > 0
+
+
+def test_kept_states_are_snapshots():
+    """A state handed out earlier in the episode never changes, and it holds
+    references to the env's static arrays rather than copies of them."""
+    scenario = grid_scenario(seed=6, device_count=5)
+    env = PlacementEnv(scenario.applications[0], scenario.devices, HALF)
+    kept = []
+
+    def keep(method):
+        def call(*args):
+            out = method(*args)
+            state = out if isinstance(out, EnvState) else out[0]
+            kept.append((state, copy.deepcopy(state)))
+            return out
+
+        return call
+
+    env.reset, env.step = keep(env.reset), keep(env.step)
+    rollout_random(env, np.random.default_rng(19))
+    assert len(kept) == 1 + env.task_count
+    assert not kept[0][0].node_features[:, 2].any() and kept[-1][0].node_features[:, 2].all()
+    for state, snapshot in kept:
+        for field in fields(EnvState):
+            np.testing.assert_array_equal(
+                getattr(state, field.name), getattr(snapshot, field.name), err_msg=field.name
+            )
+        np.testing.assert_array_equal(state.node_features[:, 3:], env.degree_features)
+        assert state.adjacency is env.adjacency
+        assert state.device_classes is env.device_classes
+        assert state.device_class_of is env.device_class_of
 
 
 def test_device_pool_needs_exactly_one_cloud():

@@ -205,9 +205,8 @@ def test_env_features_compose_with_encoder():
     scenario = generate_scenario(ScenarioConfig(device_count=4, app_rows=(3,)), seed=0)
     env = PlacementEnv(scenario.applications[0], scenario.devices, WeightVector(0.5, 0.5))
     state = env.reset()
-    node_features = np.concatenate([state.service_features, env.degree_features], axis=1)
     encoder = GinEncoder(GinConfig(), np.random.default_rng(9))
-    out = encoder(node_features, env.adjacency)
+    out = encoder(state.node_features, state.adjacency)
     assert out.node_embeddings.data.shape == (9, 32)
     assert out.graph_embedding.data.shape == (1, 32)
 

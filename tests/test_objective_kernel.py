@@ -119,14 +119,14 @@ def test_env_eligibility_and_telescoping(app, devices, data):
     start = env.reset()
     state, r_time, r_cost, done = start, 0.0, 0.0, False
     while not done:
-        placed = {s for s, flag in zip(env.services, state.placed_mask) if flag}
+        placed = {s for s, flag in zip(env.services, state.node_features[:, 2]) if flag}
         want = [s not in placed and all(p in placed for p in preds[s]) for s in env.services]
         assert env.eligible_services().tolist() == want
         assert state.eligible_mask.tolist() == want
         t, c = slow_objectives(app, env.placement(), devices)
         assert (state.t_app, state.cost) == (pytest.approx(t, abs=1e-9), pytest.approx(c, abs=1e-9))
         np.testing.assert_allclose(
-            state.service_features[:, 1], latency_feature(app, env.placement(), devices), atol=1e-12
+            state.node_features[:, 1], latency_feature(app, env.placement(), devices), atol=1e-12
         )
 
         k = data.draw(st.sampled_from(np.flatnonzero(want).tolist()))

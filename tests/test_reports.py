@@ -80,9 +80,12 @@ def test_solutions_bad_header_rejected(tmp_path):
 
 def test_solutions_malformed_row_rejected(tmp_path):
     path = tmp_path / "solutions.csv"
-    path.write_text("w_time,w_cost,time,cost,dominated_flag\n,,oops,2.0,0\n")
-    with pytest.raises(ConfigurationError, match="malformed row"):
-        read_solutions(path)
+    # an unparsable or non-finite objective, or a flag other than 0 or 1
+    bad = (",,oops,2.0,0", ",,nan,2.0,0", ",,1.0,inf,0", ",,-inf,2.0,1", ",,1.0,2.0,2", ",,1.0,2.0,")
+    for row in bad:
+        path.write_text(f"w_time,w_cost,time,cost,dominated_flag\n{row}\n")
+        with pytest.raises(ConfigurationError, match="malformed row"):
+            read_solutions(path)
 
 
 def test_solutions_missing_file(tmp_path):
