@@ -1,8 +1,9 @@
 """Command-line harness.
 
 Commands: generate, train, sweep, infer, baseline, evo, oracle, compare.
-Every command is deterministic under a fixed --seed; the seed falls back to
-the FOGFORGE_SEED environment variable. Exit codes:
+Every command is deterministic. The five that draw random numbers (generate,
+train, sweep, baseline, evo) take --seed, which falls back to the
+FOGFORGE_SEED environment variable; the others reject it. Exit codes:
 0 success, 1 internal error, 2 usage or input error, 3 numeric divergence.
 """
 
@@ -466,8 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: FOGFORGE_SEED env var, else 0)")
         p.add_argument("--threads", type=int, choices=(1,), default=1,
                        help="accepted for old scripts; rollouts run serially")
 
@@ -543,6 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
+    for name in ("generate", "train", "sweep", "baseline", "evo"):  # each calls resolve_seed
+        sub.choices[name].add_argument("--seed", type=int, default=None,
+                                       help="RNG seed (default: FOGFORGE_SEED env var, else 0)")
     return parser
 
 

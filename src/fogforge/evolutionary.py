@@ -253,30 +253,20 @@ def ga_solve(
     genes = app.service_count
 
     population = _seed_population(rng, ids, config, genes, initial_population)
-    times, costs = batch_objectives(app, devices, population)
-    fitness = _weighted(times, costs, weights, norms)
-
-    best_idx = int(np.argmin(fitness))
-    best = (
-        float(fitness[best_idx]),
-        population[best_idx].copy(),
-        ObjectivePoint(float(times[best_idx]), float(costs[best_idx])),
-    )
-    history = [best[0]]
-
-    for _ in range(config.generations):
-        parents = population[_tournament(rng, fitness, config.population_size, config.tournament_size)]
-        half = config.population_size // 2
-        offspring = _crossover(rng, parents[:half], parents[half:], config.crossover)
-        offspring = _mutate(rng, offspring, ids, config.mutation_prob, config.mutation)
-
-        # elitism of 1: the incumbent best replaces the first offspring slot
-        offspring[0] = best[1]
-        population = offspring
+    best: tuple[float, np.ndarray, ObjectivePoint] | None = None
+    history: list[float] = []
+    for generation in range(config.generations + 1):
+        if generation:
+            parents = population[_tournament(rng, fitness, config.population_size, config.tournament_size)]
+            half = config.population_size // 2
+            offspring = _crossover(rng, parents[:half], parents[half:], config.crossover)
+            population = _mutate(rng, offspring, ids, config.mutation_prob, config.mutation)
+            # elitism of 1: the incumbent best replaces the first offspring slot
+            population[0] = best[1]
         times, costs = batch_objectives(app, devices, population)
         fitness = _weighted(times, costs, weights, norms)
         gen_best = int(np.argmin(fitness))
-        if fitness[gen_best] < best[0]:
+        if best is None or fitness[gen_best] < best[0]:
             best = (
                 float(fitness[gen_best]),
                 population[gen_best].copy(),
@@ -293,14 +283,18 @@ def ga_solve(
     )
 
 
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """True for each row equal to an earlier row."""
+    rows = np.ascontiguousarray(rows)
+    # one opaque item per row: np.unique on it is much cheaper than axis=0
+    items = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+    return first[inverse] != np.arange(len(rows))
+
+
 def _duplicate_mask(population: np.ndarray, offspring: np.ndarray) -> np.ndarray:
     """Offspring rows equal to a population row or to an earlier offspring."""
-    stacked = np.ascontiguousarray(np.concatenate([population, offspring], axis=0))
-    # one opaque item per row: np.unique on it is much cheaper than axis=0
-    rows = stacked.view(np.dtype((np.void, stacked.dtype.itemsize * stacked.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    positions = np.arange(len(population), len(stacked))
-    return first[inverse[len(population):]] != positions
+    return _repeats(np.concatenate([population, offspring], axis=0))[len(population):]
 
 
 def _crowded_tournament(
@@ -325,11 +319,7 @@ def _environmental_selection(
     fill the population with copies of a few elite placements and exploration
     dies.
     """
-    n = len(ranks)
-    _, first = np.unique(points, axis=0, return_index=True)
-    duplicate = np.ones(n, dtype=np.int64)
-    duplicate[first] = 0
-    order = np.lexsort((np.arange(n), -crowding, ranks, duplicate))
+    order = np.lexsort((np.arange(len(ranks)), -crowding, ranks, _repeats(points)))
     return order[:size]
 
 
@@ -382,9 +372,10 @@ def nsga2_solve(
         if stale.any():
             offspring[stale] = _random_population(rng, ids, int(stale.sum()), genes)
 
+        # the survivors carry their points: only the offspring are scored
         combined = np.concatenate([population, offspring], axis=0)
-        c_times, c_costs = batch_objectives(app, devices, combined)
-        c_points = np.stack([c_times, c_costs], axis=1)
+        o_times, o_costs = batch_objectives(app, devices, offspring)
+        c_points = np.concatenate([points, np.stack([o_times, o_costs], axis=1)], axis=0)
         c_ranks = fast_nondominated_sort(c_points)
         c_crowding = crowding_distance(c_points, c_ranks)
 

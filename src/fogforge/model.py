@@ -9,6 +9,7 @@ edge whose endpoints sit on different devices.
 
 from __future__ import annotations
 
+import graphlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -81,20 +82,25 @@ class Application:
             raise ConfigurationError(f"ops grid must be {n}x{m}")
         if not all(math.isfinite(x) and x >= 0 for row in self.ops for x in row):
             raise ConfigurationError("ops must be finite and >= 0")
-        if len(set(self.edges)) != len(self.edges):
+        edge_set = set(self.edges)
+        if len(edge_set) != len(self.edges):
             raise ConfigurationError("duplicate dependency edge")
         valid = set(self.services())
+        graph = graphlib.TopologicalSorter()
         for src, dst in self.edges:
             if src not in valid or dst not in valid:
                 raise ConfigurationError(f"edge {src}->{dst} references unknown service")
             if src == dst:
                 raise ConfigurationError(f"self edge on {src}")
+            graph.add(dst, src)
         for i in range(n):
             for j in range(m - 1):
-                if ((i, j), (i, j + 1)) not in self.edges:
+                if ((i, j), (i, j + 1)) not in edge_set:
                     raise ConfigurationError(f"missing row-chain edge ({i},{j})->({i},{j + 1})")
-        if not self._is_acyclic():
-            raise ConfigurationError("dependency graph has a cycle")
+        try:
+            graph.prepare()
+        except graphlib.CycleError:
+            raise ConfigurationError("dependency graph has a cycle") from None
 
     def services(self) -> Iterator[Service]:
         for i in range(self.rows):
@@ -107,22 +113,6 @@ class Application:
 
     def service_index(self, service: Service) -> int:
         return service[0] * self.cols + service[1]
-
-    def _is_acyclic(self) -> bool:
-        indeg = {s: 0 for s in self.services()}
-        for _, dst in self.edges:
-            indeg[dst] += 1
-        ready = [s for s, d in indeg.items() if d == 0]
-        seen = 0
-        while ready:
-            node = ready.pop()
-            seen += 1
-            for src, dst in self.edges:
-                if src == node:
-                    indeg[dst] -= 1
-                    if indeg[dst] == 0:
-                        ready.append(dst)
-        return seen == len(indeg)
 
     @staticmethod
     def chain_edges(rows: int, cols: int | None = None) -> tuple[Edge, ...]:
@@ -187,9 +177,7 @@ class _Instance:
 
     Services are in row-major order and devices by their position in the
     device sequence. ``pos_of`` is indexed by device id and holds that
-    device's position, or -1 where no device has the id; when the ids are
-    0..D-1 in order (as generated scenarios have them) it is the identity
-    and the translation is skipped.
+    device's position, or -1 where no device has the id.
     """
 
     ops: np.ndarray
@@ -201,7 +189,6 @@ class _Instance:
     speed: np.ndarray
     cost: np.ndarray
     pos_of: np.ndarray
-    ids_are_positions: bool
 
     @classmethod
     def build(cls, app: Application, devices: Sequence[Device]) -> "_Instance":
@@ -221,7 +208,6 @@ class _Instance:
             speed=np.array([d.speed for d in devices], dtype=np.float64),
             cost=np.array([d.cost for d in devices], dtype=np.float64),
             pos_of=pos_of,
-            ids_are_positions=bool(np.array_equal(ids, positions)),
         )
 
     def positions(self, assignments: np.ndarray) -> np.ndarray:
@@ -229,8 +215,6 @@ class _Instance:
         assignments = np.asarray(assignments, dtype=np.int64)
         if assignments.size and (assignments.min() < 0 or assignments.max() >= len(self.pos_of)):
             raise InvalidPlacementError("assignment references unknown device ids")
-        if self.ids_are_positions:
-            return assignments
         pos = self.pos_of[assignments]
         if (pos < 0).any():
             raise InvalidPlacementError("assignment references unknown device ids")
@@ -419,12 +403,14 @@ def brute_force_oracle(
     for w in weights:
         w.check()
 
-    ids = np.array([d.id for d in devices], dtype=np.int64)
+    inst = _Instance.build(app, devices)
     powers = n_dev ** np.arange(n_svc - 1, -1, -1, dtype=np.int64)
 
-    def vectors(idx: np.ndarray) -> np.ndarray:
-        """Assignment vectors of the placements at lexicographic positions ``idx``."""
-        return ids[(idx[:, None] // powers[None, :]) % n_dev]
+    def positions(idx: np.ndarray) -> np.ndarray:
+        """Device positions of the placements at lexicographic positions ``idx``."""
+        pos = idx[:, None] // powers[None, :]
+        pos %= n_dev  # in place: a second chunk-sized array raises peak RSS
+        return pos
 
     # running front: its points and the lowest placement index reaching each
     front_times = np.empty(0)
@@ -434,8 +420,8 @@ def brute_force_oracle(
 
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        assign = vectors(idx)
-        times, costs = batch_objectives(app, devices, assign)
+        pos = positions(idx)
+        times, costs = inst.objectives(pos)
 
         # the running front goes first: on equal points the kernel keeps the
         # lower position, which is the lexicographically earlier placement
@@ -451,14 +437,16 @@ def brute_force_oracle(
             if best[wi] is None or objs[am] < best[wi][0]:
                 best[wi] = (
                     float(objs[am]),
-                    assign[am].copy(),
+                    inst.ids[pos[am]],
                     ObjectivePoint(float(times[am]), float(costs[am])),
                 )
 
     # the kernel leaves the running front deduplicated and in (time, cost) order
     result = OracleResult(
         front=[ObjectivePoint(t, c) for t, c in zip(front_times.tolist(), front_costs.tolist())],
-        front_placements=[Placement.from_vector(app, vec) for vec in vectors(front_index)],
+        front_placements=[
+            Placement.from_vector(app, vec) for vec in inst.ids[positions(front_index)]
+        ],
         enumerated=total,
     )
     for w, entry in zip(weights, best):

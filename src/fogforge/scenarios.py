@@ -193,9 +193,25 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
                 f"{origin}: format_version {version} is newer than supported {FORMAT_VERSION}"
             )
         cfg_raw = data["config"]
+        seed = data.get("seed")
+        # int() and bool() would load 1.7 as device 1 and "no" as a cloud
+        integers = [
+            ("device_count", cfg_raw["device_count"]),
+            *(("app_rows", n) for n in cfg_raw["app_rows"]),
+            *(("device id", d["id"]) for d in data["devices"]),
+            *(("application rows", a["rows"]) for a in data["applications"]),
+            *(("edge end", x) for a in data["applications"] for e in a["edges"] for x in e),
+            *([] if seed is None else [("seed", seed)]),
+        ]
+        for name, value in integers:
+            if not is_count(value):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for d in data["devices"]:
+            if not isinstance(d["is_cloud"], bool):
+                raise TypeError(f"is_cloud must be true or false, got {d['is_cloud']!r}")
         config = ScenarioConfig(
-            device_count=int(cfg_raw["device_count"]),
-            app_rows=tuple(int(n) for n in cfg_raw["app_rows"]),
+            device_count=cfg_raw["device_count"],
+            app_rows=tuple(cfg_raw["app_rows"]),
             latency_choices=tuple(float(x) for x in cfg_raw["latency_choices"]),
             cost_choices=tuple(float(x) for x in cfg_raw["cost_choices"]),
             extra_edge_prob=float(cfg_raw["extra_edge_prob"]),
@@ -206,30 +222,24 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
         )
         devices = tuple(
             Device(
-                id=int(d["id"]),
+                id=d["id"],
                 speed=float(d["speed"]),
                 latency=float(d["latency"]),
                 cost=float(d["cost"]),
-                is_cloud=bool(d["is_cloud"]),
+                is_cloud=d["is_cloud"],
             )
             for d in data["devices"]
         )
         apps = tuple(
             Application(
-                rows=int(a["rows"]),
+                rows=a["rows"],
                 ops=tuple(tuple(float(x) for x in row) for row in a["ops"]),
                 edges=tuple(((e[0], e[1]), (e[2], e[3])) for e in a["edges"]),
                 cols=len(a["ops"][0]) if a["ops"] else None,
             )
             for a in data["applications"]
         )
-        seed = data.get("seed")
-        return Scenario(
-            config=config,
-            devices=devices,
-            applications=apps,
-            seed=None if seed is None else int(seed),
-        )
+        return Scenario(config=config, devices=devices, applications=apps, seed=seed)
     except ConfigurationError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fogforge.agents import AgentConfig, PolicyModel, load_checkpoint
+from fogforge.agents import AgentConfig, PolicyModel, load_checkpoint, save_checkpoint
 from fogforge.cli import main
 from fogforge.gin import GinConfig
 from fogforge.reports import read_manifest, read_solutions
@@ -200,11 +200,32 @@ def test_input_errors_exit_2_with_one_error_line(tmp_path, scenario_file, capsys
 
 @pytest.mark.parametrize(
     "defect",
-    ["nan-latency", "negative-ops", "duplicate-edge", "negative-device-id", "non-numeric-speed"],
+    [
+        "nan-latency", "negative-ops", "duplicate-edge", "negative-device-id", "non-numeric-speed",
+        "fractional-device-id", "fractional-rows", "fractional-device-count",
+        "fractional-app-rows", "fractional-edge-end", "fractional-seed",
+        "integer-is-cloud", "string-is-cloud",
+    ],
 )
-def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect):
+def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect, capsys):
     data = json.loads(scenario_file.read_text())
-    if defect == "nan-latency":
+    if defect == "fractional-device-id":
+        data["devices"][1]["id"] = 1.7  # would load as device 1
+    elif defect == "fractional-rows":
+        data["applications"][0]["rows"] = 3.6
+    elif defect == "fractional-device-count":
+        data["config"]["device_count"] = 4.9
+    elif defect == "fractional-app-rows":
+        data["config"]["app_rows"] = [3.0]
+    elif defect == "fractional-edge-end":
+        data["applications"][0]["edges"][0][3] = 1.0
+    elif defect == "fractional-seed":
+        data["seed"] = 2.5
+    elif defect in ("integer-is-cloud", "string-is-cloud"):
+        # the cloud would silently move to the fog device
+        data["devices"][0]["is_cloud"] = 0 if defect == "integer-is-cloud" else False
+        data["devices"][1]["is_cloud"] = 1 if defect == "integer-is-cloud" else "no"
+    elif defect == "nan-latency":
         data["devices"][1]["latency"] = float("nan")  # json writes and reads NaN
     elif defect == "negative-device-id":
         data["devices"][1]["id"] = -1
@@ -216,9 +237,12 @@ def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect):
         data["applications"][0]["edges"].append(data["applications"][0]["edges"][0])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
+    capsys.readouterr()
     rc = main(["baseline", "--strategy", "all-in-cloud",
                "--scenario", str(bad), "--out", str(tmp_path / "run")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_compare_runs(tmp_path, scenario_file):
@@ -323,6 +347,24 @@ def test_negative_seed_exits_2_before_writing(tmp_path, monkeypatch, scenario_fi
         monkeypatch.setenv("FOGFORGE_SEED", "-3")
     assert main([command, *map(str, args), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "infer", "compare"])
+def test_seed_is_refused_where_nothing_is_random(tmp_path, scenario_file, command):
+    checkpoint, runs = tmp_path / "model.json", tmp_path / "runs"
+    config = AgentConfig(**{**TINY_TRAIN["agent"], "gin": GinConfig(**TINY_TRAIN["agent"]["gin"])})
+    save_checkpoint(PolicyModel(9, config, np.random.default_rng(0)), checkpoint)
+    assert main(["baseline", "--strategy", "all-in-cloud", "--scenario", str(scenario_file),
+                 "--out", str(runs / "cloud")]) == 0
+    args = {
+        "oracle": ["--scenario", scenario_file],
+        "infer": ["--checkpoint", checkpoint, "--scenario", scenario_file],
+        "compare": [runs / "cloud", runs / "cloud"],
+    }[command]
+    refused, accepted = tmp_path / "refused", tmp_path / "accepted"
+    assert main([command, *map(str, args), "--seed", "1", "--out", str(refused)]) == 2
+    assert not refused.exists()
+    assert main([command, *map(str, args), "--out", str(accepted)]) == 0
 
 
 # --- bad input exits 2, divergence exits 3 ------------------------------------

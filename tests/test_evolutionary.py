@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fogforge import evolutionary
 from fogforge.evolutionary import (
     EvoConfig,
     _mutate,
@@ -16,8 +17,10 @@ from fogforge.model import (
     ConfigurationError,
     Device,
     ObjectivePoint,
+    Placement,
     WeightVector,
     brute_force_oracle,
+    evaluate,
     pareto_front,
 )
 from fogforge.scenarios import ScenarioConfig, generate_scenario
@@ -266,8 +269,6 @@ def test_nsga2_front_is_mutually_nondominated():
     assert result.front == pareto_front(result.front)
     assert len(result.front) == len(result.front_placements)
     for placement, point in zip(result.front_placements, result.front):
-        from fogforge.model import evaluate
-
         assert evaluate(scenario.applications[0], placement, scenario.devices) == point
 
 
@@ -307,3 +308,55 @@ def test_nsga2_identical_population_single_front():
     frozen = np.full((10, 9), 2, dtype=np.int64)
     result = nsga2_solve(app, devices, config, initial_population=frozen)
     assert result.front == [ObjectivePoint(90.0, 90.0)]
+
+
+def test_nsga2_scores_only_the_offspring(monkeypatch):
+    scenario = random_scenario(19)
+    config = EvoConfig(population_size=24, generations=7, seed=3)
+    rows = []
+    score = evolutionary.batch_objectives
+
+    def counted(app, devices, assignments):
+        rows.append(len(assignments))
+        return score(app, devices, assignments)
+
+    monkeypatch.setattr(evolutionary, "batch_objectives", counted)
+    nsga2_solve(scenario.applications[0], scenario.devices, config)
+    assert rows == [config.population_size] * (config.generations + 1)
+
+
+# --- device ids ----------------------------------------------------------------
+
+
+def test_solvers_follow_order_preserving_relabelled_ids():
+    scenario = generate_scenario(ScenarioConfig(device_count=5, app_rows=(3,)), seed=8)
+    app, devices = scenario.applications[0], scenario.devices
+    new_id = {d.id: 3 * d.id + 4 for d in devices}  # same order, with holes
+    relabelled = [
+        Device(new_id[d.id], d.speed, d.latency, d.cost, d.is_cloud) for d in devices
+    ]
+
+    def renamed(placement):
+        return Placement({s: new_id[d] for s, d in placement.assignment.items()})
+
+    weights = WeightVector(0.5, 0.5)
+    for config in (
+        EvoConfig(population_size=20, generations=15, seed=6),
+        EvoConfig(population_size=20, generations=15, crossover="one-point",
+                  mutation="per-gene", seed=7),
+    ):
+        base = nsga2_solve(app, devices, config)
+        result = nsga2_solve(app, relabelled, config)
+        assert result.front == base.front
+        assert result.hypervolume_history == base.hypervolume_history
+        assert result.front_placements == [renamed(p) for p in base.front_placements]
+        for placement, point in zip(result.front_placements, result.front):
+            assert evaluate(app, placement, relabelled) == point
+
+        base = ga_solve(app, devices, weights, config)
+        result = ga_solve(app, relabelled, weights, config)
+        assert (result.point, result.objective, result.history) == (
+            base.point, base.objective, base.history
+        )
+        assert result.placement == renamed(base.placement)
+        assert evaluate(app, result.placement, relabelled) == result.point

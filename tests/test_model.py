@@ -15,6 +15,7 @@ from fogforge.model import (
     ObjectivePoint,
     Placement,
     WeightVector,
+    _Instance,
     analytic_bounds,
     batch_objectives,
     brute_force_oracle,
@@ -216,8 +217,10 @@ def test_application_validation():
         Application(rows=2, ops=((0.0, 0.0),), edges=Application.chain_edges(2))
     with pytest.raises(ConfigurationError):  # missing chain edge
         Application(rows=2, ops=((0.0, 0.0), (0.0, 0.0)), edges=(((0, 0), (0, 1)),))
-    with pytest.raises(ConfigurationError):  # cycle through an extra back edge
+    with pytest.raises(ConfigurationError, match="cycle"):  # through an extra back edge
         make_app(2, extra_edges=[((0, 1), (0, 0))])
+    with pytest.raises(ConfigurationError, match="cycle"):  # extra edges only
+        make_app(3, extra_edges=[((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (0, 0))])
     with pytest.raises(ConfigurationError):
         make_app(2, extra_edges=[((0, 0), (5, 5))])
     with pytest.raises(ConfigurationError, match="duplicate"):  # would be charged twice
@@ -411,6 +414,50 @@ def test_oracle_chunking_invariance():
     big = brute_force_oracle(app, devices, chunk=100_000)
     small = brute_force_oracle(app, devices, chunk=7)
     assert big.front == small.front
+
+
+def test_oracle_builds_its_instance_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    app = random_app(rng, 2)
+    devices = random_devices(rng, 3)
+    expected = brute_force_oracle(app, devices, weights=[WeightVector(0.5, 0.5)])
+    builds = []
+    build = _Instance.build
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(_Instance, "build", counted)
+    result = brute_force_oracle(app, devices, weights=[WeightVector(0.5, 0.5)], chunk=17)
+    assert len(builds) == 1
+    assert result == expected
+
+
+def test_oracle_results_follow_relabelled_device_ids():
+    rng = np.random.default_rng(47)
+    app = random_app(rng, 2)
+    devices = random_devices(rng, 4)
+    weights = [WeightVector(0.5, 0.5), WeightVector(1.0, 0.0)]
+    new_id = {0: 9, 1: 2, 2: 6, 3: 0}  # permuted, with holes
+    relabelled = [
+        Device(new_id[d.id], d.speed, d.latency, d.cost, d.is_cloud) for d in devices
+    ]
+
+    def renamed(placement):
+        return Placement({s: new_id[d] for s, d in placement.assignment.items()})
+
+    base = brute_force_oracle(app, devices, weights=weights, chunk=11)
+    result = brute_force_oracle(app, relabelled, weights=weights, chunk=11)
+    assert result.front == base.front
+    assert result.front_placements == [renamed(p) for p in base.front_placements]
+    for got, want in zip(result.weighted, base.weighted):
+        assert (got.point, got.objective) == (want.point, want.objective)
+        assert got.placement == renamed(want.placement)
+    for placement, point in zip(result.front_placements, result.front):
+        assert evaluate(app, placement, relabelled) == point
+    for optimum in result.weighted:
+        assert evaluate(app, optimum.placement, relabelled) == optimum.point
 
 
 def test_oracle_cap():

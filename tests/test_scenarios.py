@@ -1,5 +1,6 @@
 """Scenario generation determinism, structure, and persistence."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -144,6 +145,9 @@ def test_round_trip(tmp_path):
     loaded = load_scenario(path)
     assert loaded == scenario
     assert loaded.seed == 77
+    unseeded = dataclasses.replace(scenario, seed=None)
+    save_scenario(unseeded, path)
+    assert load_scenario(path) == unseeded
 
 
 def test_load_ignores_unknown_keys(tmp_path):
