@@ -28,7 +28,7 @@ import numpy as np
 
 from fogforge.env import Action, EnvState, PlacementEnv
 from fogforge.gin import GinConfig, GinEncoder
-from fogforge.model import ConfigurationError, is_count
+from fogforge.model import ConfigurationError, from_json, is_count
 from fogforge.nn import (
     Adam,
     Mlp,
@@ -451,22 +451,19 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: corrupt checkpoint ({exc})") from exc
     try:
-        version = payload["format_version"]
-        if version > CHECKPOINT_VERSION:
-            raise ConfigurationError(
-                f"{path}: checkpoint version {version} newer than supported"
-            )
-        cfg_raw = dict(payload["config"])
-        cfg = AgentConfig(gin=GinConfig(**cfg_raw.pop("gin")), **cfg_raw)
-        model = PolicyModel(int(payload["task_count"]), cfg, np.random.default_rng(0))
-        state = {
-            k: np.asarray(v, dtype=np.float64).reshape(payload["shapes"][k])
-            for k, v in payload["state"].items()
-        }
-    except ConfigurationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        version = from_json(int, payload["format_version"], "format_version")
+        if version <= CHECKPOINT_VERSION:
+            config = from_json(AgentConfig, payload["config"], "config")
+            task_count = from_json(int, payload["task_count"], "task_count")
+            model = PolicyModel(task_count, config, np.random.default_rng(0))
+            state = {
+                k: np.asarray(v, dtype=np.float64).reshape(payload["shapes"][k])
+                for k, v in payload["state"].items()
+            }
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigurationError included
         raise ConfigurationError(f"{path}: malformed checkpoint ({exc!r})") from exc
+    if version > CHECKPOINT_VERSION:
+        raise ConfigurationError(f"{path}: checkpoint version {version} newer than supported")
     if not all(np.isfinite(v).all() for v in state.values()):
         raise ConfigurationError(f"{path}: checkpoint holds non-finite parameters")
     model.load_state_dict(state)

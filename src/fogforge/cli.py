@@ -15,14 +15,13 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .agents import AgentConfig, DivergenceError, PpoHyper, load_checkpoint, save_checkpoint
+from .agents import DivergenceError, load_checkpoint, save_checkpoint
 from .baselines import StrategyKind, run_baseline
 from .evolutionary import EvoConfig, ga_solve, nsga2_solve
-from .gin import GinConfig
 from .model import (
     ConfigurationError,
     InstanceTooLargeError,
@@ -30,6 +29,7 @@ from .model import (
     WeightVector,
     brute_force_oracle,
     evaluate,
+    from_json,
     weighted_objective,
 )
 from .reports import (
@@ -104,71 +104,40 @@ def scenario_config_from_args(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def train_config_from_args(args: argparse.Namespace, seed: int) -> TrainConfig:
-    overrides: dict = {}
+    """The --config file, if any, read strictly; then the flags and the seed on top."""
+    raw = {}
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"{path}: no such config file")
         try:
-            overrides = _json_object(json.loads(path.read_text()), f"{path}: the config")
+            raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: invalid JSON ({exc})") from None
-    for key, value in (
-        ("episodes", args.episodes),
-        ("envs_per_episode", args.envs),
-        ("eval_interval", args.eval_interval),
-        ("train_size", args.train_size),
-        ("test_size", args.test_size),
-        ("validation_size", args.validation_size),
-    ):
-        if value is not None:
-            overrides[key] = value
-    if args.weights is not None:
-        overrides["weights"] = parse_weights(args.weights)
-    if args.devices is not None or args.rows is not None:
-        scenario = _json_object(overrides.get("scenario", {}), "scenario")
-        if args.devices is not None:
-            scenario["device_count"] = args.devices
-        if args.rows is not None:
-            scenario["app_rows"] = [args.rows]
-        overrides["scenario"] = scenario
-    overrides["seed"] = seed
+    flags = {
+        "episodes": args.episodes,
+        "envs_per_episode": args.envs,
+        "eval_interval": args.eval_interval,
+        "train_size": args.train_size,
+        "test_size": args.test_size,
+        "validation_size": args.validation_size,
+        "weights": None if args.weights is None else parse_weights(args.weights),
+    }
+    scenario: dict = {}
+    if args.devices is not None:
+        scenario["device_count"] = args.devices
+    if args.rows is not None:
+        scenario["app_rows"] = (args.rows,)
     try:
-        return _train_config_from_dict(overrides)
-    except (ConfigurationError, TypeError) as exc:
+        config = from_json(TrainConfig, raw, "config")
+        return replace(
+            config,
+            seed=seed,
+            scenario=replace(config.scenario, **scenario),
+            **{k: v for k, v in flags.items() if v is not None},
+        )
+    except ConfigurationError as exc:
         raise UsageError(f"bad training config: {exc}") from None
-
-
-def _json_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
-def _train_config_from_dict(raw: dict) -> TrainConfig:
-    data = dict(raw)
-    if "weights" in data and not isinstance(data["weights"], WeightVector):
-        data["weights"] = WeightVector(*data["weights"])
-    if "scenario" in data:
-        sc = _json_object(data["scenario"], "scenario")
-        for key in ("app_rows", "latency_choices", "cost_choices"):
-            if key in sc:
-                sc[key] = tuple(sc[key])
-        data["scenario"] = ScenarioConfig(**sc)
-    if "agent" in data:
-        agent = _json_object(data["agent"], "agent")
-        if "gin" in agent:
-            agent["gin"] = GinConfig(**_json_object(agent["gin"], "agent.gin"))
-        data["agent"] = AgentConfig(**agent)
-    if "ppo" in data:
-        data["ppo"] = PpoHyper(**_json_object(data["ppo"], "ppo"))
-    return TrainConfig(**data)
-
-
-def train_config_to_dict(config: TrainConfig) -> dict:
-    data = asdict(config)
-    data["weights"] = list(config.weights)
-    return data
 
 
 class RunWriter:
@@ -241,9 +210,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
-    writer = RunWriter(args.out, "train", train_config_to_dict(config), seed)
+    writer = RunWriter(args.out, "train", asdict(config), seed)
     writer.path("config.json").write_text(
-        json.dumps(train_config_to_dict(config), indent=2, sort_keys=True) + "\n"
+        json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
     )
     datasets = build_datasets(config)
     result = train(config, datasets)
@@ -267,9 +236,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
-    writer = RunWriter(args.out, "sweep", train_config_to_dict(config), seed)
+    writer = RunWriter(args.out, "sweep", asdict(config), seed)
     writer.path("config.json").write_text(
-        json.dumps(train_config_to_dict(config), indent=2, sort_keys=True) + "\n"
+        json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
     )
     datasets = build_datasets(config)
     result = sweep(config, datasets)
@@ -369,14 +338,7 @@ def cmd_evo(args: argparse.Namespace) -> int:
         seed,
     )
     if args.algorithm == "ga":
-        write_solutions(
-            writer.path("solutions.csv"),
-            [SolutionRow(time=result.point.time, cost=result.point.cost,
-                         w_time=weights.w_time, w_cost=weights.w_cost)],
-        )
-        write_metrics(
-            writer.path("trajectory.jsonl"), trajectory_rows(scenario, result.placement, weights)
-        )
+        emit_placement_run(writer, scenario, result.placement, weights)
         write_front_csv(writer.path("front.csv"), [result.point], [result.placement])
         write_metrics(
             writer.path("metrics.jsonl"),

@@ -9,9 +9,13 @@ edge whose endpoints sit on different devices.
 
 from __future__ import annotations
 
+import dataclasses
 import graphlib
 import math
 import numbers
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -33,6 +37,65 @@ class InstanceTooLargeError(ValueError):
 def is_count(value) -> bool:
     """True for ints (numpy's included); false for bools, floats and the rest."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def from_json(kind, value, where: str, *, ignore_unknown: bool = False):
+    """Read ``value``, as ``json.loads`` returns it, as a value of type ``kind``.
+
+    ``kind`` is a dataclass (a JSON object; omitted fields take their
+    defaults), a NamedTuple (a list of its fields), ``tuple[X, ...]`` (a
+    list), ``X | None``, ``int`` (an integer, not a bool), ``float`` (a
+    number, not a bool) or ``bool`` (true or false). Any other JSON type
+    raises ``ConfigurationError`` naming ``where``, the field path. So does
+    a key that names no field, unless ``ignore_unknown``.
+    """
+
+    def read(kind, value, where):
+        return from_json(kind, value, where, ignore_unknown=ignore_unknown)
+
+    if isinstance(kind, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        return read(kind, value, where)
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
+        expected = "a JSON list"
+        if isinstance(value, list):
+            item = typing.get_args(kind)[0]
+            return tuple(read(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    elif kind is bool:
+        expected = "true or false"
+        if isinstance(value, bool):
+            return value
+    elif kind is int:
+        expected = "an integer"
+        if is_count(value):
+            return value
+    elif kind is float:
+        expected = "a number"
+        if isinstance(value, float) or is_count(value) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif dataclasses.is_dataclass(kind):
+        expected = "a JSON object"
+        if isinstance(value, dict):
+            hints = typing.get_type_hints(kind)
+            unknown = sorted(set(value) - set(hints))
+            if unknown and not ignore_unknown:
+                raise ConfigurationError(f"{where} has unknown fields {unknown}")
+            fields = {}
+            for f in dataclasses.fields(kind):
+                if f.name in value:
+                    fields[f.name] = read(hints[f.name], value[f.name], f"{where}.{f.name}")
+                elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                    raise ConfigurationError(f"{where}.{f.name} is missing")
+            return kind(**fields)
+    else:  # NamedTuple
+        hints = list(typing.get_type_hints(kind).values())
+        expected = f"a list of {len(hints)} values"
+        if isinstance(value, list) and len(value) == len(hints):
+            items = enumerate(zip(hints, value))
+            return kind(*(read(h, v, f"{where}[{i}]") for i, (h, v) in items))
+    raise ConfigurationError(f"{where} must be {expected}, got {value!r}")
 
 
 Service = tuple[int, int]

@@ -8,7 +8,8 @@ and an integer seed: equal inputs give equal scenarios, byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from fogforge.model import (
     Device,
     NormBounds,
     analytic_bounds,
+    from_json,
     is_count,
 )
 
@@ -54,8 +56,15 @@ class ScenarioConfig:
             raise ConfigurationError("latency/cost choice lists must be non-empty")
         if not 0.0 <= self.extra_edge_prob <= 1.0:
             raise ConfigurationError("extra_edge_prob must lie in [0, 1]")
-        if self.op_count < 0 or self.device_speed <= 0:
-            raise ConfigurationError("op_count must be >= 0 and device_speed > 0")
+        reals = (*self.latency_choices, *self.cost_choices,
+                 self.cloud_latency, self.cloud_cost, self.op_count)
+        if not all(math.isfinite(x) and x >= 0 for x in reals):
+            raise ConfigurationError(
+                "latency/cost choices, cloud_latency, cloud_cost and op_count "
+                "must be finite and >= 0"
+            )
+        if not (math.isfinite(self.device_speed) and self.device_speed > 0):
+            raise ConfigurationError(f"device_speed must be finite and > 0: {self.device_speed!r}")
 
 
 @dataclass(frozen=True)
@@ -148,35 +157,15 @@ def dataset_seeds(base_seed: int, n_train: int, n_test: int, n_val: int) -> tupl
 # --- persistence --------------------------------------------------------------
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    cfg = scenario.config
     return {
         "format_version": FORMAT_VERSION,
         "seed": scenario.seed,
-        "config": {
-            "device_count": cfg.device_count,
-            "app_rows": list(cfg.app_rows),
-            "latency_choices": list(cfg.latency_choices),
-            "cost_choices": list(cfg.cost_choices),
-            "extra_edge_prob": cfg.extra_edge_prob,
-            "cloud_latency": cfg.cloud_latency,
-            "cloud_cost": cfg.cloud_cost,
-            "op_count": cfg.op_count,
-            "device_speed": cfg.device_speed,
-        },
-        "devices": [
-            {
-                "id": d.id,
-                "speed": d.speed,
-                "latency": d.latency,
-                "cost": d.cost,
-                "is_cloud": d.is_cloud,
-            }
-            for d in scenario.devices
-        ],
+        "config": asdict(scenario.config),
+        "devices": [asdict(d) for d in scenario.devices],
         "applications": [
             {
                 "rows": app.rows,
-                "ops": [list(row) for row in app.ops],
+                "ops": app.ops,
                 # edges as [src_row, src_col, dst_row, dst_col], all 0-based
                 "edges": [[s[0], s[1], t[0], t[1]] for s, t in app.edges],
             }
@@ -186,60 +175,32 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
+    """Unknown keys are ignored, so newer files still load."""
     try:
-        version = data["format_version"]
+        version = from_json(int, data["format_version"], f"{origin}: format_version")
         if version > FORMAT_VERSION:
             raise ConfigurationError(
                 f"{origin}: format_version {version} is newer than supported {FORMAT_VERSION}"
             )
-        cfg_raw = data["config"]
-        seed = data.get("seed")
-        # int() and bool() would load 1.7 as device 1 and "no" as a cloud
-        integers = [
-            ("device_count", cfg_raw["device_count"]),
-            *(("app_rows", n) for n in cfg_raw["app_rows"]),
-            *(("device id", d["id"]) for d in data["devices"]),
-            *(("application rows", a["rows"]) for a in data["applications"]),
-            *(("edge end", x) for a in data["applications"] for e in a["edges"] for x in e),
-            *([] if seed is None else [("seed", seed)]),
-        ]
-        for name, value in integers:
-            if not is_count(value):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        for d in data["devices"]:
-            if not isinstance(d["is_cloud"], bool):
-                raise TypeError(f"is_cloud must be true or false, got {d['is_cloud']!r}")
-        config = ScenarioConfig(
-            device_count=cfg_raw["device_count"],
-            app_rows=tuple(cfg_raw["app_rows"]),
-            latency_choices=tuple(float(x) for x in cfg_raw["latency_choices"]),
-            cost_choices=tuple(float(x) for x in cfg_raw["cost_choices"]),
-            extra_edge_prob=float(cfg_raw["extra_edge_prob"]),
-            cloud_latency=float(cfg_raw["cloud_latency"]),
-            cloud_cost=float(cfg_raw["cloud_cost"]),
-            op_count=float(cfg_raw["op_count"]),
-            device_speed=float(cfg_raw["device_speed"]),
+        apps = []
+        for i, a in enumerate(data["applications"]):
+            where = f"{origin}: applications[{i}]"
+            ops = from_json(tuple[tuple[float, ...], ...], a["ops"], f"{where}.ops")
+            edges = from_json(tuple[tuple[int, ...], ...], a["edges"], f"{where}.edges")
+            apps.append(Application(
+                rows=from_json(int, a["rows"], f"{where}.rows"),
+                ops=ops,
+                edges=tuple(((s0, s1), (t0, t1)) for s0, s1, t0, t1 in edges),
+                cols=len(ops[0]) if ops else None,
+            ))
+        return Scenario(
+            config=from_json(ScenarioConfig, data["config"], f"{origin}: config",
+                             ignore_unknown=True),
+            devices=from_json(tuple[Device, ...], data["devices"], f"{origin}: devices",
+                              ignore_unknown=True),
+            applications=tuple(apps),
+            seed=from_json(int | None, data.get("seed"), f"{origin}: seed"),
         )
-        devices = tuple(
-            Device(
-                id=d["id"],
-                speed=float(d["speed"]),
-                latency=float(d["latency"]),
-                cost=float(d["cost"]),
-                is_cloud=d["is_cloud"],
-            )
-            for d in data["devices"]
-        )
-        apps = tuple(
-            Application(
-                rows=a["rows"],
-                ops=tuple(tuple(float(x) for x in row) for row in a["ops"]),
-                edges=tuple(((e[0], e[1]), (e[2], e[3])) for e in a["edges"]),
-                cols=len(a["ops"][0]) if a["ops"] else None,
-            )
-            for a in data["applications"]
-        )
-        return Scenario(config=config, devices=devices, applications=apps, seed=seed)
     except ConfigurationError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:

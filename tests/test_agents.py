@@ -590,15 +590,23 @@ def test_checkpoint_errors(tmp_path):
 
     def doctored(edit, match):
         payload = json.loads(good.read_text())
-        edit(payload["state"])
+        edit(payload)
         path = tmp_path / "doctored.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match=match):
             load_checkpoint(path)
 
-    doctored(lambda state: state[name].pop(), "malformed")  # one value short of its shape
-    doctored(lambda state: state[name].__setitem__(0, "x"), "malformed")
-    doctored(lambda state: state[name].__setitem__(0, float("nan")), "non-finite")
+    doctored(lambda p: p["state"][name].pop(), "malformed")  # one value short of its shape
+    doctored(lambda p: p["state"][name].__setitem__(0, "x"), "malformed")
+    doctored(lambda p: p["state"][name].__setitem__(0, float("nan")), "non-finite")
+    # int() would load 9.7 or "9" as 9 tasks, and true > 1 is false
+    for key in ("task_count", "format_version"):
+        for value in (9.7, "9", True):
+            doctored(lambda p: p.__setitem__(key, value), "malformed")
+    doctored(lambda p: p["config"]["gin"].__setitem__("batch_norm", 0), "malformed")
+    doctored(lambda p: p["config"].__setitem__("head_width", 16.0), "malformed")
+    doctored(lambda p: p["config"].__setitem__("future_knob", 1), "malformed")
+    doctored(lambda p: p.__setitem__("format_version", 2), "newer than supported")
 
 
 @settings(max_examples=25, deadline=None)

@@ -198,13 +198,27 @@ def test_input_errors_exit_2_with_one_error_line(tmp_path, scenario_file, capsys
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", [9.7, "9", True], ids=["fractional", "string", "bool"])
+def test_infer_refuses_non_integer_task_count(tmp_path, scenario_file, capsys, value):
+    checkpoint = tmp_path / "model.json"
+    save_checkpoint(PolicyModel(9, AgentConfig(), np.random.default_rng(0)), checkpoint)
+    payload = json.loads(checkpoint.read_text())
+    payload["task_count"] = value  # int() would load 9.7 and "9" as 9 tasks
+    checkpoint.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["infer", "--checkpoint", str(checkpoint), "--scenario", str(scenario_file)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "malformed" in err
+
+
 @pytest.mark.parametrize(
     "defect",
     [
         "nan-latency", "negative-ops", "duplicate-edge", "negative-device-id", "non-numeric-speed",
         "fractional-device-id", "fractional-rows", "fractional-device-count",
         "fractional-app-rows", "fractional-edge-end", "fractional-seed",
-        "integer-is-cloud", "string-is-cloud",
+        "integer-is-cloud", "string-is-cloud", "string-speed", "bool-cost", "string-ops",
+        "string-config-latency", "bool-extra-edge-prob",
     ],
 )
 def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect, capsys):
@@ -225,6 +239,16 @@ def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect, c
         # the cloud would silently move to the fog device
         data["devices"][0]["is_cloud"] = 0 if defect == "integer-is-cloud" else False
         data["devices"][1]["is_cloud"] = 1 if defect == "integer-is-cloud" else "no"
+    elif defect == "string-speed":
+        data["devices"][1]["speed"] = "2"  # would load as 2.0
+    elif defect == "bool-cost":
+        data["devices"][1]["cost"] = True  # would load as 1.0
+    elif defect == "string-ops":
+        data["applications"][0]["ops"][0][0] = "3"
+    elif defect == "string-config-latency":
+        data["config"]["cloud_latency"] = "50"
+    elif defect == "bool-extra-edge-prob":
+        data["config"]["extra_edge_prob"] = True
     elif defect == "nan-latency":
         data["devices"][1]["latency"] = float("nan")  # json writes and reads NaN
     elif defect == "negative-device-id":
@@ -384,17 +408,36 @@ BAD_TRAIN_CONFIGS = {
     "scalar-agent": {"agent": "small"},
     "list-gin": {"agent": {**TINY_TRAIN["agent"], "gin": [8, 2, 2]}},
     "list-ppo": {"ppo": [1]},
+    # JSON types that do not match the field's type
+    "string-cloud-latency": {"scenario": {**TINY_TRAIN["scenario"], "cloud_latency": "50"}},
+    "bool-learning-rate": {"learning_rate": True},
+    "bool-entropy-coef": {"ppo": {"entropy_coef": False}},
+    "bool-op-count": {"scenario": {**TINY_TRAIN["scenario"], "op_count": True}},
+    "bool-latency-choice": {"scenario": {**TINY_TRAIN["scenario"], "latency_choices": [True, 2]}},
+    "int-batch-norm": {
+        "agent": {**TINY_TRAIN["agent"], "gin": {**TINY_TRAIN["agent"]["gin"], "batch_norm": 0}}
+    },
+    "unknown-field": {"episode": 2},
+    # scenario values the generator would turn into bad devices
+    "negative-cloud-latency": {"scenario": {**TINY_TRAIN["scenario"], "cloud_latency": -5}},
+    "negative-latency-choice": {"scenario": {**TINY_TRAIN["scenario"], "latency_choices": [-1.0]}},
+    "nan-cost-choice": {"scenario": {**TINY_TRAIN["scenario"], "cost_choices": [float("nan")]}},
+    "infinite-op-count": {"scenario": {**TINY_TRAIN["scenario"], "op_count": float("inf")}},
+    "nan-device-speed": {"scenario": {**TINY_TRAIN["scenario"], "device_speed": float("nan")}},
 }
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize("override", BAD_TRAIN_CONFIGS.values(), ids=BAD_TRAIN_CONFIGS.keys())
-def test_bad_training_config_exits_2_before_writing(tmp_path, command, override):
+def test_bad_training_config_exits_2_before_writing(tmp_path, command, override, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({**TINY_TRAIN, **override}))
     run = tmp_path / "run"
+    capsys.readouterr()
     assert main([command, "--config", str(config), "--out", str(run)]) == 2
     assert not (run / "config.json").exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

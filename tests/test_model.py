@@ -1,10 +1,14 @@
 """Objective evaluation, Pareto utilities, and the exhaustive oracle."""
 
 import itertools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from fogforge.agents import AgentConfig, PolicyModel, load_checkpoint, save_checkpoint
+from fogforge.gin import GinConfig
 from fogforge.model import (
     Application,
     ConfigurationError,
@@ -21,6 +25,7 @@ from fogforge.model import (
     brute_force_oracle,
     dominates,
     evaluate,
+    from_json,
     hypervolume_2d,
     latency_contribution_matrix,
     pareto_front,
@@ -28,6 +33,8 @@ from fogforge.model import (
     response_time,
     weighted_objective,
 )
+from fogforge.scenarios import ScenarioConfig, generate_scenario
+from fogforge.training import TrainConfig
 
 
 def make_app(rows, ops=0.0, extra_edges=()):
@@ -465,3 +472,55 @@ def test_oracle_cap():
     devices = random_devices(np.random.default_rng(41), 4)
     with pytest.raises(InstanceTooLargeError):
         brute_force_oracle(app, devices, cap=1000)
+
+
+def test_from_json_round_trips_asdict(tmp_path):
+    def round_trip(kind, value):
+        assert from_json(kind, json.loads(json.dumps(asdict(value))), "x") == value
+
+    round_trip(TrainConfig, TrainConfig())
+    round_trip(TrainConfig, TrainConfig.desk())
+    scenario = generate_scenario(ScenarioConfig(device_count=4, app_rows=(2, 3)), seed=3)
+    round_trip(ScenarioConfig, scenario.config)
+    devices = json.loads(json.dumps([asdict(d) for d in scenario.devices]))
+    assert from_json(tuple[Device, ...], devices, "devices") == scenario.devices
+    agent = AgentConfig(gin=GinConfig(hidden_dim=4, batch_norm=False), head_width=8)
+    path = tmp_path / "model.json"
+    save_checkpoint(PolicyModel(6, agent, np.random.default_rng(0)), path)
+    round_trip(AgentConfig, load_checkpoint(path).config)
+
+
+@pytest.mark.parametrize(
+    "raw, where",
+    [
+        ({"scenario": {"cloud_latency": "50"}}, "config.scenario.cloud_latency"),
+        ({"scenario": {"app_rows": [3, 2.0]}}, r"config.scenario.app_rows\[1\]"),
+        ({"learning_rate": True}, "config.learning_rate"),
+        ({"episodes": 3.0}, "config.episodes"),
+        ({"ppo": {"grad_clip_norm": "1"}}, "config.ppo.grad_clip_norm"),
+        ({"agent": {"gin": {"batch_norm": 1}}}, "config.agent.gin.batch_norm"),
+        ({"agent": {"gin": []}}, "config.agent.gin must be a JSON object"),
+        ({"weights": [0.5]}, "config.weights must be a list of 2 values"),
+        ({"weights": [0.5, "0.5"]}, r"config.weights\[1\]"),
+        ({"scenario": {"op_count": 10**400}}, "config.scenario.op_count must be a number"),
+        ({"scenario": {"extra": 1}}, r"config.scenario has unknown fields \['extra'\]"),
+        ([], "config must be a JSON object"),
+    ],
+)
+def test_from_json_names_the_field_of_a_wrong_json_type(raw, where):
+    with pytest.raises(ConfigurationError, match=where):
+        from_json(TrainConfig, raw, "config")
+
+
+def test_from_json_type_rules():
+    assert from_json(float, 2, "x") == 2.0 and type(from_json(float, 2, "x")) is float
+    assert from_json(float | None, None, "x") is None
+    assert from_json(WeightVector, [1, 0], "w") == WeightVector(1.0, 0.0)
+    assert from_json(GinConfig, {"hidden_dim": 4, "note": "x"}, "gin", ignore_unknown=True) == (
+        GinConfig(hidden_dim=4)
+    )
+    with pytest.raises(ConfigurationError, match="d.speed is missing"):
+        from_json(Device, {"id": 1, "latency": 1.0, "cost": 1.0}, "d")
+    for kind, value in ((int, True), (int, 1.0), (float, False), (float, "1"), (bool, 0)):
+        with pytest.raises(ConfigurationError, match="x must be"):
+            from_json(kind, value, "x")
