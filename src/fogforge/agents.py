@@ -26,9 +26,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from fogforge.env import Action, EnvState, PlacementEnv
+from fogforge.env import NODE_FEATURES, Action, EnvState, PlacementEnv
 from fogforge.gin import GinConfig, GinEncoder
-from fogforge.model import ConfigurationError, from_json, is_count
+from fogforge.model import ConfigurationError, from_json, is_count, read_json, write_file
 from fogforge.nn import (
     Adam,
     Mlp,
@@ -61,6 +61,8 @@ class AgentConfig:
         dims = (self.actor_hidden_layers, self.critic_hidden_layers, self.head_width)
         if not all(is_count(n) and n >= 1 for n in dims):
             raise ConfigurationError(f"agent dims must be ints >= 1: {self}")
+        if self.gin.node_feature_dim != NODE_FEATURES:  # the encoder reads the env's features
+            raise ConfigurationError(f"gin.node_feature_dim must be {NODE_FEATURES}: {self.gin}")
 
 
 @dataclass(frozen=True)
@@ -437,19 +439,11 @@ def save_checkpoint(model: PolicyModel, path: str | Path) -> None:
         "state": {k: v.tolist() for k, v in model.state_dict().items()},
         "shapes": {k: list(v.shape) for k, v in model.state_dict().items()},
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
+    write_file(path, json.dumps(payload))
 
 
 def load_checkpoint(path: str | Path) -> PolicyModel:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigurationError(f"{path}: no such checkpoint") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: corrupt checkpoint ({exc})") from exc
+    payload = read_json(path, "checkpoint")
     try:
         version = from_json(int, payload["format_version"], "format_version")
         if version <= CHECKPOINT_VERSION:

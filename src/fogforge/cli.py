@@ -10,7 +10,6 @@ FOGFORGE_SEED environment variable; the others reject it. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -30,7 +29,9 @@ from .model import (
     brute_force_oracle,
     evaluate,
     from_json,
+    read_json,
     weighted_objective,
+    write_file,
 )
 from .reports import (
     RunManifest,
@@ -42,10 +43,10 @@ from .reports import (
     utc_stamp,
     write_comparison_csv,
     write_front_csv,
+    write_json,
     write_manifest,
     write_metrics,
     write_solutions,
-    write_svg,
 )
 from .scenarios import Scenario, ScenarioConfig, generate_scenario, load_scenario, save_scenario
 from .training import TrainConfig, build_datasets, infer_placement, sweep, train
@@ -105,15 +106,7 @@ def scenario_config_from_args(args: argparse.Namespace) -> ScenarioConfig:
 
 def train_config_from_args(args: argparse.Namespace, seed: int) -> TrainConfig:
     """The --config file, if any, read strictly; then the flags and the seed on top."""
-    raw = {}
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise UsageError(f"{path}: no such config file")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: invalid JSON ({exc})") from None
+    raw = {} if args.config is None else read_json(args.config, "config file")
     flags = {
         "episodes": args.episodes,
         "envs_per_episode": args.envs,
@@ -144,8 +137,7 @@ class RunWriter:
     """Collects output paths and stamps the manifest once the command ends."""
 
     def __init__(self, run_dir: str, command: str, config: dict, seed: int | None):
-        self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+        self.run_dir = Path(run_dir)  # write_file makes it with the first output
         self.command = command
         self.config = config
         self.seed = seed
@@ -211,9 +203,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
     writer = RunWriter(args.out, "train", asdict(config), seed)
-    writer.path("config.json").write_text(
-        json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(writer.path("config.json"), asdict(config))
     datasets = build_datasets(config)
     result = train(config, datasets)
     write_metrics(writer.path("metrics.jsonl"), result.metrics)
@@ -237,9 +227,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
     writer = RunWriter(args.out, "sweep", asdict(config), seed)
-    writer.path("config.json").write_text(
-        json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(writer.path("config.json"), asdict(config))
     datasets = build_datasets(config)
     result = sweep(config, datasets)
     rows: list[dict] = []
@@ -317,18 +305,22 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_evo(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     scenario = load_scenario(args.scenario)
+    if args.algorithm == "nsga2":  # its crowded tournament is binary and it reads no weights
+        for flag, value in (("--weights", args.weights), ("--tournament", args.tournament)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to --algorithm ga only")
     config = EvoConfig(
         population_size=args.population,
         generations=args.generations,
         mutation_prob=args.mutation,
         crossover=args.crossover,
         mutation=args.mutation_kind,
-        tournament_size=args.tournament,
+        tournament_size=args.tournament or 2,
         seed=seed,
     )
     app = scenario.applications[0]
     if args.algorithm == "ga":
-        weights = parse_weights(args.weights)
+        weights = parse_weights(args.weights or "0.5,0.5")
         result = ga_solve(app, scenario.devices, weights, config)
     else:
         result = nsga2_solve(app, scenario.devices, config)
@@ -401,14 +393,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     svg = svg_scatter(
         {m.label: m.points for m in report.methods}, title="solution comparison"
     )
-    write_svg(writer.path("comparison.svg"), svg)
+    write_file(writer.path("comparison.svg"), svg + "\n")
     summary = {
         "joint_front_size": len(report.joint_front),
         "reference": list(report.reference),
         "hypervolume": {m.label: m.hypervolume for m in report.methods},
         "dominance": report.dominance,
     }
-    (writer.path("report.json")).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(writer.path("report.json"), summary)
     writer.finish()
     for method in report.methods:
         print(f"{method.label}: {len(method.points)} points, front {len(method.front)}, "
@@ -479,13 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--algorithm", choices=("ga", "nsga2"), required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--weights", default="0.5,0.5", help="GA objective weights")
+    p.add_argument("--weights", default=None, help="GA objective weights (default 0.5,0.5)")
     p.add_argument("--population", type=positive_int, default=200)
     p.add_argument("--generations", type=int, default=200)
     p.add_argument("--mutation", type=float, default=0.15)
     p.add_argument("--crossover", choices=("uniform", "one-point"), default="uniform")
     p.add_argument("--mutation-kind", choices=("offspring", "per-gene"), default="offspring")
-    p.add_argument("--tournament", type=positive_int, default=2)
+    p.add_argument("--tournament", type=positive_int, default=None, help="GA only (default 2)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evo)
 

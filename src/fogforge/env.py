@@ -47,6 +47,9 @@ class RewardBreakdown:
     r_total: float
 
 
+NODE_FEATURES = 5  # columns of EnvState.node_features
+
+
 @dataclass
 class EnvState:
     """Everything the policy reads at one step, plus the step's objectives.

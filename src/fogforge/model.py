@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import graphlib
+import json
 import math
 import numbers
 import sys
 import types
 import typing
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -43,11 +45,12 @@ def from_json(kind, value, where: str, *, ignore_unknown: bool = False):
     """Read ``value``, as ``json.loads`` returns it, as a value of type ``kind``.
 
     ``kind`` is a dataclass (a JSON object; omitted fields take their
-    defaults), a NamedTuple (a list of its fields), ``tuple[X, ...]`` (a
-    list), ``X | None``, ``int`` (an integer, not a bool), ``float`` (a
-    number, not a bool) or ``bool`` (true or false). Any other JSON type
-    raises ``ConfigurationError`` naming ``where``, the field path. So does
-    a key that names no field, unless ``ignore_unknown``.
+    defaults), a NamedTuple (a list of its fields), ``tuple[X, ...]`` or
+    ``list[X]`` (a list), ``X | None``, ``int`` (an integer, not a bool),
+    ``float`` (a number, not a bool), ``bool`` (true or false), ``str`` or
+    ``dict`` (a JSON object, kept as it is). Any other JSON type raises
+    ``ConfigurationError`` naming ``where``, the field path. So does a key
+    that names no field, unless ``ignore_unknown``.
     """
 
     def read(kind, value, where):
@@ -58,14 +61,15 @@ def from_json(kind, value, where: str, *, ignore_unknown: bool = False):
             return None
         (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
         return read(kind, value, where)
-    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
+    if typing.get_origin(kind) in (tuple, list):  # tuple[X, ...] or list[X]
         expected = "a JSON list"
         if isinstance(value, list):
             item = typing.get_args(kind)[0]
-            return tuple(read(item, v, f"{where}[{i}]") for i, v in enumerate(value))
-    elif kind is bool:
-        expected = "true or false"
-        if isinstance(value, bool):
+            items = (read(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+            return typing.get_origin(kind)(items)
+    elif kind in (bool, str, dict):
+        expected = {bool: "true or false", str: "a string", dict: "a JSON object"}[kind]
+        if isinstance(value, kind):
             return value
     elif kind is int:
         expected = "an integer"
@@ -96,6 +100,36 @@ def from_json(kind, value, where: str, *, ignore_unknown: bool = False):
             items = enumerate(zip(hints, value))
             return kind(*(read(h, v, f"{where}[{i}]") for i, (h, v) in items))
     raise ConfigurationError(f"{where} must be {expected}, got {value!r}")
+
+
+def read_file(path: str | Path, what: str) -> str:
+    """The text of the UTF-8 file at ``path``, which should be a ``what``; every
+    input file is read here, and any failure raises ``ConfigurationError``."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise ConfigurationError(f"{path}: no such {what}") from None
+    except IsADirectoryError:
+        raise ConfigurationError(f"{path}: is a directory, not a {what}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read {what} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {what} is not UTF-8 text (byte {exc.start})") from None
+
+
+def read_json(path: str | Path, what: str):
+    """:func:`read_file`, then the JSON value the text holds."""
+    try:
+        return json.loads(read_file(path, what))
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
+        raise ConfigurationError(f"{path}: {what} is not valid JSON ({exc})") from None
+
+
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, making parent directories; every output goes here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(text.encode("utf-8"))
 
 
 Service = tuple[int, int]

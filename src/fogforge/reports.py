@@ -16,9 +16,9 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .env import Action, PlacementEnv
 from .model import (
@@ -27,8 +27,12 @@ from .model import (
     Placement,
     WeightVector,
     dominates,
+    from_json,
     hypervolume_2d,
     pareto_front,
+    read_file,
+    read_json,
+    write_file,
 )
 from .scenarios import Scenario
 
@@ -55,77 +59,71 @@ class SolutionRow:
         return ObjectivePoint(self.time, self.cost)
 
 
-def write_solutions(path: str | Path, rows: Sequence[SolutionRow]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV table, one line per row after the header; every CSV file goes through here."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SOLUTIONS_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [_fmt(row.w_time), _fmt(row.w_cost), _fmt(row.time), _fmt(row.cost), int(row.dominated)]
-        )
-    path.write_text(buffer.getvalue())
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file(path, buffer.getvalue())
+
+
+def write_json(path: str | Path, document) -> None:
+    """An indented JSON document with sorted keys: config, report and manifest files."""
+    write_file(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def write_solutions(path: str | Path, rows: Sequence[SolutionRow]) -> None:
+    write_table(path, SOLUTIONS_COLUMNS, (
+        (_fmt(row.w_time), _fmt(row.w_cost), _fmt(row.time), _fmt(row.cost), int(row.dominated))
+        for row in rows
+    ))
 
 
 def read_solutions(path: str | Path) -> list[SolutionRow]:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"{path}: no such solutions file")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(io.StringIO(read_file(path, "solutions file"), newline=""))
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise ConfigurationError(f"{path}: empty solutions file") from None
+    if header != SOLUTIONS_COLUMNS:
+        raise ConfigurationError(f"{path}: unexpected columns {header}, want {SOLUTIONS_COLUMNS}")
+    rows = []
+    for record in reader:
+        if len(record) != len(SOLUTIONS_COLUMNS) or record[4] not in ("0", "1"):
+            raise ConfigurationError(f"{path}: malformed row {record!r}")
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty solutions file") from None
-        if header != SOLUTIONS_COLUMNS:
-            raise ConfigurationError(
-                f"{path}: unexpected columns {header}, want {SOLUTIONS_COLUMNS}"
+            row = SolutionRow(
+                w_time=float(record[0]) if record[0] else None,
+                w_cost=float(record[1]) if record[1] else None,
+                time=float(record[2]),
+                cost=float(record[3]),
+                dominated=record[4] == "1",
             )
-        rows = []
-        for record in reader:
-            if len(record) != len(SOLUTIONS_COLUMNS) or record[4] not in ("0", "1"):
-                raise ConfigurationError(f"{path}: malformed row {record!r}")
-            try:
-                row = SolutionRow(
-                    w_time=float(record[0]) if record[0] else None,
-                    w_cost=float(record[1]) if record[1] else None,
-                    time=float(record[2]),
-                    cost=float(record[3]),
-                    dominated=record[4] == "1",
-                )
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}: malformed row {record!r} ({exc})") from exc
-            if not (math.isfinite(row.time) and math.isfinite(row.cost)):
-                raise ConfigurationError(f"{path}: malformed row {record!r} (non-finite objective)")
-            rows.append(row)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: malformed row {record!r} ({exc})") from exc
+        if not (math.isfinite(row.time) and math.isfinite(row.cost)):
+            raise ConfigurationError(f"{path}: malformed row {record!r} (non-finite objective)")
+        rows.append(row)
     return rows
 
 
 def write_metrics(path: str | Path, rows: Sequence[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for row in rows:
-            handle.write(json.dumps(row) + "\n")
+    write_file(path, "".join(json.dumps(row) + "\n" for row in rows))
 
 
 def write_front_csv(
     path: str | Path, points: Sequence[ObjectivePoint], placements: Sequence[Placement | None]
 ) -> None:
     """Front export with the winning assignment vector alongside each point."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("time", "cost", "chromosome"))
+    rows = []
     for point, placement in zip(points, placements):
         genes = ""
         if placement is not None:
             ordered = sorted(placement.assignment.items())
             genes = " ".join(str(device) for _, device in ordered)
-        writer.writerow((_fmt(point.time), _fmt(point.cost), genes))
-    path.write_text(buffer.getvalue())
+        rows.append((_fmt(point.time), _fmt(point.cost), genes))
+    write_table(path, ("time", "cost", "chromosome"), rows)
 
 
 # --- trajectories -------------------------------------------------------------
@@ -195,23 +193,16 @@ def utc_stamp(epoch: float | None = None) -> str:
 
 
 def write_manifest(run_dir: str | Path, manifest: RunManifest) -> Path:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    path = run_dir / MANIFEST_NAME
-    path.write_text(json.dumps(manifest.__dict__, indent=2, sort_keys=True) + "\n")
+    path = Path(run_dir) / MANIFEST_NAME
+    write_json(path, asdict(manifest))
     return path
 
 
 def read_manifest(run_dir: str | Path) -> RunManifest:
+    """Unknown keys are ignored, such as ``threads``, which older versions wrote."""
     path = Path(run_dir) / MANIFEST_NAME
-    if not path.is_file():
-        raise ConfigurationError(f"{path}: no manifest in run directory")
-    try:
-        raw = json.loads(path.read_text())
-        raw.pop("threads", None)  # written by versions that had a rollout thread pool
-        return RunManifest(**raw)
-    except (json.JSONDecodeError, TypeError, AttributeError) as exc:
-        raise ConfigurationError(f"{path}: malformed manifest ({exc})") from exc
+    raw = read_json(path, "manifest")
+    return from_json(RunManifest, raw, f"{path}: manifest", ignore_unknown=True)
 
 
 # --- comparison ---------------------------------------------------------------
@@ -277,16 +268,11 @@ def compare_solutions(labeled: dict[str, list[SolutionRow]]) -> ComparisonReport
 
 
 def write_comparison_csv(path: str | Path, labeled: dict[str, list[SolutionRow]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     joint = pareto_front([row.point for rows in labeled.values() for row in rows])
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("label", "time", "cost", "joint_front_flag"))
-    for label, rows in labeled.items():
-        for row in rows:
-            writer.writerow((label, _fmt(row.time), _fmt(row.cost), int(row.point in joint)))
-    path.write_text(buffer.getvalue())
+    write_table(path, ("label", "time", "cost", "joint_front_flag"), (
+        (label, _fmt(row.time), _fmt(row.cost), int(row.point in joint))
+        for label, rows in labeled.items() for row in rows
+    ))
 
 
 # --- native SVG scatter -------------------------------------------------------
@@ -372,9 +358,3 @@ def svg_scatter(series: dict[str, list[ObjectivePoint]], title: str = "") -> str
         parts.append(f'<text x="{width - margin - 120}" y="{legend_y}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write_svg(path: str | Path, content: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content + "\n")

@@ -1,7 +1,7 @@
 """Seeded scenario generation and JSON persistence.
 
 A scenario bundles an infrastructure (fog devices plus exactly one cloud) with
-one or more applications. Generation is fully determined by a configuration
+exactly one application. Generation is fully determined by a configuration
 and an integer seed: equal inputs give equal scenarios, byte for byte.
 """
 
@@ -22,6 +22,8 @@ from fogforge.model import (
     analytic_bounds,
     from_json,
     is_count,
+    read_json,
+    write_file,
 )
 
 FORMAT_VERSION = 1
@@ -32,7 +34,7 @@ class ScenarioConfig:
     """Knobs for scenario generation.
 
     ``device_count`` counts fog devices only; the cloud is added on top with
-    fixed latency/cost. ``app_rows`` gives the grid size n of each generated
+    fixed latency/cost. ``app_rows`` holds the grid size n of the one generated
     application. Operation counts and device speeds are constant so that the
     objectives are driven by latency and cost structure.
     """
@@ -50,8 +52,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (is_count(self.device_count) and self.device_count >= 1):
             raise ConfigurationError(f"device_count must be an int >= 1: {self.device_count!r}")
-        if not self.app_rows or not all(is_count(n) and n >= 1 for n in self.app_rows):
-            raise ConfigurationError("app_rows must be non-empty positive ints")
+        if len(self.app_rows) != 1 or not all(is_count(n) and n >= 1 for n in self.app_rows):
+            raise ConfigurationError(f"app_rows must hold exactly one int >= 1: {self.app_rows!r}")
         if not self.latency_choices or not self.cost_choices:
             raise ConfigurationError("latency/cost choice lists must be non-empty")
         if not 0.0 <= self.extra_edge_prob <= 1.0:
@@ -78,6 +80,8 @@ class Scenario:
         clouds = [d for d in self.devices if d.is_cloud]
         if len(clouds) != 1:
             raise ConfigurationError(f"scenario must have exactly one cloud, found {len(clouds)}")
+        if len(self.applications) != 1:
+            raise ConfigurationError("scenario must hold exactly one application")
         if len({d.id for d in self.devices}) != len(self.devices):
             raise ConfigurationError("duplicate device ids")
 
@@ -208,17 +212,8 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    write_file(path, json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigurationError(f"{path}: no such scenario file") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(data, origin=str(path))
+    return scenario_from_dict(read_json(path, "scenario file"), origin=str(path))

@@ -577,7 +577,7 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
-    with pytest.raises(ConfigurationError, match="corrupt"):
+    with pytest.raises(ConfigurationError, match="checkpoint is not valid JSON"):
         load_checkpoint(bad)
     truncated = tmp_path / "trunc.json"
     truncated.write_text('{"format_version": 1}')
@@ -605,6 +605,7 @@ def test_checkpoint_errors(tmp_path):
             doctored(lambda p: p.__setitem__(key, value), "malformed")
     doctored(lambda p: p["config"]["gin"].__setitem__("batch_norm", 0), "malformed")
     doctored(lambda p: p["config"].__setitem__("head_width", 16.0), "malformed")
+    doctored(lambda p: p["config"]["gin"].__setitem__("node_feature_dim", 4), "malformed")
     doctored(lambda p: p["config"].__setitem__("future_knob", 1), "malformed")
     doctored(lambda p: p.__setitem__("format_version", 2), "newer than supported")
 

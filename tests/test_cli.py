@@ -198,6 +198,41 @@ def test_input_errors_exit_2_with_one_error_line(tmp_path, scenario_file, capsys
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+BAD_FILE_CONTENT = {  # content that is UTF-8 but not what the reader expects
+    "scenario": b'{"format_version": ',
+    "checkpoint": b"{broken",
+    "config": b'{"episodes": 2,}',
+    "solutions": b"time,cost\n1.0,2.0\n",
+}
+
+
+@pytest.mark.parametrize("defect", ["missing", "directory", "non-utf8", "malformed"])
+@pytest.mark.parametrize("source", BAD_FILE_CONTENT)
+def test_bad_input_file_exits_2_naming_it(tmp_path, scenario_file, capsys, source, defect):
+    bad = tmp_path / "input" / ("solutions.csv" if source == "solutions" else "input.json")
+    if defect == "directory":
+        bad.mkdir(parents=True)
+    elif defect != "missing":
+        bad.parent.mkdir()
+        content = BAD_FILE_CONTENT[source]
+        bad.write_bytes(b"\xff" + content if defect == "non-utf8" else content)
+    checkpoint = tmp_path / "model.json"
+    save_checkpoint(PolicyModel(9, AgentConfig(), np.random.default_rng(0)), checkpoint)
+    run = tmp_path / "run"
+    argv = {
+        "scenario": ["infer", "--checkpoint", checkpoint, "--scenario", bad],
+        "checkpoint": ["infer", "--checkpoint", bad, "--scenario", scenario_file],
+        "config": ["train", "--config", bad],
+        "solutions": ["compare", bad.parent, bad.parent],
+    }[source]
+    capsys.readouterr()
+    assert main([*map(str, argv), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(bad) in err
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("value", [9.7, "9", True], ids=["fractional", "string", "bool"])
 def test_infer_refuses_non_integer_task_count(tmp_path, scenario_file, capsys, value):
     checkpoint = tmp_path / "model.json"
@@ -218,7 +253,7 @@ def test_infer_refuses_non_integer_task_count(tmp_path, scenario_file, capsys, v
         "fractional-device-id", "fractional-rows", "fractional-device-count",
         "fractional-app-rows", "fractional-edge-end", "fractional-seed",
         "integer-is-cloud", "string-is-cloud", "string-speed", "bool-cost", "string-ops",
-        "string-config-latency", "bool-extra-edge-prob",
+        "string-config-latency", "bool-extra-edge-prob", "no-application", "two-applications",
     ],
 )
 def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect, capsys):
@@ -257,6 +292,11 @@ def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect, c
         data["devices"][1]["speed"] = "fast"
     elif defect == "negative-ops":
         data["applications"][0]["ops"][0][0] = -1.0
+    elif defect == "no-application":
+        data["applications"] = []  # every command reads applications[0]
+    elif defect == "two-applications":  # the second one would be ignored
+        data["applications"].append({"rows": 2, "ops": [[1.0, 1.0]] * 2,
+                                     "edges": [[0, 0, 0, 1], [1, 0, 1, 1]]})
     else:
         data["applications"][0]["edges"].append(data["applications"][0]["edges"][0])
     bad = tmp_path / "bad.json"
@@ -418,6 +458,11 @@ BAD_TRAIN_CONFIGS = {
         "agent": {**TINY_TRAIN["agent"], "gin": {**TINY_TRAIN["agent"]["gin"], "batch_norm": 0}}
     },
     "unknown-field": {"episode": 2},
+    # the policy reads the env's five node features
+    "node-feature-dim": {
+        "agent": {**TINY_TRAIN["agent"], "gin": {**TINY_TRAIN["agent"]["gin"],
+                                                 "node_feature_dim": 4}}
+    },
     # scenario values the generator would turn into bad devices
     "negative-cloud-latency": {"scenario": {**TINY_TRAIN["scenario"], "cloud_latency": -5}},
     "negative-latency-choice": {"scenario": {**TINY_TRAIN["scenario"], "latency_choices": [-1.0]}},
@@ -544,16 +589,23 @@ def test_weighted_solvers_refuse_zero_cost_bounds(tmp_path, zero_cost_file, args
     assert not (run / "solutions.csv").exists()
 
 
-def test_evo_input_errors_leave_no_run_directory(tmp_path, zero_cost_file, scenario_file):
+def test_evo_input_errors_leave_no_run_directory(tmp_path, zero_cost_file, scenario_file, capsys):
     ga = ["evo", "--algorithm", "ga", "--population", "20", "--generations", "5"]
+    nsga2 = ["evo", "--algorithm", "nsga2", "--population", "20", "--generations", "5",
+             "--scenario", str(scenario_file)]
     cases = {
-        "zero-cost-pool": [*ga, "--scenario", str(zero_cost_file)],
-        "bad-weights": [*ga, "--weights", "0.7,0.7", "--scenario", str(scenario_file)],
+        "zero-cost-pool": ([*ga, "--scenario", str(zero_cost_file)], "cost"),
+        "bad-weights": ([*ga, "--weights", "0.7,0.7", "--scenario", str(scenario_file)], "weights"),
+        # NSGA-II's crowded tournament is binary and it reads no weights
+        "nsga2-tournament": ([*nsga2, "--tournament", "7"], "--tournament"),
+        "nsga2-weights": ([*nsga2, "--weights", "0.9,0.1"], "--weights"),
     }
-    for name, args in cases.items():
+    for name, (args, named) in cases.items():
         run = tmp_path / name
+        capsys.readouterr()
         assert main([*args, "--out", str(run)]) == 2, name
         assert not run.exists(), name
+        assert named in capsys.readouterr().err, name
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from fogforge.model import (
     latency_contribution_matrix,
     pareto_front,
     placement_cost,
+    read_json,
     response_time,
     weighted_objective,
 )
@@ -480,7 +481,7 @@ def test_from_json_round_trips_asdict(tmp_path):
 
     round_trip(TrainConfig, TrainConfig())
     round_trip(TrainConfig, TrainConfig.desk())
-    scenario = generate_scenario(ScenarioConfig(device_count=4, app_rows=(2, 3)), seed=3)
+    scenario = generate_scenario(ScenarioConfig(device_count=4, app_rows=(2,)), seed=3)
     round_trip(ScenarioConfig, scenario.config)
     devices = json.loads(json.dumps([asdict(d) for d in scenario.devices]))
     assert from_json(tuple[Device, ...], devices, "devices") == scenario.devices
@@ -521,6 +522,16 @@ def test_from_json_type_rules():
     )
     with pytest.raises(ConfigurationError, match="d.speed is missing"):
         from_json(Device, {"id": 1, "latency": 1.0, "cost": 1.0}, "d")
-    for kind, value in ((int, True), (int, 1.0), (float, False), (float, "1"), (bool, 0)):
-        with pytest.raises(ConfigurationError, match="x must be"):
+    assert from_json(list[str], ["a"], "x") == ["a"]
+    assert from_json(dict, {"k": [1]}, "x") == {"k": [1]}
+    for kind, value in ((int, True), (int, 1.0), (float, False), (float, "1"), (bool, 0),
+                        (str, 1), (str, None), (dict, []), (list[str], ("a",)), (list[str], [1])):
+        with pytest.raises(ConfigurationError, match="x(\\[0\\])? must be"):
             from_json(kind, value, "x")
+
+
+def test_read_json_refuses_nesting_too_deep_to_decode(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)  # json.loads raises RecursionError
+    with pytest.raises(ConfigurationError, match="deep.json: scenario file is not valid JSON"):
+        read_json(path, "scenario file")

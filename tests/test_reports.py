@@ -157,8 +157,8 @@ def test_trajectory_all_cloud_is_all_noops():
 
 # --- manifest -----------------------------------------------------------------
 
-def test_manifest_roundtrip(tmp_path):
-    manifest = RunManifest(
+def sample_manifest():
+    return RunManifest(
         command="evo",
         config={"algorithm": "nsga2"},
         seed=7,
@@ -168,6 +168,10 @@ def test_manifest_roundtrip(tmp_path):
         duration_s=1.0,
         outputs=["solutions.csv"],
     )
+
+
+def test_manifest_roundtrip(tmp_path):
+    manifest = sample_manifest()
     write_manifest(tmp_path, manifest)
     assert read_manifest(tmp_path) == manifest
     # manifests written while rollouts had a thread pool carry a threads key
@@ -177,10 +181,31 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_manifest_missing_or_malformed(tmp_path):
-    with pytest.raises(ConfigurationError, match="no manifest"):
+    with pytest.raises(ConfigurationError, match="no such manifest"):
         read_manifest(tmp_path)
     (tmp_path / "manifest.json").write_text("{not json")
-    with pytest.raises(ConfigurationError, match="malformed manifest"):
+    with pytest.raises(ConfigurationError, match="manifest is not valid JSON"):
+        read_manifest(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda m: {**m, "seed": "x"}, r"manifest\.seed must be an integer"),
+        (lambda m: {**m, "duration_s": "fast"}, r"manifest\.duration_s must be a number"),
+        (lambda m: {**m, "outputs": 5}, r"manifest\.outputs must be a JSON list"),
+        (lambda m: {**m, "outputs": ["a", 1]}, r"manifest\.outputs\[1\] must be a string"),
+        (lambda m: {**m, "finished_at": None}, r"manifest\.finished_at must be a string"),
+        (lambda m: {**m, "config": []}, r"manifest\.config must be a JSON object"),
+        (lambda m: [m], "manifest must be a JSON object"),
+    ],
+    ids=["string-seed", "string-duration", "number-outputs", "number-output", "null-finished-at",
+         "list-config", "top-level-list"],
+)
+def test_manifest_fields_are_type_checked(tmp_path, edit, field):
+    path = write_manifest(tmp_path, sample_manifest())
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ConfigurationError, match=field):
         read_manifest(tmp_path)
 
 

@@ -23,7 +23,7 @@ from fogforge.scenarios import (
 
 
 def test_generation_is_deterministic():
-    config = ScenarioConfig(device_count=6, app_rows=(3, 2))
+    config = ScenarioConfig(device_count=6, app_rows=(3,))
     a = generate_scenario(config, seed=123)
     b = generate_scenario(config, seed=123)
     assert scenario_to_dict(a) == scenario_to_dict(b)
@@ -110,13 +110,17 @@ def test_scenario_validation():
         Scenario(config=config, devices=(fog,), applications=(app,))
     with pytest.raises(ConfigurationError):
         Scenario(config=config, devices=(cloud, cloud), applications=(app,))
+    for apps in ((), (app, app)):
+        with pytest.raises(ConfigurationError, match="exactly one application"):
+            Scenario(config=config, devices=(cloud, fog), applications=apps)
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         ScenarioConfig(device_count=0)
-    with pytest.raises(ConfigurationError):
-        ScenarioConfig(app_rows=())
+    for rows in ((), (3, 2)):
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            ScenarioConfig(app_rows=rows)
     with pytest.raises(ConfigurationError):
         ScenarioConfig(extra_edge_prob=1.5)
     with pytest.raises(ConfigurationError):
@@ -189,7 +193,7 @@ finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity
 @settings(max_examples=40, deadline=None)
 @given(
     device_count=st.integers(1, 12),
-    app_rows=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    app_rows=st.integers(1, 4).map(lambda rows: (rows,)),
     latency_choices=st.lists(finite, min_size=1, max_size=4).map(tuple),
     cost_choices=st.lists(finite, min_size=1, max_size=4).map(tuple),
     extra_edge_prob=st.floats(0.0, 1.0),
