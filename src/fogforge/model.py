@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import graphlib
+import itertools
 import json
 import math
 import numbers
@@ -145,8 +146,8 @@ class Device:
     is_cloud: bool = False
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ConfigurationError(f"device {self.id}: id must be >= 0")
+        if not 0 <= self.id <= np.iinfo(np.int64).max:
+            raise ConfigurationError(f"device {self.id}: id must be >= 0 and fit in int64")
         if not (math.isfinite(self.speed) and self.speed > 0):
             raise ConfigurationError(f"device {self.id}: speed must be finite and > 0")
         if not (math.isfinite(self.latency) and math.isfinite(self.cost)):
@@ -160,8 +161,9 @@ class Application:
     """Service grid (rows x cols, square by default) with a dependency DAG.
 
     ``ops[i][j]`` is the operation count of service (i, j). ``edges`` always
-    contains the row chains (i, j) -> (i, j+1); extra edges may link any
-    earlier service to a later one as long as the graph stays acyclic.
+    contains the row chains (i, j) -> (i, j+1); extra edges may link any two
+    distinct services, in either row-major direction, as long as the graph
+    stays acyclic.
     """
 
     rows: int
@@ -273,8 +275,9 @@ class _Instance:
     """Array form of an (app, devices) pair, the one objective evaluator.
 
     Services are in row-major order and devices by their position in the
-    device sequence. ``pos_of`` is indexed by device id and holds that
-    device's position, or -1 where no device has the id.
+    device sequence. ``sorted_ids`` holds the device ids in ascending order
+    and ``sorted_pos`` the position of each, so translating ids costs memory
+    in the pool size, not in the largest id.
     """
 
     ops: np.ndarray
@@ -285,15 +288,15 @@ class _Instance:
     latency: np.ndarray
     speed: np.ndarray
     cost: np.ndarray
-    pos_of: np.ndarray
+    sorted_ids: np.ndarray
+    sorted_pos: np.ndarray
 
     @classmethod
     def build(cls, app: Application, devices: Sequence[Device]) -> "_Instance":
         ids = np.array([d.id for d in devices], dtype=np.int64)
-        positions = np.arange(len(ids))
-        pos_of = np.full(int(ids.max()) + 1 if ids.size else 0, -1, dtype=np.int64)
-        pos_of[ids] = positions
-        if (pos_of[ids] != positions).any():  # a repeated id keeps only one of its positions
+        sorted_pos = np.argsort(ids, kind="stable")
+        sorted_ids = ids[sorted_pos]
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise ConfigurationError("duplicate device ids")
         return cls(
             ops=np.array([x for row in app.ops for x in row], dtype=np.float64),
@@ -304,26 +307,45 @@ class _Instance:
             latency=np.array([d.latency for d in devices], dtype=np.float64),
             speed=np.array([d.speed for d in devices], dtype=np.float64),
             cost=np.array([d.cost for d in devices], dtype=np.float64),
-            pos_of=pos_of,
+            sorted_ids=sorted_ids,
+            sorted_pos=sorted_pos,
         )
 
     def positions(self, assignments: np.ndarray) -> np.ndarray:
         """Device positions of an array of device ids (any shape)."""
         assignments = np.asarray(assignments, dtype=np.int64)
-        if assignments.size and (assignments.min() < 0 or assignments.max() >= len(self.pos_of)):
+        at = np.searchsorted(self.sorted_ids, assignments)
+        # past the largest id first, so the gather below stays in bounds
+        if (at == len(self.sorted_ids)).any() or (self.sorted_ids[at] != assignments).any():
             raise InvalidPlacementError("assignment references unknown device ids")
-        pos = self.pos_of[assignments]
-        if (pos < 0).any():
-            raise InvalidPlacementError("assignment references unknown device ids")
-        return pos
+        return self.sorted_pos[at]
+
+    def terms(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The term matrices of an (N, service_count) matrix of device positions.
+
+        Execution times (N, service_count), row-head latencies (N, rows),
+        edge latencies (N, edges; zero where both ends share a device) and
+        hosting costs (N, service_count).
+        """
+        cross = pos[:, self.src] != pos[:, self.dst]
+        return (
+            self.ops / self.speed[pos],
+            self.latency[pos[:, self.heads]],
+            self.latency[pos[:, self.dst]] * cross,
+            self.cost[pos],
+        )
+
+    @staticmethod
+    def totals(execution, heads, edges, costs) -> tuple[np.ndarray, np.ndarray]:
+        """(times, costs) from the four term matrices; every objective is summed here."""
+        times = execution.sum(axis=1)
+        times = times + heads.sum(axis=1)
+        times = times + edges.sum(axis=1)
+        return times, costs.sum(axis=1)
 
     def objectives(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(times, costs) of an (N, service_count) matrix of device positions."""
-        times = (self.ops / self.speed[pos]).sum(axis=1)
-        times = times + self.latency[pos[:, self.heads]].sum(axis=1)
-        cross = pos[:, self.src] != pos[:, self.dst]
-        times = times + (self.latency[pos[:, self.dst]] * cross).sum(axis=1)
-        return times, self.cost[pos].sum(axis=1)
+        return self.totals(*self.terms(pos))
 
     def inbound_latency(self, pos: np.ndarray) -> np.ndarray:
         """Per-service sum of the target latency over cross-device inbound edges."""
@@ -483,9 +505,15 @@ def brute_force_oracle(
 ) -> OracleResult:
     """Exact Pareto front (and optional weighted argmins) by full enumeration.
 
-    Every total placement is generated in lexicographic order over device
-    positions and evaluated in vectorized chunks. Weighted objectives are
-    normalized by :func:`analytic_bounds`.
+    Every total placement is scored, in lexicographic order over device
+    positions, in blocks of ``n_dev**k <= chunk`` rows that share their first
+    ``n_svc - k`` positions. The term matrices of :meth:`_Instance.terms`
+    are built once and each block refills only the columns that read one of
+    its fixed services, then sums them with :meth:`_Instance.totals`; so every
+    point equals what :func:`batch_objectives` returns for it. Only the block
+    rows that the running front does not weakly dominate are merged into it,
+    and only front points and weighted argmins are decoded into placements.
+    Weighted objectives are normalized by :func:`analytic_bounds`.
     """
     n_svc = app.service_count
     n_dev = len(devices)
@@ -501,32 +529,47 @@ def brute_force_oracle(
         w.check()
 
     inst = _Instance.build(app, devices)
-    powers = n_dev ** np.arange(n_svc - 1, -1, -1, dtype=np.int64)
-
-    def positions(idx: np.ndarray) -> np.ndarray:
-        """Device positions of the placements at lexicographic positions ``idx``."""
-        pos = idx[:, None] // powers[None, :]
-        pos %= n_dev  # in place: a second chunk-sized array raises peak RSS
-        return pos
+    # blocks of n_dev**k rows: the first p services are fixed within a block
+    # and the last k run through every combination in lexicographic order
+    k = 0
+    while k < n_svc and n_dev ** (k + 1) <= chunk:
+        k += 1
+    p = n_svc - k
+    rows = n_dev**k
+    pos = np.zeros((rows, n_svc), dtype=np.int64)
+    pos[:, p:] = np.indices((n_dev,) * k).reshape(k, rows).T
+    # every column that reads only suffix services is gathered here, once;
+    # each block refills the columns that read a prefix service
+    exec_terms, head_terms, edge_terms, cost_terms = inst.terms(pos)
+    head_cols = np.flatnonzero(inst.heads < p)
+    src, dst = inst.src, inst.dst
+    inner = np.flatnonzero((src < p) & (dst < p))  # one value per block
+    # an edge across the split compares its suffix end's column with the
+    # prefix end's position; its latency is the suffix column's or the prefix's
+    forward = np.flatnonzero((src < p) & (dst >= p))
+    forward_dst = pos[:, dst[forward]]
+    forward_latency = inst.latency[forward_dst]
+    back = np.flatnonzero((src >= p) & (dst < p))
+    back_src = pos[:, src[back]]
 
     # running front: its points and the lowest placement index reaching each
     front_times = np.empty(0)
     front_costs = np.empty(0)
     front_index = np.empty(0, dtype=np.int64)
-    best: list[tuple[float, np.ndarray, ObjectivePoint] | None] = [None] * len(weights)
+    best: list[tuple[float, int, ObjectivePoint] | None] = [None] * len(weights)
 
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        pos = positions(idx)
-        times, costs = inst.objectives(pos)
-
-        # the running front goes first: on equal points the kernel keeps the
-        # lower position, which is the lexicographically earlier placement
-        all_times = np.concatenate([front_times, times])
-        all_costs = np.concatenate([front_costs, costs])
-        kept = pareto_indices(all_times, all_costs)
-        front_times, front_costs = all_times[kept], all_costs[kept]
-        front_index = np.concatenate([front_index, idx])[kept]
+    for block, prefix in enumerate(itertools.product(range(n_dev), repeat=p)):
+        prefix = np.array(prefix, dtype=np.int64)
+        exec_terms[:, :p] = inst.ops[:p] / inst.speed[prefix]
+        cost_terms[:, :p] = inst.cost[prefix]
+        head_terms[:, head_cols] = inst.latency[prefix[inst.heads[head_cols]]]
+        inner_dst = prefix[dst[inner]]
+        edge_terms[:, inner] = inst.latency[inner_dst] * (prefix[src[inner]] != inner_dst)
+        edge_terms[:, forward] = forward_latency * (forward_dst != prefix[src[forward]])
+        back_dst = prefix[dst[back]]
+        edge_terms[:, back] = inst.latency[back_dst] * (back_src != back_dst)
+        times, costs = inst.totals(exec_terms, head_terms, edge_terms, cost_terms)
+        start = block * rows
 
         for wi, w in enumerate(weights):
             objs = _weighted(times, costs, w, norms)
@@ -534,22 +577,37 @@ def brute_force_oracle(
             if best[wi] is None or objs[am] < best[wi][0]:
                 best[wi] = (
                     float(objs[am]),
-                    inst.ids[pos[am]],
+                    start + am,
                     ObjectivePoint(float(times[am]), float(costs[am])),
                 )
+
+        # only rows the running front does not weakly dominate can join it;
+        # an equal point stays with the front's earlier placement
+        new = np.arange(rows)
+        if front_times.size:
+            at = np.searchsorted(front_times, times, side="right") - 1
+            new = new[(at < 0) | (front_costs[at] > costs)]
+        # the running front goes first: on equal points the kernel keeps the
+        # lower position, which is the lexicographically earlier placement
+        all_times = np.concatenate([front_times, times[new]])
+        all_costs = np.concatenate([front_costs, costs[new]])
+        kept = pareto_indices(all_times, all_costs)
+        front_times, front_costs = all_times[kept], all_costs[kept]
+        front_index = np.concatenate([front_index, start + new])[kept]
+
+    def placement(index) -> Placement:
+        """The placement at lexicographic position ``index``."""
+        digits = index // n_dev ** np.arange(n_svc - 1, -1, -1, dtype=np.int64) % n_dev
+        return Placement.from_vector(app, inst.ids[digits])
 
     # the kernel leaves the running front deduplicated and in (time, cost) order
     result = OracleResult(
         front=[ObjectivePoint(t, c) for t, c in zip(front_times.tolist(), front_costs.tolist())],
-        front_placements=[
-            Placement.from_vector(app, vec) for vec in inst.ids[positions(front_index)]
-        ],
+        front_placements=[placement(index) for index in front_index],
         enumerated=total,
     )
     for w, entry in zip(weights, best):
         assert entry is not None
-        obj, vec, point = entry
-        result.weighted.append(
-            WeightedOptimum(w, Placement.from_vector(app, vec), point, obj)
-        )
+        obj, index, point = entry
+        result.weighted.append(WeightedOptimum(w, placement(index), point, obj))
     return result

@@ -179,16 +179,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
-    """Unknown keys are ignored, so newer files still load."""
+    """Unknown keys are ignored, so newer files still load. Every error names ``origin``."""
     try:
-        version = from_json(int, data["format_version"], f"{origin}: format_version")
+        version = from_json(int, data["format_version"], "format_version")
         if version > FORMAT_VERSION:
             raise ConfigurationError(
-                f"{origin}: format_version {version} is newer than supported {FORMAT_VERSION}"
+                f"format_version {version} is newer than supported {FORMAT_VERSION}"
             )
         apps = []
         for i, a in enumerate(data["applications"]):
-            where = f"{origin}: applications[{i}]"
+            where = f"applications[{i}]"
             ops = from_json(tuple[tuple[float, ...], ...], a["ops"], f"{where}.ops")
             edges = from_json(tuple[tuple[int, ...], ...], a["edges"], f"{where}.edges")
             apps.append(Application(
@@ -198,15 +198,13 @@ def scenario_from_dict(data: dict, origin: str = "<dict>") -> Scenario:
                 cols=len(ops[0]) if ops else None,
             ))
         return Scenario(
-            config=from_json(ScenarioConfig, data["config"], f"{origin}: config",
-                             ignore_unknown=True),
-            devices=from_json(tuple[Device, ...], data["devices"], f"{origin}: devices",
-                              ignore_unknown=True),
+            config=from_json(ScenarioConfig, data["config"], "config", ignore_unknown=True),
+            devices=from_json(tuple[Device, ...], data["devices"], "devices", ignore_unknown=True),
             applications=tuple(apps),
-            seed=from_json(int | None, data.get("seed"), f"{origin}: seed"),
+            seed=from_json(int | None, data.get("seed"), "seed"),
         )
-    except ConfigurationError:
-        raise
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{origin}: {exc}") from None
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigurationError(f"{origin}: malformed scenario ({exc!r})") from exc
 

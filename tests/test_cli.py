@@ -309,6 +309,47 @@ def test_bad_scenario_values_are_usage_errors(tmp_path, scenario_file, defect, c
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("defect", ["negative-speed", "no-application", "id-past-int64"])
+def test_scenario_value_errors_name_the_file(tmp_path, scenario_file, defect, capsys):
+    data = json.loads(scenario_file.read_text())
+    if defect == "negative-speed":
+        data["devices"][1]["speed"] = -1.0
+    elif defect == "no-application":
+        data["applications"] = []
+    else:
+        data["devices"][1]["id"] = 10**30  # does not fit the int64 id arrays
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["oracle", "--scenario", str(bad), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: ")
+    assert defect != "id-past-int64" or f"device {10**30}:" in err
+    assert not run.exists()
+
+
+def test_large_device_id_places_normally(tmp_path, scenario_file):
+    data = json.loads(scenario_file.read_text())
+    assert len(data["devices"]) == 3
+    old_id = data["devices"][-1]["id"]
+    data["devices"][-1]["id"] = 10**12  # a table indexed by id would take 8 TB
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    for name, path in (("base", scenario_file), ("big", big)):
+        argv = ["oracle", "--scenario", str(path), "--weights", "0.5,0.5", "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    solutions = [(tmp_path / name / "solutions.csv").read_bytes() for name in ("base", "big")]
+    assert solutions[0] == solutions[1]
+    base, got = (
+        [row.split(",") for row in (tmp_path / name / "front.csv").read_text().splitlines()[1:]]
+        for name in ("base", "big")
+    )
+    renamed = {str(old_id): str(10**12)}
+    want = [[t, c, " ".join(renamed.get(d, d) for d in genes.split())] for t, c, genes in base]
+    assert got == want and str(10**12) in got[0][2]
+
+
 def test_compare_runs(tmp_path, scenario_file):
     cloud, oracle, cmp_dir = tmp_path / "cloud", tmp_path / "oracle", tmp_path / "cmp"
     assert main(["baseline", "--strategy", "all-in-cloud",

@@ -220,6 +220,12 @@ def test_duplicate_device_ids_rejected():
             call()
 
 
+def test_device_ids_must_fit_int64():
+    Device(id=2**63 - 1, speed=1.0, latency=0.0, cost=1.0)
+    with pytest.raises(ConfigurationError, match=f"device {2**63}: id"):
+        Device(id=2**63, speed=1.0, latency=0.0, cost=1.0)
+
+
 def test_application_validation():
     with pytest.raises(ConfigurationError):
         Application(rows=2, ops=((0.0, 0.0),), edges=Application.chain_edges(2))

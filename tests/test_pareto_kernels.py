@@ -1,14 +1,15 @@
 """Array Pareto kernels against the plain references in ``pareto_reference``.
 
 Points come from small integer grids, so ties on one objective and exact
-duplicates are common.
+duplicates are common. The oracle is checked against a full
+``itertools.product`` enumeration scored by ``batch_objectives``.
 """
 
 import itertools
 
 import numpy as np
 import pareto_reference as ref
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from fogforge.evolutionary import (
@@ -21,10 +22,13 @@ from fogforge.model import (
     Application,
     Device,
     ObjectivePoint,
+    WeightVector,
+    analytic_bounds,
     batch_objectives,
     brute_force_oracle,
     pareto_front,
     pareto_indices,
+    weighted_objective,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -123,3 +127,74 @@ def test_oracle_does_not_depend_on_chunk(specs, ops, chunk):
     assert result.front == ref.pareto_front(points)
     want = [vectors[points.index(p)].tolist() for p in result.front]
     assert [p.to_vector(app).tolist() for p in result.front_placements] == want
+
+
+def tied_or_real(low, high, *ties):
+    """A value from a few shared constants, which makes ties, or any float in range."""
+    return st.one_of(st.sampled_from(ties), st.floats(low, high))
+
+
+@st.composite
+def oracle_instances(draw):
+    """Up to 4 services on up to 4 devices, with extra edges in either row-major
+    direction, non-integer values and device ids that are permuted with holes."""
+    rows = draw(st.integers(1, 2))
+    cols = draw(st.integers(1, 4 // rows))
+    services = [(i, j) for i in range(rows) for j in range(cols)]
+    ops = tuple(tuple(draw(tied_or_real(0.0, 4.0, 0.0, 1.0)) for _ in range(cols)) for _ in range(rows))
+    # ranking services by (column, shuffled row) keeps every row chain and
+    # extra edge acyclic while letting extra edges point to an earlier row
+    row_rank = draw(st.permutations(range(rows)))
+    rank = {(i, j): (j, row_rank[i]) for i, j in services}
+    pairs = [(a, b) for a in services for b in services if rank[a] < rank[b]]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True)) if pairs else []
+    edges = draw(st.permutations(sorted(set(Application.chain_edges(rows, cols)) | set(extra))))
+    app = Application(rows=rows, ops=ops, edges=tuple(edges), cols=cols)
+
+    n_dev = draw(st.integers(1, 3 if len(services) == 4 else 4))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n_dev, max_size=n_dev, unique=True))
+    speeds = draw(st.lists(tied_or_real(0.5, 3.0, 1.0), min_size=n_dev, max_size=n_dev))
+    latencies = draw(st.lists(tied_or_real(0.0, 4.0, 0.0, 1.0), min_size=n_dev, max_size=n_dev))
+    costs = draw(st.lists(tied_or_real(0.5, 4.0, 1.0, 2.0), min_size=n_dev, max_size=n_dev))
+    if draw(st.booleans()):  # the nearer, the dearer: long fronts
+        latencies, costs = sorted(latencies), sorted(costs, reverse=True)
+    specs = list(zip(speeds, latencies, costs))
+    if draw(st.booleans()):  # twin devices: distinct placements with equal points
+        specs[-1] = specs[0]
+    devices = [Device(i, *spec) for i, spec in zip(ids, specs)]
+    return app, devices
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_instances(), st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2))
+def test_oracle_matches_enumeration_at_every_chunk(instance, w_times):
+    app, devices = instance
+    weights = [WeightVector(w, 1.0 - w) for w in w_times]
+    norms = analytic_bounds(app, devices)
+    assume(norms.max_time > 0)
+
+    # every placement in lexicographic order over device positions
+    vectors = np.array(
+        list(itertools.product([d.id for d in devices], repeat=app.service_count)), dtype=np.int64
+    )
+    times, costs = batch_objectives(app, devices, vectors)
+    points = [ObjectivePoint(float(t), float(c)) for t, c in zip(times, costs)]
+    front = ref.pareto_front(points)
+    placements = [vectors[points.index(p)].tolist() for p in front]
+    weighted = []
+    for w in weights:
+        objs = [weighted_objective(p, w, norms) for p in points]
+        first = objs.index(min(objs))
+        weighted.append((w, vectors[first].tolist(), points[first], objs[first]))
+    target(float(len(front)), label="front points")
+
+    # chunk sizes from one row to past the whole enumeration cover every split
+    for chunk in range(1, len(vectors) + 2):
+        result = brute_force_oracle(app, devices, weights=weights, chunk=chunk)
+        assert result.enumerated == len(vectors)
+        assert result.front == front
+        assert [p.to_vector(app).tolist() for p in result.front_placements] == placements
+        assert [
+            (o.weights, o.placement.to_vector(app).tolist(), o.point, o.objective)
+            for o in result.weighted
+        ] == weighted
