@@ -506,13 +506,14 @@ def brute_force_oracle(
     """Exact Pareto front (and optional weighted argmins) by full enumeration.
 
     Every total placement is scored, in lexicographic order over device
-    positions, in blocks of ``n_dev**k <= chunk`` rows that share their first
-    ``n_svc - k`` positions. The term matrices of :meth:`_Instance.terms`
-    are built once and each block refills only the columns that read one of
-    its fixed services, then sums them with :meth:`_Instance.totals`; so every
-    point equals what :func:`batch_objectives` returns for it. Only the block
-    rows that the running front does not weakly dominate are merged into it,
-    and only front points and weighted argmins are decoded into placements.
+    positions, in blocks of ``n_dev**k`` rows that share their first
+    ``n_svc - k`` positions; k is the largest with ``n_dev**k <= chunk``, but
+    at least 1. The term matrices of :meth:`_Instance.terms` are built once,
+    and each block refills only the columns that read one of its fixed
+    services and sums them with :meth:`_Instance.totals`, so every point
+    equals what :func:`batch_objectives` returns for it. Only the block rows
+    that the running front does not weakly dominate are merged into it, and
+    only front points and weighted argmins are decoded into placements.
     Weighted objectives are normalized by :func:`analytic_bounds`.
     """
     n_svc = app.service_count
@@ -529,9 +530,9 @@ def brute_force_oracle(
         w.check()
 
     inst = _Instance.build(app, devices)
-    # blocks of n_dev**k rows: the first p services are fixed within a block
-    # and the last k run through every combination in lexicographic order
-    k = 0
+    # k starts at 1: a pool wider than chunk then costs one block per sweep
+    # of the last service, not one per placement
+    k = 1
     while k < n_svc and n_dev ** (k + 1) <= chunk:
         k += 1
     p = n_svc - k
