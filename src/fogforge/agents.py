@@ -9,11 +9,11 @@ rows get equal scores, so the head runs once per distinct device row and
 each device reads its row's score.
 
 Every pass is batched: ``PolicyModel._decide`` scores B states in one tape
-pass (one state is B = 1). Rollouts step their envs in lockstep
-through one pass per step, and one PPO update re-scores all of its
-transitions in one pass per epoch, computes the losses on the resulting
-vectors, and takes a single Adam step over all parameters, averaging the two
-heads' losses.
+pass (one state is B = 1). Rollouts step their envs in lockstep through one
+pass per step and record a :class:`Rollout` of (envs, steps) arrays. One PPO
+update re-scores all of its actions in one pass per epoch, computes the
+losses on the resulting vectors, and takes a single Adam step over all
+parameters, averaging the two heads' losses.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from fogforge.env import NODE_FEATURES, Action, EnvState, PlacementEnv
-from fogforge.gin import GinConfig, GinEncoder
+from fogforge.gin import GinConfig, GinEncoder, check_sizes
 from fogforge.model import ConfigurationError, from_json, is_count, read_json, write_file
 from fogforge.nn import (
     Adam,
@@ -58,9 +58,7 @@ class AgentConfig:
     head_width: int = 64
 
     def __post_init__(self) -> None:
-        dims = (self.actor_hidden_layers, self.critic_hidden_layers, self.head_width)
-        if not all(is_count(n) and n >= 1 for n in dims):
-            raise ConfigurationError(f"agent dims must be ints >= 1: {self}")
+        check_sizes(self, ("head_width",), ("actor_hidden_layers", "critic_hidden_layers"))
         if self.gin.node_feature_dim != NODE_FEATURES:  # the encoder reads the env's features
             raise ConfigurationError(f"gin.node_feature_dim must be {NODE_FEATURES}: {self.gin}")
 
@@ -85,19 +83,6 @@ class PpoHyper:
         clip = self.grad_clip_norm
         if clip is not None and not (math.isfinite(clip) and clip > 0):
             raise ConfigurationError(f"grad_clip_norm must be None or finite and > 0, got {clip}")
-
-
-@dataclass
-class Transition:
-    obs: EnvState  # the state in which the action was chosen
-    service_index: int
-    device_pos: int
-    logp_service: float
-    logp_device: float
-    value_service: float
-    value_device: float
-    reward: float
-    done: bool
 
 
 class _Decision(NamedTuple):
@@ -226,19 +211,12 @@ class PolicyModel(Module):
         states: Sequence[EnvState],
         mode: str = "sample",
         rngs: Sequence[np.random.Generator] | None = None,
-    ) -> tuple[np.ndarray, ...]:
-        """One full decision per state: service and device indices plus their
-        log-probs and values, each as a (B,) array. Records no tape."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One full decision per state: service and device indices and their
+        log-probs, each as a (B,) array. Records no tape."""
         with no_grad():
             d = self._decide(states, mode=mode, rngs=rngs)
-        return (
-            d.service_index,
-            d.device_pos,
-            d.logp_s.data,
-            d.logp_d.data,
-            d.value_s.data,
-            d.value_d.data,
-        )
+        return d.service_index, d.device_pos, d.logp_s.data, d.logp_d.data
 
     def evaluate_actions(
         self,
@@ -290,45 +268,49 @@ def _choose(
     raise ConfigurationError(f"unknown selection mode {mode!r}")
 
 
+@dataclass(frozen=True)
+class Rollout:
+    """One episode per env, stepped in lockstep. Every array is (envs, steps):
+    row ``k`` is env ``k``'s episode and column ``t`` its ``t``-th action.
+    ``states[k][t]`` is the state that action was chosen in, and
+    ``finals[k]`` is env ``k``'s terminal state."""
+
+    states: list[list[EnvState]]
+    finals: list[EnvState]
+    service_index: np.ndarray  # int
+    device_pos: np.ndarray  # int
+    logp_s: np.ndarray
+    logp_d: np.ndarray
+    rewards: np.ndarray
+
+
 def collect_trajectory(
     model: PolicyModel,
     envs: Sequence[PlacementEnv],
     rngs: Sequence[np.random.Generator] | None = None,
     mode: str = "sample",
-) -> list[tuple[list[Transition], EnvState]]:
+) -> Rollout:
     """Roll one full episode on every env in lockstep, one batched pass per
     step; env ``k`` samples from ``rngs[k]``. Every env places the model's
-    task count of services, so all episodes end on the same step. Returns
-    each env's transitions and final state."""
+    task count of services, so all episodes end on the same step."""
+    shape = (len(envs), model.task_count)
+    service_index, device_pos = np.zeros(shape, np.intp), np.zeros(shape, np.intp)
+    logp_s, logp_d, rewards = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     states = [env.reset() for env in envs]
-    transitions: list[list[Transition]] = [[] for _ in envs]
-    for _ in range(model.task_count):
-        svc, dev_pos, logp_s, logp_d, value_s, value_d = model.act(states, mode, rngs)
-        for k, (env, state) in enumerate(zip(envs, states)):
-            action = Action(env.services[svc[k]], int(env.device_ids[dev_pos[k]]))
-            states[k], reward, done = env.step(action)
-            transitions[k].append(
-                Transition(
-                    obs=state,
-                    service_index=int(svc[k]),
-                    device_pos=int(dev_pos[k]),
-                    logp_service=float(logp_s[k]),
-                    logp_device=float(logp_d[k]),
-                    value_service=float(value_s[k]),
-                    value_device=float(value_d[k]),
-                    reward=reward.r_total,
-                    done=done,
-                )
-            )
-    return list(zip(transitions, states))
+    history: list[list[EnvState]] = [[] for _ in envs]
+    for t in range(model.task_count):
+        service_index[:, t], device_pos[:, t], logp_s[:, t], logp_d[:, t] = model.act(
+            states, mode, rngs
+        )
+        for k, env in enumerate(envs):
+            history[k].append(states[k])
+            action = Action(env.services[service_index[k, t]], int(env.device_ids[device_pos[k, t]]))
+            states[k], reward, _ = env.step(action)
+            rewards[k, t] = reward.r_total
+    return Rollout(history, states, service_index, device_pos, logp_s, logp_d, rewards)
 
 
 # --- PPO -----------------------------------------------------------------------
-
-def trajectory_returns(rewards: list[float]) -> list[float]:
-    """Undiscounted suffix sums: return at t is the reward-to-go."""
-    return np.cumsum(np.asarray(rewards, dtype=np.float64)[::-1])[::-1].tolist()
-
 
 @dataclass
 class UpdateReport:
@@ -346,32 +328,26 @@ class UpdateReport:
 
 def ppo_update(
     model: PolicyModel,
-    trajectories: list[list[Transition]],
+    rollout: Rollout,
     hyper: PpoHyper,
     optimizer: Adam,
 ) -> UpdateReport:
-    """Clipped-surrogate update over completed trajectories.
+    """Clipped-surrogate update over completed episodes.
 
-    Each epoch re-scores every stored transition in one batched
+    The return of an action is its undiscounted reward-to-go. Each epoch
+    re-scores every recorded action, env by env, in one batched
     ``evaluate_actions`` pass, forms per-head losses
     c_policy*policy + c_value*value - c_entropy*entropy on the resulting
     vectors, averages the two heads, and takes one Adam step over all
     parameters. The loss and its backward run without numpy overflow
     warnings; a non-finite loss or step raises :class:`DivergenceError`.
     """
-    flat = [t for traj in trajectories for t in traj]
-    if not flat:
+    states = [state for row in rollout.states for state in row]
+    if not states:
         raise ConfigurationError("no transitions to update on")
-    returns = np.concatenate(
-        [trajectory_returns([t.reward for t in traj]) for traj in trajectories]
-    )
-    logp_old = {
-        "s": np.array([t.logp_service for t in flat]),
-        "d": np.array([t.logp_device for t in flat]),
-    }
-    states = [t.obs for t in flat]
-    services = np.array([t.service_index for t in flat])
-    devices = np.array([t.device_pos for t in flat])
+    returns = np.cumsum(rollout.rewards[:, ::-1], axis=1)[:, ::-1].ravel()
+    logp_old = {"s": rollout.logp_s.ravel(), "d": rollout.logp_d.ravel()}
+    services, devices = rollout.service_index.ravel(), rollout.device_pos.ravel()
 
     lo, hi = 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio
     total_losses: list[float] = []

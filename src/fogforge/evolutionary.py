@@ -208,29 +208,18 @@ def _seed_population(
     ids: np.ndarray,
     config: EvoConfig,
     genes: int,
-    initial: np.ndarray | None,
 ) -> np.ndarray:
     """Initial population: random draws plus one uniform chromosome per device.
 
     Single-device placements are strong candidates here: with uniform service
     speeds the min-cost and min-time placements are always single-device, and
     crossover between two uniform chromosomes explores the two-device
-    mixtures that populate front interiors. An explicit ``initial`` overrides
-    the whole construction.
+    mixtures that populate front interiors.
     """
-    if initial is None:
-        population = _random_population(rng, ids, config.population_size, genes)
-        uniform_count = min(len(ids), config.population_size)
-        population[:uniform_count] = np.repeat(ids[:uniform_count, None], genes, axis=1)
-        return population
-    initial = np.asarray(initial, dtype=np.int64)
-    if initial.shape != (config.population_size, genes):
-        raise ConfigurationError(
-            f"initial population must be {(config.population_size, genes)}, got {initial.shape}"
-        )
-    if not np.isin(initial, ids).all():
-        raise ConfigurationError("initial population references unknown device ids")
-    return initial.copy()
+    population = _random_population(rng, ids, config.population_size, genes)
+    uniform_count = min(len(ids), config.population_size)
+    population[:uniform_count] = np.repeat(ids[:uniform_count, None], genes, axis=1)
+    return population
 
 
 def ga_solve(
@@ -238,7 +227,6 @@ def ga_solve(
     devices: Sequence[Device],
     weights: WeightVector,
     config: EvoConfig,
-    initial_population: np.ndarray | None = None,
 ) -> GaResult:
     """Best-ever placement for the weighted objective under a generational GA;
     the objectives are normalized by :func:`analytic_bounds`.
@@ -252,7 +240,7 @@ def ga_solve(
     ids = np.array(sorted(d.id for d in devices), dtype=np.int64)
     genes = app.service_count
 
-    population = _seed_population(rng, ids, config, genes, initial_population)
+    population = _seed_population(rng, ids, config, genes)
     best: tuple[float, np.ndarray, ObjectivePoint] | None = None
     history: list[float] = []
     for generation in range(config.generations + 1):
@@ -327,7 +315,6 @@ def nsga2_solve(
     app: Application,
     devices: Sequence[Device],
     config: EvoConfig,
-    initial_population: np.ndarray | None = None,
 ) -> NsgaResult:
     """Rank-0 front of a canonical NSGA-II run.
 
@@ -341,7 +328,7 @@ def nsga2_solve(
     genes = app.service_count
     ref = ObjectivePoint(norms.max_time, norms.max_cost)
 
-    population = _seed_population(rng, ids, config, genes, initial_population)
+    population = _seed_population(rng, ids, config, genes)
     times, costs = batch_objectives(app, devices, population)
     points = np.stack([times, costs], axis=1)
     ranks = fast_nondominated_sort(points)
@@ -361,16 +348,17 @@ def nsga2_solve(
     for _ in range(config.generations):
         offspring = mate()
         # re-mate offspring that duplicate a current member or an earlier
-        # offspring; duplicate evaluations starve exploration on small
-        # discrete spaces. Leftover duplicates are replaced with random draws.
-        for _ in range(5):
+        # offspring, up to five times; duplicate evaluations starve exploration
+        # on small discrete spaces. Leftover duplicates are replaced with
+        # random draws.
+        for attempt in range(6):
             stale = _duplicate_mask(population, offspring)
             if not stale.any():
                 break
-            offspring[stale] = mate()[stale]
-        stale = _duplicate_mask(population, offspring)
-        if stale.any():
-            offspring[stale] = _random_population(rng, ids, int(stale.sum()), genes)
+            if attempt < 5:
+                offspring[stale] = mate()[stale]
+            else:
+                offspring[stale] = _random_population(rng, ids, int(stale.sum()), genes)
 
         # the survivors carry their points: only the offspring are scored
         combined = np.concatenate([population, offspring], axis=0)

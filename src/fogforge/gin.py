@@ -22,6 +22,24 @@ from fogforge.model import ConfigurationError, is_count
 from fogforge.nn import Mlp, MlpSpec, Module, Tensor, as_tensor
 
 
+# Largest width and depth a config may ask for, checked before anything is
+# built: 16x the default encoder width, 8x the default head width and over 3x
+# the deepest default stack. The largest model they admit has 88 M parameters
+# at 81 tasks (0.66 GiB of float64, before gradients and Adam's moments); far
+# past them, numpy refuses the dimension or the memory runs out.
+MAX_WIDTH = 512
+MAX_DEPTH = 16
+
+
+def check_sizes(config, widths: tuple[str, ...], depths: tuple[str, ...]) -> None:
+    """Each named field of ``config`` must be an int in [1, MAX_WIDTH] or [1, MAX_DEPTH]."""
+    for names, top in ((widths, MAX_WIDTH), (depths, MAX_DEPTH)):
+        for name in names:
+            value = getattr(config, name)
+            if not (is_count(value) and 1 <= value <= top):
+                raise ConfigurationError(f"{name} must be an int in [1, {top}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class GinConfig:
     """Encoder shape.
@@ -40,9 +58,7 @@ class GinConfig:
     batch_norm: bool = True
 
     def __post_init__(self) -> None:
-        dims = (self.node_feature_dim, self.hidden_dim, self.k_iterations, self.mlp_layers)
-        if not all(is_count(n) and n >= 1 for n in dims):
-            raise ConfigurationError(f"all encoder dims must be ints >= 1: {self}")
+        check_sizes(self, ("node_feature_dim", "hidden_dim"), ("k_iterations", "mlp_layers"))
 
 
 @dataclass

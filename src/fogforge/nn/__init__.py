@@ -17,7 +17,7 @@ from fogforge.nn.layers import (
     masked_entropy,
     masked_log_softmax,
 )
-from fogforge.nn.optim import Adam, StepDecay, clip_global_norm
+from fogforge.nn.optim import Adam, clip_global_norm
 
 __all__ = [
     "Adam",
@@ -27,7 +27,6 @@ __all__ = [
     "Mlp",
     "MlpSpec",
     "Module",
-    "StepDecay",
     "Tensor",
     "as_tensor",
     "clip_global_norm",

@@ -1,4 +1,4 @@
-"""Adam with bias correction, step-decay schedule, global-norm clipping."""
+"""Adam with bias correction and global-norm clipping."""
 
 from __future__ import annotations
 
@@ -45,23 +45,6 @@ class Adam:
                 m_hat = self.m[k] / (1 - b1**self.t)
                 v_hat = self.v[k] / (1 - b2**self.t)
                 p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepDecay:
-    """Multiply the learning rate by `gamma` every `interval` calls to step()."""
-
-    def __init__(self, optimizer: Adam, gamma: float = 0.9, interval: int = 1):
-        if not 0 < gamma <= 1 or interval < 1:
-            raise ConfigurationError("need 0 < gamma <= 1 and interval >= 1")
-        self.optimizer = optimizer
-        self.gamma = gamma
-        self.interval = interval
-        self.count = 0
-
-    def step(self) -> None:
-        self.count += 1
-        if self.count % self.interval == 0:
-            self.optimizer.lr *= self.gamma
 
 
 def clip_global_norm(params: list[Tensor], max_norm: float | None) -> float:

@@ -38,7 +38,7 @@ from .model import (
     is_count,
     pareto_front,
 )
-from .nn import Adam, StepDecay
+from .nn import Adam
 from .scenarios import Scenario, ScenarioConfig, dataset_seeds, generate_scenario
 
 
@@ -157,8 +157,8 @@ def evaluate_policy(
     state against its scenario's own bounds.
     """
     envs = [PlacementEnv(sc.applications[0], sc.devices, weights) for sc in scenarios]
-    rolled = collect_trajectory(model, envs, mode="greedy")
-    return float(np.mean([final.weighted for _, final in rolled]))
+    rollout = collect_trajectory(model, envs, mode="greedy")
+    return float(np.mean([final.weighted for final in rollout.finals]))
 
 
 # --- training loop ------------------------------------------------------------
@@ -185,6 +185,8 @@ def train(
     mean weighted objective, or to the parameters it started from when no
     evaluation ran. A divergence in a rollout, the update or an evaluation
     ends training; the last good snapshot is returned with ``diverged`` set.
+    The learning rate is multiplied by ``lr_decay_gamma`` after every
+    ``lr_decay_interval``-th completed episode.
     """
     if datasets is None:
         datasets = build_datasets(config)
@@ -196,7 +198,6 @@ def train(
             f"model trained for {model.task_count} tasks, dataset has {datasets.task_count}"
         )
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    scheduler = StepDecay(optimizer, gamma=config.lr_decay_gamma, interval=config.lr_decay_interval)
     budget = config.episodes if episodes is None else episodes
 
     metrics: list[dict] = []
@@ -213,9 +214,8 @@ def train(
         try:
             scenarios = [datasets.train[p] for p in picks]
             envs = [PlacementEnv(sc.applications[0], sc.devices, config.weights) for sc in scenarios]
-            rolled = collect_trajectory(model, envs, streams)
-            trajectories = [transitions for transitions, _ in rolled]
-            report = ppo_update(model, trajectories, config.ppo, optimizer)
+            rollout = collect_trajectory(model, envs, streams)
+            report = ppo_update(model, rollout, config.ppo, optimizer)
             trained = episode + 1
             test_metric = (
                 evaluate_policy(model, datasets.test, config.weights) if eval_due else None
@@ -224,12 +224,13 @@ def train(
             diverged = True
             metrics.append({"episode": episode, "diverged": True, "error": str(exc)})
             break
-        scheduler.step()
+        if trained % config.lr_decay_interval == 0:
+            optimizer.lr *= config.lr_decay_gamma
 
         row = {
             "episode": episode,
-            "mean_reward": float(np.mean([sum(t.reward for t in traj) for traj in trajectories])),
-            "mean_weighted": float(np.mean([final.weighted for _, final in rolled])),
+            "mean_reward": float(np.mean([sum(rewards) for rewards in rollout.rewards])),
+            "mean_weighted": float(np.mean([final.weighted for final in rollout.finals])),
             **asdict(report),
             "lr": optimizer.lr,
         }

@@ -15,16 +15,15 @@ from fogforge.agents import (
     DivergenceError,
     PolicyModel,
     PpoHyper,
-    Transition,
+    Rollout,
     _choose,
     collect_trajectory,
     load_checkpoint,
     ppo_update,
     save_checkpoint,
-    trajectory_returns,
 )
 from fogforge.env import PlacementEnv
-from fogforge.gin import GinConfig
+from fogforge.gin import MAX_DEPTH, MAX_WIDTH, GinConfig
 from fogforge.model import ConfigurationError, Device, WeightVector
 from fogforge.nn import Adam, Tensor, concat, masked_log_softmax, minimum
 from fogforge.scenarios import ScenarioConfig, generate_scenario
@@ -51,6 +50,29 @@ def fresh(env, seed=0, config=SMALL):
     return PolicyModel(env.task_count, config, np.random.default_rng(seed))
 
 
+ARRAYS = ("service_index", "device_pos", "logp_s", "logp_d", "rewards")
+
+
+def serial_rollouts(model, envs, rngs, mode="sample"):
+    """One-env rollouts run one after another, stacked into one record in
+    env order; an env or generator listed twice runs twice."""
+    parts = [collect_trajectory(model, [env], [rng], mode) for env, rng in zip(envs, rngs)]
+    return Rollout(
+        states=[row for part in parts for row in part.states],
+        finals=[final for part in parts for final in part.finals],
+        **{name: np.concatenate([getattr(part, name) for part in parts]) for name in ARRAYS},
+    )
+
+
+def recorded(rollout):
+    """Every recorded (state, service, device), env by env, in step order."""
+    return [
+        (state, int(rollout.service_index[k, t]), int(rollout.device_pos[k, t]))
+        for k, row in enumerate(rollout.states)
+        for t, state in enumerate(row)
+    ]
+
+
 def test_single_eligible_service_is_forced():
     env = make_env(extra_edge_prob=0.0, rows=2)
     model = fresh(env)
@@ -58,7 +80,7 @@ def test_single_eligible_service_is_forced():
     # chain heads (0,0) and (1,0) eligible; restrict to one by masking
     obs.eligible_mask[:] = False
     obs.eligible_mask[0] = True
-    svc, _, logp, *_ = model.act([obs], mode="sample", rngs=[np.random.default_rng(1)])
+    svc, _, logp, _ = model.act([obs], mode="sample", rngs=[np.random.default_rng(1)])
     assert svc[0] == 0
     assert logp[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -94,7 +116,7 @@ def test_single_device_forced():
     env = PlacementEnv(app, (cloud,), HALF)
     model = fresh(env)
     obs = env.reset()
-    _, dev, _, logp, *_ = model.act([obs], mode="sample", rngs=[np.random.default_rng(3)])
+    _, dev, _, logp = model.act([obs], mode="sample", rngs=[np.random.default_rng(3)])
     assert dev[0] == 0
     assert logp[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -121,22 +143,22 @@ def test_identical_devices_get_identical_probabilities():
 def test_class_scores_match_a_full_device_pass():
     env = make_env(seed=0, device_count=1000, rows=9)
     model = PolicyModel(env.task_count, AgentConfig(), np.random.default_rng(0))
-    [(transitions, _)] = collect_trajectory(model, [env], mode="greedy")
+    actions = recorded(collect_trajectory(model, [env], mode="greedy"))
     assert len(env.device_classes) < len(env.device_ids) == 1001
-    for t in transitions[:: len(transitions) // 8]:
-        d = model._decide([t.obs], [t.service_index], [t.device_pos])
-        candidate = t.obs.node_features[t.service_index, :3]
+    for state, service, device in actions[:: len(actions) // 8]:
+        d = model._decide([state], [service], [device])
+        candidate = state.node_features[service, :3]
         rows = np.concatenate(
             [
                 env.device_rows,
                 np.tile(candidate, (1001, 1)),
-                np.tile(t.obs.host_latency, (1001, 1)),
+                np.tile(state.host_latency, (1001, 1)),
             ],
             axis=1,
         )
         full = model.actor_d(Tensor(rows)).data.reshape(1001)
         np.testing.assert_allclose(d.device_scores.data[0], full, rtol=0, atol=1e-12)
-        assert t.device_pos == np.argmax(full)
+        assert device == np.argmax(full)
 
 
 def test_device_head_gradients_through_shared_classes():
@@ -222,47 +244,69 @@ def test_lockstep_rollouts_over_padded_pools_sample_per_env_streams():
     envs = two_pools_env_pair(seed=1)
     model = fresh(envs[0], seed=24)
     lockstep = collect_trajectory(model, envs, [np.random.default_rng(s) for s in (5, 6)])
-    for env, seed, (batched, final) in zip(envs, (5, 6), lockstep):
-        [(serial, serial_final)] = collect_trajectory(model, [env], [np.random.default_rng(seed)])
-        assert [(t.service_index, t.device_pos) for t in batched] == [
-            (t.service_index, t.device_pos) for t in serial
-        ]
-        for a, b in zip(batched, serial):
-            assert a.logp_device == pytest.approx(b.logp_device, rel=1e-12, abs=1e-12)
-            assert a.logp_service == pytest.approx(b.logp_service, rel=1e-12, abs=1e-12)
-        assert final.weighted == serial_final.weighted
+    serial = serial_rollouts(model, envs, [np.random.default_rng(s) for s in (5, 6)])
+    assert_same_episodes(lockstep, serial)
+    assert [f.weighted for f in lockstep.finals] == [f.weighted for f in serial.finals]
+
+
+def assert_same_episodes(lockstep, serial):
+    """Same actions and rewards; log-probs equal up to the batch's rounding."""
+    for key in ("service_index", "device_pos", "rewards"):
+        assert np.array_equal(getattr(lockstep, key), getattr(serial, key)), key
+    for key in ("logp_s", "logp_d"):
+        assert getattr(lockstep, key) == pytest.approx(getattr(serial, key), rel=1e-12, abs=1e-12)
 
 
 def test_greedy_mode_is_deterministic():
     env = make_env(seed=4)
     model = fresh(env, seed=4)
-    [(first, _)] = collect_trajectory(model, [env], mode="greedy")
-    [(second, _)] = collect_trajectory(model, [env], mode="greedy")
-    assert [(t.service_index, t.device_pos) for t in first] == [
-        (t.service_index, t.device_pos) for t in second
-    ]
-    for t in first:  # greedy picks the highest-scoring eligible service and device
-        d = model._decide([t.obs], [t.service_index], [t.device_pos])
-        masked = np.where(t.obs.eligible_mask, d.service_scores.data[0], -np.inf)
-        assert t.service_index == np.argmax(masked)
-        assert t.device_pos == np.argmax(d.device_scores.data[0])
+    first = collect_trajectory(model, [env], mode="greedy")
+    second = collect_trajectory(model, [env], mode="greedy")
+    assert np.array_equal(first.service_index, second.service_index)
+    assert np.array_equal(first.device_pos, second.device_pos)
+    for state, service, device in recorded(first):  # the highest-scoring eligible choices
+        d = model._decide([state], [service], [device])
+        masked = np.where(state.eligible_mask, d.service_scores.data[0], -np.inf)
+        assert service == np.argmax(masked)
+        assert device == np.argmax(d.device_scores.data[0])
 
 
 def test_trajectory_record_and_replay_consistency():
-    env = make_env(seed=5)
-    model = fresh(env, seed=5)
-    [(transitions, final_state)] = collect_trajectory(
-        model, [env], rngs=[np.random.default_rng(6)]
-    )
-    assert len(transitions) == env.task_count
-    assert transitions[-1].done and not any(t.done for t in transitions[:-1])
-    assert (final_state.node_features[:, 2] == 1.0).all()
-    for t in transitions:
-        ev = model.evaluate_actions([t.obs], [t.service_index], [t.device_pos])
-        assert ev["logp_s"].item() == t.logp_service
-        assert ev["logp_d"].item() == t.logp_device
-        assert ev["value_s"].item() == t.value_service
-        assert ev["value_d"].item() == t.value_device
+    envs = two_pools_env_pair(seed=2) + [two_pools_env_pair(seed=2)[0]]
+    model = fresh(envs[0], seed=5)
+    rngs = [np.random.default_rng(s) for s in (6, 7, 8)]
+    rollout = collect_trajectory(model, envs, rngs)
+    steps = envs[0].task_count
+    for name in ARRAYS:
+        assert getattr(rollout, name).shape == (3, steps), name
+    assert [len(row) for row in rollout.states] == [steps] * 3 and len(rollout.finals) == 3
+    for k, final in enumerate(rollout.finals):  # every service placed once
+        assert sorted(rollout.service_index[k]) == list(range(steps))
+        assert (final.node_features[:, 2] == 1.0).all()
+    # each step's batch re-scores to exactly the log-probs it recorded
+    for t in range(steps):
+        ev = model.evaluate_actions(
+            [row[t] for row in rollout.states], rollout.service_index[:, t], rollout.device_pos[:, t]
+        )
+        assert np.array_equal(ev["logp_s"].data, rollout.logp_s[:, t])
+        assert np.array_equal(ev["logp_d"].data, rollout.logp_d[:, t])
+    # and so does each recorded action alone, from a one-env rollout
+    single = collect_trajectory(model, envs[:1], [np.random.default_rng(6)])
+    for t, (state, service, device) in enumerate(recorded(single)):
+        ev = model.evaluate_actions([state], [service], [device])
+        assert ev["logp_s"].item() == single.logp_s[0, t]
+        assert ev["logp_d"].item() == single.logp_d[0, t]
+
+
+def test_rewards_telescope_to_start_minus_final_score():
+    envs = [make_env(seed=s, device_count=4) for s in (20, 21, 22)]
+    model = fresh(envs[0], seed=20)
+    rollout = collect_trajectory(model, envs, [np.random.default_rng(s) for s in (20, 21, 22)])
+    for k, (row, final) in enumerate(zip(rollout.states, rollout.finals)):
+        after = [state.weighted for state in row[1:]] + [final.weighted]
+        for t, state in enumerate(row):  # each reward is the drop in the weighted score
+            assert rollout.rewards[k, t] == state.weighted - after[t]
+        assert sum(rollout.rewards[k]) == pytest.approx(row[0].weighted - final.weighted, abs=1e-12)
 
 
 @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan"), float("inf")])
@@ -294,6 +338,34 @@ def test_non_int_dims_rejected(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        (GinConfig, "hidden_dim", 10**19),
+        (GinConfig, "node_feature_dim", MAX_WIDTH + 1),
+        (GinConfig, "k_iterations", MAX_DEPTH + 1),
+        (GinConfig, "mlp_layers", 10**19),
+        (AgentConfig, "head_width", MAX_WIDTH + 1),
+        (AgentConfig, "actor_hidden_layers", 10**19),
+        (AgentConfig, "critic_hidden_layers", MAX_DEPTH + 1),
+    ],
+)
+def test_oversized_dims_rejected_naming_the_field(kind, field, value):
+    # the checks run before any parameter or layer tuple is built
+    with pytest.raises(ConfigurationError, match=f"^{field} must be an int in \\[1, "):
+        kind(**{field: value})
+
+
+def test_largest_dims_accepted():
+    config = AgentConfig(
+        gin=GinConfig(hidden_dim=MAX_WIDTH, k_iterations=MAX_DEPTH, mlp_layers=MAX_DEPTH),
+        actor_hidden_layers=MAX_DEPTH,
+        critic_hidden_layers=MAX_DEPTH,
+        head_width=MAX_WIDTH,
+    )
+    assert config.gin.hidden_dim == config.head_width == MAX_WIDTH
+
+
 @pytest.mark.parametrize("head", ["actor_s", "actor_d"])
 @pytest.mark.parametrize("mode", ["sample", "greedy"])
 def test_non_finite_scores_raise_divergence(head, mode):
@@ -304,49 +376,36 @@ def test_non_finite_scores_raise_divergence(head, mode):
         collect_trajectory(model, [env], [np.random.default_rng(0)], mode=mode)
 
 
-def test_returns_are_suffix_sums():
-    assert trajectory_returns([1.0, 2.0, 3.0]) == [6.0, 5.0, 3.0]
-    assert trajectory_returns([]) == []
-
-
-def test_returns_match_the_reverse_loop():
-    rng = np.random.default_rng(19)
-    for n in (1, 2, 9, 81):
-        rewards = list(rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n))
-        expected = [0.0] * n
-        acc = 0.0
-        for t in range(n - 1, -1, -1):
-            acc += rewards[t]
-            expected[t] = acc
-        assert trajectory_returns(rewards) == expected
-
-
 def test_first_epoch_ratio_is_one():
     env = make_env(seed=7)
     model = fresh(env, seed=7)
     rng = np.random.default_rng(8)
-    trajectories = [collect_trajectory(model, [env], [rng])[0][0] for _ in range(2)]
+    rollout = serial_rollouts(model, [env] * 2, [rng] * 2)
     opt = Adam(model.parameters(), lr=1e-3)
-    report = ppo_update(model, trajectories, PpoHyper(update_epochs=1), opt)
+    report = ppo_update(model, rollout, PpoHyper(update_epochs=1), opt)
     assert report.mean_ratio_s_first_epoch == pytest.approx(1.0, abs=1e-9)
     assert report.mean_ratio_d_first_epoch == pytest.approx(1.0, abs=1e-9)
 
 
-def reference_ppo_loss(model, trajectories, hyper):
-    """Reference: the PPO loss of one epoch, built transition by transition
-    from one-state passes and scalar tape nodes, as ``ppo_update``
-    computed it before it batched the transitions. Returns the total and its
-    six components."""
+def reference_ppo_loss(model, rollout, hyper):
+    """Reference: the PPO loss of one epoch, built action by action from
+    one-state passes and scalar tape nodes, with each return summed by a
+    reverse loop, as ``ppo_update`` computed it before it batched the
+    actions. Returns the total and its six components."""
     lo, hi = 1.0 - hyper.clip_ratio, 1.0 + hyper.clip_ratio
     surrogates = {"s": [], "d": []}
     values = {"s": [], "d": []}
     entropies = {"s": [], "d": []}
-    for traj in trajectories:
-        for transition, ret in zip(traj, trajectory_returns([t.reward for t in traj])):
-            ev = model.evaluate_actions(
-                [transition.obs], [transition.service_index], [transition.device_pos]
-            )
-            for head, logp_old in (("s", transition.logp_service), ("d", transition.logp_device)):
+    for k, row in enumerate(rollout.states):
+        returns = [0.0] * len(row)
+        acc = 0.0
+        for t in reversed(range(len(row))):
+            acc += rollout.rewards[k, t]
+            returns[t] = acc
+        for t, (state, ret) in enumerate(zip(row, returns)):
+            service, device = rollout.service_index[k, t], rollout.device_pos[k, t]
+            ev = model.evaluate_actions([state], [service], [device])
+            for head, logp_old in (("s", rollout.logp_s[k, t]), ("d", rollout.logp_d[k, t])):
                 ratio = (ev[f"logp_{head}"] - logp_old).exp()
                 advantage = ret - ev[f"value_{head}"].item()
                 surrogates[head].append(
@@ -388,12 +447,10 @@ def desk_rollouts(seed, lockstep):
     scenarios = [datasets.train[p] for p in picks]
     envs = [PlacementEnv(sc.applications[0], sc.devices, config.weights) for sc in scenarios]
     if lockstep:
-        rolled = collect_trajectory(model, envs, streams)
+        rollout = collect_trajectory(model, envs, streams)
     else:
-        rolled = [
-            collect_trajectory(model, [env], [stream])[0] for env, stream in zip(envs, streams)
-        ]
-    return config, model, [transitions for transitions, _ in rolled]
+        rollout = serial_rollouts(model, envs, streams)
+    return config, model, rollout
 
 
 def test_vector_loss_matches_per_transition_reference():
@@ -401,33 +458,26 @@ def test_vector_loss_matches_per_transition_reference():
     for seed in range(3):
         _, _, lockstep = desk_rollouts(seed, lockstep=True)
         _, _, serial = desk_rollouts(seed, lockstep=False)
-        for batched_traj, serial_traj in zip(lockstep, serial, strict=True):
-            for a, b in zip(batched_traj, serial_traj, strict=True):
-                assert (a.service_index, a.device_pos) == (b.service_index, b.device_pos)
-                assert (a.reward, a.done) == (b.reward, b.done)
-                for key in ("logp_service", "logp_device", "value_service", "value_device"):
-                    assert getattr(a, key) == pytest.approx(getattr(b, key), rel=1e-12, abs=1e-12)
+        assert_same_episodes(lockstep, serial)
 
-    config, model, trajectories = desk_rollouts(0, lockstep=True)
-    flat = [t for traj in trajectories for t in traj]
-    # one batched pass scores every transition as its own one-state pass does
-    batched = model.evaluate_actions(
-        [t.obs for t in flat], [t.service_index for t in flat], [t.device_pos for t in flat]
-    )
-    for k, t in enumerate(flat):
-        single = model.evaluate_actions([t.obs], [t.service_index], [t.device_pos])
+    config, model, rollout = desk_rollouts(0, lockstep=True)
+    actions = recorded(rollout)
+    # one batched pass scores every action as its own one-state pass does
+    batched = model.evaluate_actions(*(list(column) for column in zip(*actions)))
+    for k, (state, service, device) in enumerate(actions):
+        single = model.evaluate_actions([state], [service], [device])
         for key, value in single.items():
-            assert batched[key].shape == (len(flat),), key
+            assert batched[key].shape == (len(actions),), key
             assert batched[key].data[k] == pytest.approx(value.item(), rel=1e-12, abs=1e-12), key
 
     # one unclipped epoch, so the gradients left behind are the raw loss gradients
     hyper = dataclasses.replace(config.ppo, update_epochs=1, grad_clip_norm=None)
-    total, expected = reference_ppo_loss(model, trajectories, hyper)
+    total, expected = reference_ppo_loss(model, rollout, hyper)
     total.backward()
     reference_grads = {k: p.grad.copy() for k, p in model.named_parameters().items()}
     model.zero_grad()
 
-    report = ppo_update(model, trajectories, hyper, Adam(model.parameters(), lr=1e-3))
+    report = ppo_update(model, rollout, hyper, Adam(model.parameters(), lr=1e-3))
     for key, value in expected.items():
         assert getattr(report, key) == pytest.approx(value, rel=1e-12, abs=1e-12), key
     assert report.total_losses[0] == pytest.approx(total.item(), rel=1e-12, abs=1e-12)
@@ -440,8 +490,8 @@ def test_update_moves_parameters():
     model = fresh(env, seed=9)
     rng = np.random.default_rng(10)
     before = {k: v.data.copy() for k, v in model.named_parameters().items()}
-    trajectories = [collect_trajectory(model, [env], [rng])[0][0] for _ in range(2)]
-    report = ppo_update(model, trajectories, PpoHyper(), Adam(model.parameters(), lr=0.01))
+    rollout = serial_rollouts(model, [env] * 2, [rng] * 2)
+    report = ppo_update(model, rollout, PpoHyper(), Adam(model.parameters(), lr=0.01))
     # the second epoch runs on moved parameters; the report keeps the first's ratios
     assert report.mean_ratio_s_first_epoch == pytest.approx(1.0, abs=1e-9)
     assert report.mean_ratio_d_first_epoch == pytest.approx(1.0, abs=1e-9)
@@ -456,26 +506,17 @@ def test_update_moves_parameters():
 def test_clipped_ratio_blocks_policy_gradient():
     env = make_env(seed=11)
     model = fresh(env, seed=11)
-    [(transitions, _)] = collect_trajectory(model, [env], [np.random.default_rng(12)])
-    doctored = []
-    for t in transitions:
-        doctored.append(
-            Transition(
-                obs=t.obs,
-                service_index=t.service_index,
-                device_pos=t.device_pos,
-                # stored log-probs shifted so the new/old ratio is ~1.5 > 1.25
-                logp_service=t.logp_service - np.log(1.5),
-                logp_device=t.logp_device - np.log(1.5),
-                value_service=t.value_service,
-                value_device=t.value_device,
-                reward=100.0,  # keeps every advantage positive
-                done=t.done,
-            )
-        )
+    rollout = collect_trajectory(model, [env], [np.random.default_rng(12)])
+    doctored = dataclasses.replace(
+        rollout,
+        # stored log-probs shifted so the new/old ratio is ~1.5 > 1.25
+        logp_s=rollout.logp_s - np.log(1.5),
+        logp_d=rollout.logp_d - np.log(1.5),
+        rewards=np.full_like(rollout.rewards, 100.0),  # keeps every advantage positive
+    )
     hyper = PpoHyper(update_epochs=1, policy_coef=3.0, value_coef=0.0, entropy_coef=0.0)
     opt = Adam(model.parameters(), lr=0.0001)
-    ppo_update(model, [doctored], hyper, opt)
+    ppo_update(model, doctored, hyper, opt)
     # clipped surrogate active everywhere: no gradient reaches any parameter
     for name, param in model.named_parameters().items():
         assert param.grad is not None, name
@@ -504,8 +545,7 @@ def test_bandit_favors_rewarding_device():
     p_start = device_probability(model, obs0, 1)
     opt = Adam(model.parameters(), lr=0.01)
     for _ in range(50):
-        trajectories = [collect_trajectory(model, [env], [rng])[0][0] for _ in range(8)]
-        ppo_update(model, trajectories, PpoHyper(), opt)
+        ppo_update(model, serial_rollouts(model, [env] * 8, [rng] * 8), PpoHyper(), opt)
     p_end = device_probability(model, obs0, 1)
     assert p_end > p_start
     assert p_end > 0.9
@@ -523,10 +563,10 @@ def test_task_count_mismatch_rejected():
 def test_divergent_update_aborts():
     env = make_env(seed=15)
     model = fresh(env, seed=15)
-    [(transitions, _)] = collect_trajectory(model, [env], [np.random.default_rng(16)])
+    rollout = collect_trajectory(model, [env], [np.random.default_rng(16)])
     model.actor_s.linears[0].w.data[0, 0] = np.nan
     with pytest.raises(DivergenceError):
-        ppo_update(model, [transitions], PpoHyper(), Adam(model.parameters()))
+        ppo_update(model, rollout, PpoHyper(), Adam(model.parameters()))
 
 
 def test_overflowing_loss_raises_divergence():
@@ -535,20 +575,21 @@ def test_overflowing_loss_raises_divergence():
     # finite critic values whose squared error overflows: the loss, not the
     # pass, is the first non-finite number, and it must not surface as a warning
     model.critic_s.linears[-1].b.data[:] = 1e300
-    [(transitions, _)] = collect_trajectory(model, [env], [np.random.default_rng(16)])
-    assert np.isfinite(transitions[0].value_service)
+    rollout = collect_trajectory(model, [env], [np.random.default_rng(16)])
+    state, service, device = recorded(rollout)[0]
+    assert np.isfinite(model.evaluate_actions([state], [service], [device])["value_s"].item())
     with pytest.raises(DivergenceError, match="non-finite loss"):
-        ppo_update(model, [transitions], PpoHyper(), Adam(model.parameters()))
+        ppo_update(model, rollout, PpoHyper(), Adam(model.parameters()))
 
 
 def test_non_finite_parameters_abort_update():
     env = make_env(seed=15)
     model = fresh(env, seed=15)
-    [(transitions, _)] = collect_trajectory(model, [env], [np.random.default_rng(16)])
+    rollout = collect_trajectory(model, [env], [np.random.default_rng(16)])
     optimizer = Adam(model.parameters())
     optimizer.lr = np.inf  # finite loss, but the step leaves non-finite weights
     with pytest.raises(DivergenceError, match="parameters"):
-        ppo_update(model, [transitions], PpoHyper(), optimizer)
+        ppo_update(model, rollout, PpoHyper(), optimizer)
 
 
 def test_checkpoint_round_trip(tmp_path):

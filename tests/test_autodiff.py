@@ -13,7 +13,6 @@ from fogforge.nn import (
     Linear,
     Mlp,
     MlpSpec,
-    StepDecay,
     Tensor,
     clip_global_norm,
     concat,
@@ -517,20 +516,6 @@ def test_adam_converges_on_quadratic():
         loss.backward()
         opt.step()
     assert np.abs(p.data).max() < 1e-2
-
-
-def test_step_decay_schedule():
-    p = Tensor(np.array([0.0]), requires_grad=True)
-    opt = Adam([p], lr=0.022)
-    sched = StepDecay(opt, gamma=0.9, interval=1)
-    sched.step()
-    assert opt.lr == pytest.approx(0.022 * 0.9)
-
-    opt2 = Adam([p], lr=1.0)
-    sched2 = StepDecay(opt2, gamma=0.5, interval=3)
-    for _ in range(5):
-        sched2.step()
-    assert opt2.lr == pytest.approx(0.5)  # only the third call fired
 
 
 def test_clip_global_norm():

@@ -504,6 +504,13 @@ BAD_TRAIN_CONFIGS = {
         "agent": {**TINY_TRAIN["agent"], "gin": {**TINY_TRAIN["agent"]["gin"],
                                                  "node_feature_dim": 4}}
     },
+    # sizes past the bounds, rejected before any parameter is allocated
+    "huge-hidden-dim": {
+        "agent": {**TINY_TRAIN["agent"], "gin": {**TINY_TRAIN["agent"]["gin"],
+                                                 "hidden_dim": 10**19}}
+    },
+    "huge-actor-layers": {"agent": {**TINY_TRAIN["agent"], "actor_hidden_layers": 10**19}},
+    "wide-head": {"agent": {**TINY_TRAIN["agent"], "head_width": 513}},
     # scenario values the generator would turn into bad devices
     "negative-cloud-latency": {"scenario": {**TINY_TRAIN["scenario"], "cloud_latency": -5}},
     "negative-latency-choice": {"scenario": {**TINY_TRAIN["scenario"], "latency_choices": [-1.0]}},
@@ -524,6 +531,15 @@ def test_bad_training_config_exits_2_before_writing(tmp_path, command, override,
     assert not (run / "config.json").exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_oversized_dimension_error_names_the_field(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({**TINY_TRAIN, **BAD_TRAIN_CONFIGS["huge-hidden-dim"]}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "hidden_dim must be an int in [1, 512], got 10000000000000000000" in err
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,14 @@ def test_metrics_rows_carry_learning_diagnostics(tiny):
         assert row["mean_ratio_d_first_epoch"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_lr_decays_after_every_interval(tiny):
+    config, datasets = tiny
+    result = train(replace(config, lr_decay_interval=3, lr_decay_gamma=0.5), datasets, episodes=7)
+    lr = config.learning_rate
+    # the row of every third episode already carries the decayed rate
+    assert [row["lr"] for row in result.metrics] == [lr, lr, lr / 2, lr / 2, lr / 2, lr / 4, lr / 4]
+
+
 def test_best_checkpoint_is_monotone_and_restored(tiny):
     config, datasets = tiny
     result = train(config, datasets)
