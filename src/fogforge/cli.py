@@ -257,20 +257,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    config = {"checkpoint": args.checkpoint, "scenario": args.scenario}
+    writer = None if args.out is None else RunWriter(args.out, "infer", config, None)
     scenario = load_scenario(args.scenario)
     model = load_checkpoint(args.checkpoint)
     app = scenario.applications[0]
-    placement = infer_placement(model, app, scenario.devices)
+    try:
+        placement = infer_placement(model, app, scenario.devices)
+    except DivergenceError as exc:
+        raise DivergenceError(f"{args.checkpoint}: {exc}") from None
     point = evaluate(app, placement, scenario.devices)
     ordered = sorted(placement.assignment.items())
     print("placement:", " ".join(f"s{app.service_index(s)}->d{d}" for s, d in ordered))
     print(f"time: {point.time}")
     print(f"cost: {point.cost}")
-    if args.out is not None:
+    if writer is not None:
         weights = parse_weights(args.weights) if args.weights else WeightVector(0.5, 0.5)
-        writer = RunWriter(
-            args.out, "infer", {"checkpoint": args.checkpoint, "scenario": args.scenario}, None
-        )
         emit_placement_run(writer, scenario, placement, weights)
         write_metrics(
             writer.path("metrics.jsonl"), [{"time": point.time, "cost": point.cost}]
@@ -285,12 +287,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     kind = StrategyKind.parse(args.strategy)
     weights = parse_weights(args.weights)
     app = scenario.applications[0]
-    placement = run_baseline(kind, app, scenario.devices, seed=seed)
     writer = RunWriter(
         args.out, "baseline",
         {"strategy": kind.value, "scenario": args.scenario, "weights": list(weights)},
         seed,
     )
+    placement = run_baseline(kind, app, scenario.devices, seed=seed)
     point = emit_placement_run(writer, scenario, placement, weights)
     score = weighted_objective(point, weights, scenario.bounds())
     write_metrics(
@@ -319,17 +321,14 @@ def cmd_evo(args: argparse.Namespace) -> int:
         seed=seed,
     )
     app = scenario.applications[0]
-    if args.algorithm == "ga":
-        weights = parse_weights(args.weights or "0.5,0.5")
-        result = ga_solve(app, scenario.devices, weights, config)
-    else:
-        result = nsga2_solve(app, scenario.devices, config)
     writer = RunWriter(
         args.out, "evo",
         {"algorithm": args.algorithm, "scenario": args.scenario, "config": asdict(config)},
         seed,
     )
     if args.algorithm == "ga":
+        weights = parse_weights(args.weights or "0.5,0.5")
+        result = ga_solve(app, scenario.devices, weights, config)
         emit_placement_run(writer, scenario, result.placement, weights)
         write_front_csv(writer.path("front.csv"), [result.point], [result.placement])
         write_metrics(
@@ -339,6 +338,7 @@ def cmd_evo(args: argparse.Namespace) -> int:
         print(f"ga best: time={result.point.time} cost={result.point.cost} "
               f"objective={result.objective:.6f}")
     else:
+        result = nsga2_solve(app, scenario.devices, config)
         write_solutions(
             writer.path("solutions.csv"),
             [SolutionRow(time=p.time, cost=p.cost) for p in result.front],
@@ -358,8 +358,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     app = scenario.applications[0]
     weight_list = [parse_weights(w) for w in args.weights] if args.weights else []
-    result = brute_force_oracle(app, scenario.devices, weights=weight_list, cap=args.cap)
     writer = RunWriter(args.out, "oracle", {"scenario": args.scenario, "cap": args.cap}, None)
+    result = brute_force_oracle(app, scenario.devices, weights=weight_list, cap=args.cap)
     rows = [SolutionRow(time=p.time, cost=p.cost) for p in result.front]
     for optimum in result.weighted:
         rows.append(

@@ -19,14 +19,13 @@ from fogforge.model import (
     Device,
     InvalidPlacementError,
     NormBounds,
-    ObjectivePoint,
     Placement,
     Service,
     WeightVector,
     _Instance,
+    _weighted,
     analytic_bounds,
     evaluate,  # unused here; kept so tracers that wrap ``fogforge.env.evaluate`` still find it
-    weighted_objective,
 )
 
 
@@ -130,7 +129,7 @@ class PlacementEnv:
 
         self._assignment = np.full(self.task_count, self._cloud_pos, dtype=np.int64)
         self._placed = np.zeros(self.task_count, dtype=bool)
-        self._scored: tuple[ObjectivePoint, float] | None = None  # set by each state
+        self.reset()  # sets _now, the last state returned, which step() scores against
 
     # positions index self.devices; ids are translated at the boundary
     def _pos_of_device(self, device_id: int) -> int:
@@ -142,12 +141,6 @@ class PlacementEnv:
     def placement(self) -> Placement:
         return Placement.from_vector(self.app, self.device_ids[self._assignment])
 
-    def _score(self) -> tuple[ObjectivePoint, float]:
-        """Objectives of the current assignment and their weighted scalarization."""
-        times, costs = self._inst.objectives(self._assignment[None, :])
-        point = ObjectivePoint(float(times[0]), float(costs[0]))
-        return point, weighted_objective(point, self.weights, self.bounds)
-
     def eligible_services(self) -> np.ndarray:
         """Mask over services: not yet re-placed and all predecessors re-placed."""
         waiting = np.bincount(
@@ -156,12 +149,14 @@ class PlacementEnv:
         return ~self._placed & (waiting == 0)
 
     def _state(self) -> EnvState:
+        """Scores the current assignment in one pass of the kernel's term matrices."""
         inst = self._inst
-        exec_time = inst.ops / inst.speed[self._assignment]
-        exec_f = exec_time / self._exec_bound if self._exec_bound > 0 else np.zeros_like(exec_time)
+        terms = inst.terms(self._assignment[None, :])
+        execution, heads, edges = (matrix[0] for matrix in terms[:3])
+        exec_f = execution / self._exec_bound if self._exec_bound > 0 else np.zeros_like(execution)
 
-        acc_lat = inst.inbound_latency(self._assignment)
-        acc_lat[inst.heads] += inst.latency[self._assignment[inst.heads]]
+        acc_lat = inst.inbound(edges)
+        acc_lat[inst.heads] += heads
         lat_f = np.divide(
             acc_lat,
             self._lat_bound,
@@ -169,18 +164,20 @@ class PlacementEnv:
             where=self._lat_bound > 0,
         )
 
-        point, weighted = self._scored = self._score()
-        return EnvState(
+        times, costs = inst.totals(*terms)
+        t_app, cost = float(times[0]), float(costs[0])
+        self._now = EnvState(
             node_features=np.column_stack([exec_f, lat_f, self._placed, self.degree_features]),
             host_latency=self.device_rows[self._assignment, 0],
             eligible_mask=self.eligible_services(),
             adjacency=self.adjacency,
             device_classes=self.device_classes,
             device_class_of=self.device_class_of,
-            t_app=point.time,
-            cost=point.cost,
-            weighted=weighted,
+            t_app=t_app,
+            cost=cost,
+            weighted=_weighted(t_app, cost, self.weights, self.bounds),
         )
+        return self._now
 
     def reset(self) -> EnvState:
         self._assignment[:] = self._cloud_pos
@@ -191,20 +188,18 @@ class PlacementEnv:
         k = self._svc_index.get(action.service)
         if k is None:
             raise IllegalActionError(f"unknown service {action.service}")
-        if not self.eligible_services()[k]:
+        prev = self._now
+        if not prev.eligible_mask[k]:
             raise IllegalActionError(f"service {action.service} is not eligible")
         pos = self._pos_of_device(action.device)
 
-        if self._scored is None:  # step before the first reset()
-            self._scored = self._score()
-        prev, prev_w = self._scored
         self._assignment[k] = pos
         self._placed[k] = True
         state = self._state()
         reward = RewardBreakdown(
-            r_time=prev.time - state.t_app,
+            r_time=prev.t_app - state.t_app,
             r_cost=prev.cost - state.cost,
-            r_total=prev_w - state.weighted,
+            r_total=prev.weighted - state.weighted,
         )
         return state, reward, bool(self._placed.all())
 
@@ -212,15 +207,14 @@ class PlacementEnv:
 def rollout_random(env: PlacementEnv, rng: np.random.Generator) -> list[tuple[Action, RewardBreakdown]]:
     """Uniform-random legal trajectory, for tests; ``run_baseline``'s random
     strategy draws a placement directly and does not use it."""
-    env.reset()
+    state = env.reset()
     trace = []
     done = False
     while not done:
-        mask = env.eligible_services()
-        choices = np.flatnonzero(mask)
+        choices = np.flatnonzero(state.eligible_mask)
         svc = env.services[int(rng.choice(choices))]
         dev = int(rng.choice(env.device_ids))
         action = Action(service=svc, device=dev)
-        _, reward, done = env.step(action)
+        state, reward, done = env.step(action)
         trace.append((action, reward))
     return trace

@@ -347,12 +347,9 @@ class _Instance:
         """(times, costs) of an (N, service_count) matrix of device positions."""
         return self.totals(*self.terms(pos))
 
-    def inbound_latency(self, pos: np.ndarray) -> np.ndarray:
-        """Per-service sum of the target latency over cross-device inbound edges."""
-        cross = pos[self.src] != pos[self.dst]
-        inbound = np.bincount(
-            self.dst, weights=self.latency[pos[self.dst]] * cross, minlength=len(self.ops)
-        )
+    def inbound(self, edges: np.ndarray) -> np.ndarray:
+        """Per-service sum of one row of edge terms over each service's inbound edges."""
+        inbound = np.bincount(self.dst, weights=edges, minlength=len(self.ops))
         return inbound.astype(np.float64, copy=False)  # bincount of no edges is int
 
 
@@ -388,8 +385,8 @@ def latency_contribution_matrix(
     pointing into service (i, j). Row-head access latencies are not included.
     """
     inst = _Instance.build(app, devices)
-    pos = inst.positions(placement.to_vector(app))
-    return inst.inbound_latency(pos).reshape(app.rows, app.cols)
+    _, _, edges, _ = inst.terms(inst.positions(placement.to_vector(app)[None, :]))
+    return inst.inbound(edges[0]).reshape(app.rows, app.cols)
 
 
 def weighted_objective(point: ObjectivePoint, weights: WeightVector, norms: NormBounds) -> float:

@@ -113,15 +113,12 @@ def write_metrics(path: str | Path, rows: Sequence[dict]) -> None:
 
 
 def write_front_csv(
-    path: str | Path, points: Sequence[ObjectivePoint], placements: Sequence[Placement | None]
+    path: str | Path, points: Sequence[ObjectivePoint], placements: Sequence[Placement]
 ) -> None:
     """Front export with the winning assignment vector alongside each point."""
     rows = []
     for point, placement in zip(points, placements):
-        genes = ""
-        if placement is not None:
-            ordered = sorted(placement.assignment.items())
-            genes = " ".join(str(device) for _, device in ordered)
+        genes = " ".join(str(device) for _, device in sorted(placement.assignment.items()))
         rows.append((_fmt(point.time), _fmt(point.cost), genes))
     write_table(path, ("time", "cost", "chromosome"), rows)
 

@@ -203,7 +203,7 @@ def train(
     metrics: list[dict] = []
     best_metric: float | None = None
     best_episode: int | None = None
-    best_state = {k: v.copy() for k, v in model.state_dict().items()}
+    best_state = model.state_dict()
     diverged = False
     trained = 0
 
@@ -238,7 +238,7 @@ def train(
             if best_metric is None or test_metric < best_metric:
                 best_metric = test_metric
                 best_episode = episode
-                best_state = {k: v.copy() for k, v in model.state_dict().items()}
+                best_state = model.state_dict()
             row["test_metric"] = test_metric
             row["best_test_metric"] = best_metric
         metrics.append(row)
@@ -258,7 +258,7 @@ def transfer_parameters(parent: PolicyModel) -> PolicyModel:
     """Exact parameter copy into a fresh model; optimizer state is never
     carried over because the child creates its own optimizer."""
     child = PolicyModel(parent.task_count, parent.config, np.random.default_rng(0))
-    child.load_state_dict({k: v.copy() for k, v in parent.state_dict().items()})
+    child.load_state_dict(parent.state_dict())
     return child
 
 

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fogforge import cli
 from fogforge.agents import AgentConfig, PolicyModel, load_checkpoint, save_checkpoint
 from fogforge.cli import main
 from fogforge.gin import GinConfig
@@ -39,6 +41,18 @@ def scenario_file(tmp_path):
     path = tmp_path / "scen.json"
     assert main(["generate", "--devices", "2", "--rows", "3", "--seed", "7",
                  "--out", str(path)]) == 0
+    return path
+
+
+def tiny_checkpoint(path: Path, **overrides) -> Path:
+    """A TINY_TRAIN-shaped model for 9 tasks, with ``overrides`` replacing
+    whole parameter arrays by a constant."""
+    config = AgentConfig(**{**TINY_TRAIN["agent"], "gin": GinConfig(**TINY_TRAIN["agent"]["gin"])})
+    save_checkpoint(PolicyModel(9, config, np.random.default_rng(0)), path)
+    payload = json.loads(path.read_text())
+    for name, value in overrides.items():
+        payload["state"][name] = np.full_like(payload["state"][name], value).tolist()
+    path.write_text(json.dumps(payload))
     return path
 
 
@@ -456,9 +470,7 @@ def test_negative_seed_exits_2_before_writing(tmp_path, monkeypatch, scenario_fi
 
 @pytest.mark.parametrize("command", ["oracle", "infer", "compare"])
 def test_seed_is_refused_where_nothing_is_random(tmp_path, scenario_file, command):
-    checkpoint, runs = tmp_path / "model.json", tmp_path / "runs"
-    config = AgentConfig(**{**TINY_TRAIN["agent"], "gin": GinConfig(**TINY_TRAIN["agent"]["gin"])})
-    save_checkpoint(PolicyModel(9, config, np.random.default_rng(0)), checkpoint)
+    checkpoint, runs = tiny_checkpoint(tmp_path / "model.json"), tmp_path / "runs"
     assert main(["baseline", "--strategy", "all-in-cloud", "--scenario", str(scenario_file),
                  "--out", str(runs / "cloud")]) == 0
     args = {
@@ -623,6 +635,39 @@ def test_diverged_sweep_exits_3_and_lists_every_stage(tmp_path):
     for path in checkpoints:
         assert_same_parameters(load_checkpoint(path), start_parameters(5))
     assert len(read_solutions(run / "solutions.csv")) == 5
+
+
+def test_infer_divergence_names_the_checkpoint(tmp_path, scenario_file):
+    checkpoint = tiny_checkpoint(tmp_path / "model.json", **{"gin.input_mlp.linears.0.w": 1e308})
+    run = tmp_path / "run"
+    proc = run_cli("infer", "--checkpoint", checkpoint, "--scenario", scenario_file, "--out", run)
+    assert proc.returncode == 3, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("divergence:")]
+    assert len(lines) == 1 and str(checkpoint) in lines[0], proc.stderr
+    assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "solver, args",
+    [("brute_force_oracle", ["oracle"]),
+     ("nsga2_solve", ["evo", "--algorithm", "nsga2", "--population", "20", "--generations", "5"]),
+     ("run_baseline", ["baseline", "--strategy", "all-in-cloud"]),
+     ("infer_placement", ["infer", "--checkpoint", "model.json"])],
+    ids=["oracle", "evo", "baseline", "infer"],
+)
+def test_manifest_duration_counts_the_solve(tmp_path, monkeypatch, scenario_file, solver, args):
+    tiny_checkpoint(tmp_path / "model.json")  # infer reads it relative to tmp_path
+    monkeypatch.chdir(tmp_path)
+    solve = getattr(cli, solver)
+
+    def slow_solve(*a, **kw):
+        time.sleep(0.2)
+        return solve(*a, **kw)
+
+    monkeypatch.setattr(cli, solver, slow_solve)
+    run = tmp_path / "run"
+    assert main([*args, "--scenario", str(scenario_file), "--out", str(run)]) == 0
+    assert read_manifest(run).duration_s >= 0.2
 
 
 @pytest.fixture

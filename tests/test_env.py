@@ -11,6 +11,7 @@ from fogforge.model import (
     Application,
     ConfigurationError,
     Device,
+    NormBounds,
     WeightVector,
     placement_cost,
     response_time,
@@ -58,6 +59,29 @@ def test_reset_is_reproducible():
     np.testing.assert_array_equal(a.host_latency, b.host_latency)
     np.testing.assert_array_equal(a.eligible_mask, b.eligible_mask)
     assert a.t_app == b.t_app and a.cost == b.cost
+
+
+def test_first_step_without_reset_matches_step_after_reset():
+    scenario = grid_scenario(seed=9)
+    app, devices = scenario.applications[0], scenario.devices
+    fresh = PlacementEnv(app, devices, HALF)
+    explicit = PlacementEnv(app, devices, HALF)
+    explicit.reset()
+    service = explicit.services[int(np.flatnonzero(explicit.eligible_services())[0])]
+    fog = next(d.id for d in devices if not d.is_cloud)
+    got, got_reward, _ = fresh.step(Action(service, fog))
+    want, want_reward, _ = explicit.step(Action(service, fog))
+    for field in fields(EnvState):
+        np.testing.assert_array_equal(
+            getattr(got, field.name), getattr(want, field.name), err_msg=field.name
+        )
+    assert got_reward == want_reward and got_reward.r_total != 0.0
+
+
+def test_non_positive_bounds_fail_when_the_env_is_built():
+    scenario = grid_scenario(seed=5)
+    with pytest.raises(ConfigurationError, match="bounds must be positive"):
+        PlacementEnv(scenario.applications[0], scenario.devices, HALF, NormBounds(1.0, 0.0))
 
 
 def test_reward_evolution_example():

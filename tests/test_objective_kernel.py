@@ -125,6 +125,7 @@ def test_env_eligibility_and_telescoping(app, devices, data):
         assert state.eligible_mask.tolist() == want
         t, c = slow_objectives(app, env.placement(), devices)
         assert (state.t_app, state.cost) == (pytest.approx(t, abs=1e-9), pytest.approx(c, abs=1e-9))
+        assert (state.t_app, state.cost) == tuple(evaluate(app, env.placement(), devices))
         np.testing.assert_allclose(
             state.node_features[:, 1], latency_feature(app, env.placement(), devices), atol=1e-12
         )
@@ -135,6 +136,7 @@ def test_env_eligibility_and_telescoping(app, devices, data):
         r_time += reward.r_time
         r_cost += reward.r_cost
     t_final, c_final = slow_objectives(app, env.placement(), devices)
+    assert (state.t_app, state.cost) == tuple(evaluate(app, env.placement(), devices))
     assert r_time == pytest.approx(start.t_app - t_final, abs=1e-9)
     assert r_cost == pytest.approx(start.cost - c_final, abs=1e-9)
     assert not env.eligible_services().any()
