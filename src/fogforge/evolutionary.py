@@ -42,6 +42,10 @@ from .model import (
 
 CROSSOVER_KINDS = ("uniform", "one-point")
 MUTATION_KINDS = ("offspring", "per-gene")
+# 25x the default population. The largest array a run allocates is the GA
+# tournament's population x tournament_size entrant indices and their scores,
+# 16 bytes each: 400 MB at this bound, where 2**62 would ask for exabytes
+MAX_POPULATION = 5_000
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,8 @@ class EvoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.population_size > MAX_POPULATION:
+            raise ConfigurationError(f"population_size must be at most {MAX_POPULATION}")
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ConfigurationError("population_size must be even and >= 2")
         if self.generations < 0:
@@ -65,8 +71,8 @@ class EvoConfig:
             raise ConfigurationError(f"crossover must be one of {CROSSOVER_KINDS}")
         if self.mutation not in MUTATION_KINDS:
             raise ConfigurationError(f"mutation must be one of {MUTATION_KINDS}")
-        if self.tournament_size < 1:
-            raise ConfigurationError("tournament_size must be >= 1")
+        if not 1 <= self.tournament_size <= self.population_size:
+            raise ConfigurationError("tournament_size must lie in [1, population_size]")
 
 
 @dataclass
@@ -271,17 +277,38 @@ def ga_solve(
     )
 
 
-def _repeats(rows: np.ndarray) -> np.ndarray:
-    """True for each row equal to an earlier row."""
-    rows = np.ascontiguousarray(rows)
-    # one opaque item per row: np.unique on it is much cheaper than axis=0
-    items = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
-    return first[inverse] != np.arange(len(rows))
+def _pack(ranks: np.ndarray, pool: int) -> np.ndarray:
+    """Each row of gene ranks in ``range(pool)`` as a row of int64 words.
+
+    A gene takes ``ceil(log2 pool)`` bits (at least one) and a word holds
+    ``63 // bits`` genes, so words stay non-negative and equal rows, and only
+    equal rows, get equal words.
+    """
+    bits = max(1, (pool - 1).bit_length())
+    per_word = 63 // bits
+    size, genes = ranks.shape
+    words = -(-genes // per_word)
+    padded = np.zeros((size, words * per_word), dtype=np.int64)
+    padded[:, :genes] = ranks
+    shifts = bits * np.arange(per_word, dtype=np.int64)
+    return (padded.reshape(size, words, per_word) << shifts).sum(axis=2)
+
+
+def _repeats(words: np.ndarray) -> np.ndarray:
+    """True for each row of int64 words equal to an earlier row.
+
+    One stable lexsort puts equal rows next to each other in index order;
+    every row equal to its sorted predecessor is a repeat.
+    """
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    repeat = np.zeros(len(words), dtype=bool)
+    repeat[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
+    return repeat
 
 
 def _duplicate_mask(population: np.ndarray, offspring: np.ndarray) -> np.ndarray:
-    """Offspring rows equal to a population row or to an earlier offspring."""
+    """Offspring rows of words equal to a population row or to an earlier offspring."""
     return _repeats(np.concatenate([population, offspring], axis=0))[len(population):]
 
 
@@ -307,7 +334,9 @@ def _environmental_selection(
     fill the population with copies of a few elite placements and exploration
     dies.
     """
-    order = np.lexsort((np.arange(len(ranks)), -crowding, ranks, _repeats(points)))
+    # equal float64 bytes are equal int64 words, so 0.0 and -0.0 stay apart
+    repeats = _repeats(np.ascontiguousarray(points, dtype=np.float64).view(np.int64))
+    order = np.lexsort((np.arange(len(ranks)), -crowding, ranks, repeats))
     return order[:size]
 
 
@@ -325,11 +354,14 @@ def nsga2_solve(
     norms = analytic_bounds(app, devices)
     rng = np.random.default_rng(config.seed)
     ids = np.array(sorted(d.id for d in devices), dtype=np.int64)
+    # chromosomes hold ranks into ``ids``; the draws are the same either way
+    pool = np.arange(len(ids))
     genes = app.service_count
     ref = ObjectivePoint(norms.max_time, norms.max_cost)
 
-    population = _seed_population(rng, ids, config, genes)
-    times, costs = batch_objectives(app, devices, population)
+    population = _seed_population(rng, pool, config, genes)
+    keys = _pack(population, len(ids))
+    times, costs = batch_objectives(app, devices, ids[population])
     points = np.stack([times, costs], axis=1)
     ranks = fast_nondominated_sort(points)
     crowding = crowding_distance(points, ranks)
@@ -343,32 +375,36 @@ def nsga2_solve(
         parents = population[_crowded_tournament(rng, ranks, crowding, config.population_size)]
         half = config.population_size // 2
         offspring = _crossover(rng, parents[:half], parents[half:], config.crossover)
-        return _mutate(rng, offspring, ids, config.mutation_prob, config.mutation)
+        return _mutate(rng, offspring, pool, config.mutation_prob, config.mutation)
 
     for _ in range(config.generations):
         offspring = mate()
+        o_keys = _pack(offspring, len(ids))
         # re-mate offspring that duplicate a current member or an earlier
         # offspring, up to five times; duplicate evaluations starve exploration
         # on small discrete spaces. Leftover duplicates are replaced with
-        # random draws.
+        # random draws. Only the replaced rows are packed again.
         for attempt in range(6):
-            stale = _duplicate_mask(population, offspring)
+            stale = _duplicate_mask(keys, o_keys)
             if not stale.any():
                 break
             if attempt < 5:
                 offspring[stale] = mate()[stale]
             else:
-                offspring[stale] = _random_population(rng, ids, int(stale.sum()), genes)
+                offspring[stale] = _random_population(rng, pool, int(stale.sum()), genes)
+            o_keys[stale] = _pack(offspring[stale], len(ids))
 
-        # the survivors carry their points: only the offspring are scored
+        # the survivors carry their points and keys: only the offspring are scored
         combined = np.concatenate([population, offspring], axis=0)
-        o_times, o_costs = batch_objectives(app, devices, offspring)
+        c_keys = np.concatenate([keys, o_keys], axis=0)
+        o_times, o_costs = batch_objectives(app, devices, ids[offspring])
         c_points = np.concatenate([points, np.stack([o_times, o_costs], axis=1)], axis=0)
         c_ranks = fast_nondominated_sort(c_points)
         c_crowding = crowding_distance(c_points, c_ranks)
 
         survivors = _environmental_selection(c_points, c_ranks, c_crowding, config.population_size)
         population = combined[survivors]
+        keys = c_keys[survivors]
         points = c_points[survivors]
         # survivors hold whole lower fronts (every dropped duplicate leaves a
         # kept twin), so their ranks are those of the combined sort
@@ -382,7 +418,7 @@ def nsga2_solve(
     front = [ObjectivePoint(t, c) for t, c in points[front_idx].tolist()]
     return NsgaResult(
         front=front,
-        front_placements=[Placement.from_vector(app, population[i]) for i in front_idx],
+        front_placements=[Placement.from_vector(app, ids[population[i]]) for i in front_idx],
         hypervolume_history=history,
-        final_population=population.copy(),
+        final_population=ids[population],
     )

@@ -337,11 +337,16 @@ class _Instance:
 
     @staticmethod
     def totals(execution, heads, edges, costs) -> tuple[np.ndarray, np.ndarray]:
-        """(times, costs) from the four term matrices; every objective is summed here."""
-        times = execution.sum(axis=1)
-        times = times + heads.sum(axis=1)
-        times = times + edges.sum(axis=1)
-        return times, costs.sum(axis=1)
+        """(times, costs) from the four term matrices; every objective is summed here.
+
+        A C-ordered matrix is summed with ``.sum(axis=1)`` and any other
+        layout column by column in the same order (:func:`_row_sums`), so the
+        layout changes the speed, never a bit.
+        """
+        times = _row_sums(execution)
+        times = times + _row_sums(heads)
+        times = times + _row_sums(edges)
+        return times, _row_sums(costs)
 
     def objectives(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(times, costs) of an (N, service_count) matrix of device positions."""
@@ -351,6 +356,55 @@ class _Instance:
         """Per-service sum of one row of edge terms over each service's inbound edges."""
         inbound = np.bincount(self.dst, weights=edges, minlength=len(self.ops))
         return inbound.astype(np.float64, copy=False)  # bincount of no edges is int
+
+
+def _row_sums(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.sum(axis=1)``, bit for bit, without reducing row by row.
+
+    numpy reduces each row of a C-ordered matrix as its add identity 0.0
+    plus a pairwise sum (:func:`_pairwise_sum`). On a column-major matrix
+    that is a call per row, so there the same additions run on whole columns.
+    """
+    if matrix.flags.c_contiguous:
+        return matrix.sum(axis=1)
+    total = _pairwise_sum(matrix)
+    total += 0.0  # the identity: it only turns an all -0.0 row into 0.0
+    return total
+
+
+def _pairwise_sum(matrix: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of each row, taken column by column.
+
+    Below 8 values it adds them one at a time; up to 128 it keeps 8 running
+    partials, adds them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
+    leftover values one at a time; above that it adds two halves, the first
+    a multiple of 8 wide.
+    """
+    n = matrix.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(matrix[:, :half]) + _pairwise_sum(matrix[:, half:])
+    if n < 8:
+        total = np.zeros(len(matrix))
+        for j in range(n):
+            total += matrix[:, j]
+        return total
+    columns = [matrix[:, j] for j in range(n)]
+    end = n - n % 8
+    partials = columns[:8]
+    if end > 8:
+        partials = [p + c for p, c in zip(partials, columns[8:16])]
+    for start in range(16, end, 8):
+        for p, c in zip(partials, columns[start : start + 8]):
+            p += c
+    total = partials[0] + partials[1]
+    total += partials[2] + partials[3]
+    right = partials[4] + partials[5]
+    right += partials[6] + partials[7]
+    total += right
+    for c in columns[end:]:
+        total += c
+    return total
 
 
 def evaluate(app: Application, placement: Placement, devices: Sequence[Device]) -> ObjectivePoint:
@@ -534,7 +588,9 @@ def brute_force_oracle(
         k += 1
     p = n_svc - k
     rows = n_dev**k
-    pos = np.zeros((rows, n_svc), dtype=np.int64)
+    # column-major, so every term matrix is too: the block loop refills
+    # whole columns and _Instance.totals sums column by column
+    pos = np.zeros((rows, n_svc), dtype=np.int64, order="F")
     pos[:, p:] = np.indices((n_dev,) * k).reshape(k, rows).T
     # every column that reads only suffix services is gathered here, once;
     # each block refills the columns that read a prefix service

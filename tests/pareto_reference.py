@@ -2,8 +2,8 @@
 
 Each function is the plain, quadratic or per-row form of a library routine:
 a dominance matrix for the non-dominated sort, a set and a sort for the
-front, a per-front argsort for the crowding distance, and a set of row bytes
-for the duplicate mask.
+front, a per-front argsort for the crowding distance, a set of row bytes for the
+duplicate mask, and ``np.unique`` over one opaque item per row for repeats.
 """
 
 import numpy as np
@@ -81,3 +81,11 @@ def duplicate_mask(population, offspring):
         else:
             seen.add(key)
     return stale
+
+
+def repeats(rows):
+    """True for each row whose bytes equal an earlier row's."""
+    rows = np.ascontiguousarray(rows)
+    items = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+    return first[inverse] != np.arange(len(rows))

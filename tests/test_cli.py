@@ -13,6 +13,7 @@ import pytest
 from fogforge import cli
 from fogforge.agents import AgentConfig, PolicyModel, load_checkpoint, save_checkpoint
 from fogforge.cli import main
+from fogforge.evolutionary import MAX_POPULATION
 from fogforge.gin import GinConfig
 from fogforge.reports import read_manifest, read_solutions
 from fogforge.scenarios import ScenarioConfig, generate_scenario, load_scenario, save_scenario
@@ -708,6 +709,23 @@ def test_evo_input_errors_leave_no_run_directory(tmp_path, zero_cost_file, scena
         assert main([*args, "--out", str(run)]) == 2, name
         assert not run.exists(), name
         assert named in capsys.readouterr().err, name
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [(["--algorithm", "ga", "--tournament", str(2**62)], "tournament_size"),
+     (["--algorithm", "ga", "--population", "20", "--tournament", "21"], "tournament_size"),
+     (["--algorithm", "nsga2", "--population", str(2**62)], "population_size"),
+     (["--algorithm", "nsga2", "--population", str(MAX_POPULATION + 1)], "population_size")],
+    ids=["ga-tournament-2**62", "ga-tournament-population+1",
+         "nsga2-population-2**62", "nsga2-population-bound+1"],
+)
+def test_evo_refuses_oversized_runs(tmp_path, scenario_file, capsys, args, named):
+    run = tmp_path / "run"
+    assert main(["evo", *args, "--scenario", str(scenario_file), "--out", str(run)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+    assert not run.exists()
 
 
 @pytest.mark.parametrize(

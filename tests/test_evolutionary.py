@@ -5,6 +5,7 @@ import pytest
 
 from fogforge import evolutionary
 from fogforge.evolutionary import (
+    MAX_POPULATION,
     EvoConfig,
     _mutate,
     crowding_distance,
@@ -133,6 +134,15 @@ def test_config_validation():
         EvoConfig(mutation="nope")
     with pytest.raises(ConfigurationError, match="tournament"):
         EvoConfig(tournament_size=0)
+    # sizes past their bounds are refused before any solver allocates for them
+    for fields, named in (
+        ({"population_size": 2**62}, "population_size"),
+        ({"population_size": MAX_POPULATION + 1}, "population_size"),
+        ({"tournament_size": 2**62}, "tournament_size"),
+        ({"population_size": 20, "tournament_size": 21}, "tournament_size"),
+    ):
+        with pytest.raises(ConfigurationError, match=named):
+            EvoConfig(**fields)
 
 
 def test_offspring_mutation_changes_at_most_one_gene():

@@ -18,6 +18,7 @@ from fogforge.model import (
     NormBounds,
     Placement,
     WeightVector,
+    _Instance,
     batch_objectives,
     evaluate,
     latency_contribution_matrix,
@@ -140,3 +141,28 @@ def test_env_eligibility_and_telescoping(app, devices, data):
     assert r_time == pytest.approx(start.t_app - t_final, abs=1e-9)
     assert r_cost == pytest.approx(start.cost - c_final, abs=1e-9)
     assert not env.eligible_services().any()
+
+
+def test_column_major_totals_add_in_numpy_row_order():
+    """``_Instance.totals`` sums a column-major matrix column by column, bit
+    for bit as numpy's ``.sum(axis=1)`` sums each row of the C-ordered copy.
+
+    Widths 2-7 reach the one-at-a-time branch, 8-128 the 8-partial branch and
+    129-300 the halving branch; a width-1 matrix is C-ordered too. Ties, mixed
+    magnitudes and signed zeros make any other order of additions show. This
+    was checked on numpy 2.4.6; a numpy build that sums rows in another order
+    fails here.
+    """
+    rng = np.random.default_rng(0)
+    for width in range(1, 301):
+        rows = rng.standard_normal((48, width)) * 10.0 ** rng.integers(-9, 10, size=(48, width))
+        rows[rng.random(rows.shape) < 0.25] = 1.0
+        rows[rng.random(rows.shape) < 0.05] = -0.0
+        rows[0] = -0.0  # numpy starts from 0.0, so this row sums to 0.0
+        columns = np.asfortranarray(rows)
+        assert columns.flags.c_contiguous == (width == 1)
+        heads = np.asfortranarray(rows[:, :3])
+        times, costs = _Instance.totals(columns, heads, columns, columns)
+        want_times, want_costs = _Instance.totals(rows, np.ascontiguousarray(heads), rows, rows)
+        assert costs.tobytes() == rows.sum(axis=1).tobytes() == want_costs.tobytes(), width
+        assert times.tobytes() == want_times.tobytes(), width
