@@ -170,15 +170,13 @@ def emit_placement_run(
     scenario: Scenario,
     placement,
     weights: WeightVector,
-    dominated: bool = False,
 ) -> ObjectivePoint:
     """solutions.csv + trajectory.jsonl for a single-placement producer."""
     app = scenario.applications[0]
     point = evaluate(app, placement, scenario.devices)
     write_solutions(
         writer.path("solutions.csv"),
-        [SolutionRow(time=point.time, cost=point.cost, w_time=weights.w_time,
-                     w_cost=weights.w_cost, dominated=dominated)],
+        [SolutionRow(time=point.time, cost=point.cost, w_time=weights.w_time, w_cost=weights.w_cost)],
     )
     write_metrics(writer.path("trajectory.jsonl"), trajectory_rows(scenario, placement, weights))
     return point

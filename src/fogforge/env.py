@@ -129,7 +129,9 @@ class PlacementEnv:
 
         self._assignment = np.full(self.task_count, self._cloud_pos, dtype=np.int64)
         self._placed = np.zeros(self.task_count, dtype=bool)
-        self.reset()  # sets _now, the last state returned, which step() scores against
+        # every reset returns this state, as states are never mutated; _state
+        # also sets _now, the last state returned, which step() scores against
+        self._start = self._state()
 
     # positions index self.devices; ids are translated at the boundary
     def _pos_of_device(self, device_id: int) -> int:
@@ -182,7 +184,8 @@ class PlacementEnv:
     def reset(self) -> EnvState:
         self._assignment[:] = self._cloud_pos
         self._placed[:] = False
-        return self._state()
+        self._now = self._start
+        return self._start
 
     def step(self, action: Action) -> tuple[EnvState, RewardBreakdown, bool]:
         k = self._svc_index.get(action.service)

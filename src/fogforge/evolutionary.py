@@ -36,7 +36,7 @@ from .model import (
     analytic_bounds,
     batch_objectives,
     hypervolume_2d,
-    pareto_front,
+    pareto_front,  # unused here; kept for tracers that wrap ``fogforge.evolutionary.pareto_front``
     pareto_indices,
 )
 
@@ -367,7 +367,7 @@ def nsga2_solve(
     crowding = crowding_distance(points, ranks)
 
     def front_hv() -> float:
-        return hypervolume_2d(pareto_front(points[ranks == 0]), ref)
+        return hypervolume_2d(points[ranks == 0], ref)
 
     history = [front_hv()]
 

@@ -339,9 +339,9 @@ class _Instance:
     def totals(execution, heads, edges, costs) -> tuple[np.ndarray, np.ndarray]:
         """(times, costs) from the four term matrices; every objective is summed here.
 
-        A C-ordered matrix is summed with ``.sum(axis=1)`` and any other
-        layout column by column in the same order (:func:`_row_sums`), so the
-        layout changes the speed, never a bit.
+        Each matrix's rows are added left to right from 0.0 (:func:`_row_sums`)
+        and times add the execution, head and edge sums in that order, so
+        every layout, numpy version and CPU gives the same bits.
         """
         times = _row_sums(execution)
         times = times + _row_sums(heads)
@@ -359,51 +359,20 @@ class _Instance:
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
-    """``matrix.sum(axis=1)``, bit for bit, without reducing row by row.
+    """Each row of ``matrix`` added left to right, starting from 0.0.
 
-    numpy reduces each row of a C-ordered matrix as its add identity 0.0
-    plus a pairwise sum (:func:`_pairwise_sum`). On a column-major matrix
-    that is a call per row, so there the same additions run on whole columns.
+    That one order holds in every layout; the layout picks only how it runs.
+    A C-ordered matrix takes one ``accumulate`` along its rows, whose last
+    column plus 0.0 (which only turns an all -0.0 row into 0.0) is the sum.
+    Any other layout, such as the oracle's column-major blocks, and a matrix
+    without columns (an app without edges) add whole columns in turn onto
+    zeros; on a column-major block ``accumulate`` takes ten times as long.
     """
-    if matrix.flags.c_contiguous:
-        return matrix.sum(axis=1)
-    total = _pairwise_sum(matrix)
-    total += 0.0  # the identity: it only turns an all -0.0 row into 0.0
-    return total
-
-
-def _pairwise_sum(matrix: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of each row, taken column by column.
-
-    Below 8 values it adds them one at a time; up to 128 it keeps 8 running
-    partials, adds them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
-    leftover values one at a time; above that it adds two halves, the first
-    a multiple of 8 wide.
-    """
-    n = matrix.shape[1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(matrix[:, :half]) + _pairwise_sum(matrix[:, half:])
-    if n < 8:
-        total = np.zeros(len(matrix))
-        for j in range(n):
-            total += matrix[:, j]
-        return total
-    columns = [matrix[:, j] for j in range(n)]
-    end = n - n % 8
-    partials = columns[:8]
-    if end > 8:
-        partials = [p + c for p, c in zip(partials, columns[8:16])]
-    for start in range(16, end, 8):
-        for p, c in zip(partials, columns[start : start + 8]):
-            p += c
-    total = partials[0] + partials[1]
-    total += partials[2] + partials[3]
-    right = partials[4] + partials[5]
-    right += partials[6] + partials[7]
-    total += right
-    for c in columns[end:]:
-        total += c
+    if matrix.flags.c_contiguous and matrix.shape[1]:
+        return np.add.accumulate(matrix, axis=1)[:, -1] + 0.0
+    total = np.zeros(len(matrix))
+    for column in matrix.T:
+        total += column
     return total
 
 

@@ -101,10 +101,11 @@ class BatchNorm(Module):
     mean shift, Cai et al., ICML 2021).
     """
 
-    def __init__(self, features: int, eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, features: int):
         self.gamma = Tensor(np.ones(features), requires_grad=True)
         self.beta = Tensor(np.zeros(features), requires_grad=True)
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         """One tape node. The forward takes the elementwise steps of

@@ -9,19 +9,14 @@ from fogforge.nn.autodiff import Tensor
 
 
 class Adam:
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 0.022,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    beta1, beta2 = 0.9, 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 0.022):
         if lr <= 0:
             raise ConfigurationError("learning rate must be > 0")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

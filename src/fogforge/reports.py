@@ -275,13 +275,14 @@ def write_comparison_csv(path: str | Path, labeled: dict[str, list[SolutionRow]]
 # --- native SVG scatter -------------------------------------------------------
 
 _PALETTE = ("#1b6ca8", "#d1495b", "#3e8e5a", "#8a5ab8", "#c9822a", "#5a5a5a")
+_TICKS = 5  # per axis
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
 def svg_scatter(series: dict[str, list[ObjectivePoint]], title: str = "") -> str:

@@ -143,26 +143,40 @@ def test_env_eligibility_and_telescoping(app, devices, data):
     assert not env.eligible_services().any()
 
 
-def test_column_major_totals_add_in_numpy_row_order():
-    """``_Instance.totals`` sums a column-major matrix column by column, bit
-    for bit as numpy's ``.sum(axis=1)`` sums each row of the C-ordered copy.
+def left_to_right(matrix):
+    """Each row's values added one at a time in Python, starting from 0.0."""
+    sums = []
+    for row in matrix.tolist():
+        total = 0.0
+        for value in row:
+            total += value
+        sums.append(total)
+    return np.array(sums)
 
-    Widths 2-7 reach the one-at-a-time branch, 8-128 the 8-partial branch and
-    129-300 the halving branch; a width-1 matrix is C-ordered too. Ties, mixed
-    magnitudes and signed zeros make any other order of additions show. This
-    was checked on numpy 2.4.6; a numpy build that sums rows in another order
-    fails here.
+
+def test_totals_add_each_row_left_to_right_in_every_layout():
+    """``_Instance.totals`` adds each row left to right from 0.0, bit for bit,
+    whether the term matrices are C-ordered, column-major or strided views.
+
+    Ties, mixed magnitudes and signed zeros make any other order of additions
+    show: summing right to left moves some row at most widths. Width 0 is an
+    app without edges; a row of -0.0 sums to 0.0, as it does from 0.0.
     """
     rng = np.random.default_rng(0)
-    for width in range(1, 301):
+    reordered = 0
+    for width in range(0, 301):
         rows = rng.standard_normal((48, width)) * 10.0 ** rng.integers(-9, 10, size=(48, width))
         rows[rng.random(rows.shape) < 0.25] = 1.0
         rows[rng.random(rows.shape) < 0.05] = -0.0
-        rows[0] = -0.0  # numpy starts from 0.0, so this row sums to 0.0
-        columns = np.asfortranarray(rows)
-        assert columns.flags.c_contiguous == (width == 1)
-        heads = np.asfortranarray(rows[:, :3])
-        times, costs = _Instance.totals(columns, heads, columns, columns)
-        want_times, want_costs = _Instance.totals(rows, np.ascontiguousarray(heads), rows, rows)
-        assert costs.tobytes() == rows.sum(axis=1).tobytes() == want_costs.tobytes(), width
-        assert times.tobytes() == want_times.tobytes(), width
+        rows[0] = -0.0
+        wide = np.zeros((96, 2 * width))
+        wide[::2, ::2] = rows
+        want = left_to_right(rows)
+        want_times = want + left_to_right(rows[:, :3]) + want
+        reordered += want.tobytes() != left_to_right(rows[:, ::-1]).tobytes()
+        for layout in (rows, np.asfortranarray(rows), wide[::2, ::2]):
+            np.testing.assert_array_equal(layout, rows)
+            times, costs = _Instance.totals(layout, layout[:, :3], layout, layout)
+            assert costs.tobytes() == want.tobytes(), (width, layout.flags)
+            assert times.tobytes() == want_times.tobytes(), (width, layout.flags)
+    assert reordered > 250

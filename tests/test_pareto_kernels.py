@@ -20,6 +20,7 @@ from fogforge.evolutionary import (
     crowding_distance,
     fast_nondominated_sort,
 )
+from fogforge.env import Action, PlacementEnv
 from fogforge.model import (
     Application,
     Device,
@@ -28,6 +29,7 @@ from fogforge.model import (
     analytic_bounds,
     batch_objectives,
     brute_force_oracle,
+    evaluate,
     pareto_front,
     pareto_indices,
     weighted_objective,
@@ -261,3 +263,52 @@ def test_oracle_matches_enumeration_at_every_chunk(instance, w_times):
             (o.weights, o.placement.to_vector(app).tolist(), o.point, o.objective)
             for o in result.weighted
         ] == weighted
+
+
+def test_oracle_scores_non_integer_values_as_every_other_path():
+    """Nine services with non-integer values, where the order of additions
+    moves bits: the oracle's column-major blocks at every block size, the C-
+    ordered ``batch_objectives`` enumeration, ``evaluate`` and an env stepped
+    to each front placement give the same bits."""
+    app = Application(
+        rows=3,
+        ops=((1.5, 2.25, 0.7), (3.1, 0.4, 2.6), (1.9, 0.35, 4.2)),
+        edges=Application.chain_edges(3) + (((0, 2), (1, 1)),),
+    )
+    devices = [
+        Device(7, speed=3.0, latency=0.3, cost=2.9),
+        Device(2, speed=1.3, latency=1.7, cost=1.1),
+        Device(11, speed=0.7, latency=4.9, cost=0.45, is_cloud=True),
+    ]
+    weights = [WeightVector(0.5, 0.5), WeightVector(0.3, 0.7)]
+    norms = analytic_bounds(app, devices)
+    vectors = np.array(
+        list(itertools.product([d.id for d in devices], repeat=app.service_count)), dtype=np.int64
+    )
+    times, costs = batch_objectives(app, devices, vectors)
+    points = [ObjectivePoint(float(t), float(c)) for t, c in zip(times, costs)]
+    front = ref.pareto_front(points)
+    placements = [vectors[points.index(p)].tolist() for p in front]
+    weighted = []
+    for w in weights:
+        objs = [weighted_objective(p, w, norms) for p in points]
+        first = objs.index(min(objs))
+        weighted.append((w, vectors[first].tolist(), points[first], objs[first]))
+    assert len(front) > 20
+
+    # block sizes of one, five and all nine services
+    for chunk in (3, 243, 19_683):
+        result = brute_force_oracle(app, devices, weights=weights, chunk=chunk)
+        assert np.array(result.front).tobytes() == np.array(front).tobytes()
+        assert [p.to_vector(app).tolist() for p in result.front_placements] == placements
+        assert [
+            (o.weights, o.placement.to_vector(app).tolist(), o.point, o.objective)
+            for o in result.weighted
+        ] == weighted
+
+    for placement, point in zip(result.front_placements, result.front):
+        assert np.array(evaluate(app, placement, devices)).tobytes() == np.array(point).tobytes()
+        env = PlacementEnv(app, devices, weights[0])
+        for service in env.services:  # row-major order places predecessors first
+            state, _, _ = env.step(Action(service, placement.assignment[service]))
+        assert np.array([state.t_app, state.cost]).tobytes() == np.array(point).tobytes()
