@@ -255,6 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    weights = parse_weights(args.weights) if args.weights else WeightVector(0.5, 0.5)
     config = {"checkpoint": args.checkpoint, "scenario": args.scenario}
     writer = None if args.out is None else RunWriter(args.out, "infer", config, None)
     scenario = load_scenario(args.scenario)
@@ -270,7 +271,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
     print(f"time: {point.time}")
     print(f"cost: {point.cost}")
     if writer is not None:
-        weights = parse_weights(args.weights) if args.weights else WeightVector(0.5, 0.5)
         emit_placement_run(writer, scenario, placement, weights)
         write_metrics(
             writer.path("metrics.jsonl"), [{"time": point.time, "cost": point.cost}]

@@ -1,14 +1,17 @@
 """Genetic solvers over placement chromosomes.
 
 A chromosome is a flat vector of device ids, one gene per service in
-row-major order. Two solvers share the variation operators:
+row-major order. Both solvers start from :func:`_seed_population` and breed
+each generation with :func:`_breed` (crossover of the selected parents'
+halves, then mutation):
 
 * ``ga_solve``: single-objective generational GA on the weighted objective
-  (tournament selection of size 2, uniform crossover, elitism of 1), returning
-  the best placement ever evaluated.
+  (tournament selection, elitism of 1), returning the best placement ever
+  evaluated.
 * ``nsga2_solve``: canonical NSGA-II (fast non-dominated sort, crowding
   distance, binary tournament on the crowded comparison, elitist environmental
-  selection), returning the final rank-0 front.
+  selection), returning the final rank-0 front. Offspring may repeat a member;
+  selection pushes repeated objective points behind every distinct one.
 
 Mutation supports two readings of a single "15% mutation" knob. The default
 mutates each offspring with probability ``mutation_prob`` by redrawing exactly
@@ -36,6 +39,7 @@ from .model import (
     analytic_bounds,
     batch_objectives,
     hypervolume_2d,
+    is_count,
     pareto_front,  # unused here; kept for tracers that wrap ``fogforge.evolutionary.pareto_front``
     pareto_indices,
 )
@@ -59,12 +63,14 @@ class EvoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "generations", "tournament_size", "seed"):
+            value = getattr(self, name)
+            if not (is_count(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be an int >= 0: {value!r}")
         if self.population_size > MAX_POPULATION:
             raise ConfigurationError(f"population_size must be at most {MAX_POPULATION}")
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ConfigurationError("population_size must be even and >= 2")
-        if self.generations < 0:
-            raise ConfigurationError("generations must be >= 0")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ConfigurationError("mutation_prob must lie in [0, 1]")
         if self.crossover not in CROSSOVER_KINDS:
@@ -158,12 +164,6 @@ def crowding_distance(points: Sequence[tuple[float, float]], ranks: np.ndarray) 
     return dist
 
 
-def _random_population(
-    rng: np.random.Generator, ids: np.ndarray, size: int, genes: int
-) -> np.ndarray:
-    return ids[rng.integers(0, len(ids), size=(size, genes))]
-
-
 def _crossover(rng: np.random.Generator, parents_a: np.ndarray, parents_b: np.ndarray, kind: str) -> np.ndarray:
     pairs, genes = parents_a.shape
     if kind == "uniform":
@@ -199,6 +199,15 @@ def _mutate(
     return out
 
 
+def _breed(
+    rng: np.random.Generator, parents: np.ndarray, ids: np.ndarray, config: EvoConfig
+) -> np.ndarray:
+    """Offspring of ``parents``: cross its first half with its second, then mutate."""
+    half = len(parents) // 2
+    offspring = _crossover(rng, parents[:half], parents[half:], config.crossover)
+    return _mutate(rng, offspring, ids, config.mutation_prob, config.mutation)
+
+
 def _tournament(
     rng: np.random.Generator, keys: np.ndarray, count: int, size: int
 ) -> np.ndarray:
@@ -222,7 +231,7 @@ def _seed_population(
     crossover between two uniform chromosomes explores the two-device
     mixtures that populate front interiors.
     """
-    population = _random_population(rng, ids, config.population_size, genes)
+    population = ids[rng.integers(0, len(ids), size=(config.population_size, genes))]
     uniform_count = min(len(ids), config.population_size)
     population[:uniform_count] = np.repeat(ids[:uniform_count, None], genes, axis=1)
     return population
@@ -244,17 +253,14 @@ def ga_solve(
     norms = analytic_bounds(app, devices)
     rng = np.random.default_rng(config.seed)
     ids = np.array(sorted(d.id for d in devices), dtype=np.int64)
-    genes = app.service_count
 
-    population = _seed_population(rng, ids, config, genes)
+    population = _seed_population(rng, ids, config, app.service_count)
     best: tuple[float, np.ndarray, ObjectivePoint] | None = None
     history: list[float] = []
     for generation in range(config.generations + 1):
         if generation:
             parents = population[_tournament(rng, fitness, config.population_size, config.tournament_size)]
-            half = config.population_size // 2
-            offspring = _crossover(rng, parents[:half], parents[half:], config.crossover)
-            population = _mutate(rng, offspring, ids, config.mutation_prob, config.mutation)
+            population = _breed(rng, parents, ids, config)
             # elitism of 1: the incumbent best replaces the first offspring slot
             population[0] = best[1]
         times, costs = batch_objectives(app, devices, population)
@@ -277,23 +283,6 @@ def ga_solve(
     )
 
 
-def _pack(ranks: np.ndarray, pool: int) -> np.ndarray:
-    """Each row of gene ranks in ``range(pool)`` as a row of int64 words.
-
-    A gene takes ``ceil(log2 pool)`` bits (at least one) and a word holds
-    ``63 // bits`` genes, so words stay non-negative and equal rows, and only
-    equal rows, get equal words.
-    """
-    bits = max(1, (pool - 1).bit_length())
-    per_word = 63 // bits
-    size, genes = ranks.shape
-    words = -(-genes // per_word)
-    padded = np.zeros((size, words * per_word), dtype=np.int64)
-    padded[:, :genes] = ranks
-    shifts = bits * np.arange(per_word, dtype=np.int64)
-    return (padded.reshape(size, words, per_word) << shifts).sum(axis=2)
-
-
 def _repeats(words: np.ndarray) -> np.ndarray:
     """True for each row of int64 words equal to an earlier row.
 
@@ -305,11 +294,6 @@ def _repeats(words: np.ndarray) -> np.ndarray:
     repeat = np.zeros(len(words), dtype=bool)
     repeat[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
     return repeat
-
-
-def _duplicate_mask(population: np.ndarray, offspring: np.ndarray) -> np.ndarray:
-    """Offspring rows of words equal to a population row or to an earlier offspring."""
-    return _repeats(np.concatenate([population, offspring], axis=0))[len(population):]
 
 
 def _crowded_tournament(
@@ -354,63 +338,33 @@ def nsga2_solve(
     norms = analytic_bounds(app, devices)
     rng = np.random.default_rng(config.seed)
     ids = np.array(sorted(d.id for d in devices), dtype=np.int64)
-    # chromosomes hold ranks into ``ids``; the draws are the same either way
-    pool = np.arange(len(ids))
-    genes = app.service_count
     ref = ObjectivePoint(norms.max_time, norms.max_cost)
 
-    population = _seed_population(rng, pool, config, genes)
-    keys = _pack(population, len(ids))
-    times, costs = batch_objectives(app, devices, ids[population])
+    population = _seed_population(rng, ids, config, app.service_count)
+    times, costs = batch_objectives(app, devices, population)
     points = np.stack([times, costs], axis=1)
     ranks = fast_nondominated_sort(points)
     crowding = crowding_distance(points, ranks)
-
-    def front_hv() -> float:
-        return hypervolume_2d(points[ranks == 0], ref)
-
-    history = [front_hv()]
-
-    def mate() -> np.ndarray:
-        parents = population[_crowded_tournament(rng, ranks, crowding, config.population_size)]
-        half = config.population_size // 2
-        offspring = _crossover(rng, parents[:half], parents[half:], config.crossover)
-        return _mutate(rng, offspring, pool, config.mutation_prob, config.mutation)
+    history = [hypervolume_2d(points[ranks == 0], ref)]
 
     for _ in range(config.generations):
-        offspring = mate()
-        o_keys = _pack(offspring, len(ids))
-        # re-mate offspring that duplicate a current member or an earlier
-        # offspring, up to five times; duplicate evaluations starve exploration
-        # on small discrete spaces. Leftover duplicates are replaced with
-        # random draws. Only the replaced rows are packed again.
-        for attempt in range(6):
-            stale = _duplicate_mask(keys, o_keys)
-            if not stale.any():
-                break
-            if attempt < 5:
-                offspring[stale] = mate()[stale]
-            else:
-                offspring[stale] = _random_population(rng, pool, int(stale.sum()), genes)
-            o_keys[stale] = _pack(offspring[stale], len(ids))
-
-        # the survivors carry their points and keys: only the offspring are scored
+        parents = population[_crowded_tournament(rng, ranks, crowding, config.population_size)]
+        offspring = _breed(rng, parents, ids, config)
+        # the survivors carry their points: only the offspring are scored
+        o_times, o_costs = batch_objectives(app, devices, offspring)
         combined = np.concatenate([population, offspring], axis=0)
-        c_keys = np.concatenate([keys, o_keys], axis=0)
-        o_times, o_costs = batch_objectives(app, devices, ids[offspring])
         c_points = np.concatenate([points, np.stack([o_times, o_costs], axis=1)], axis=0)
         c_ranks = fast_nondominated_sort(c_points)
         c_crowding = crowding_distance(c_points, c_ranks)
 
         survivors = _environmental_selection(c_points, c_ranks, c_crowding, config.population_size)
         population = combined[survivors]
-        keys = c_keys[survivors]
         points = c_points[survivors]
         # survivors hold whole lower fronts (every dropped duplicate leaves a
         # kept twin), so their ranks are those of the combined sort
         ranks = c_ranks[survivors]
         crowding = crowding_distance(points, ranks)
-        history.append(front_hv())
+        history.append(hypervolume_2d(points[ranks == 0], ref))
 
     # the population's non-dominated points are its rank-0 points; the kernel
     # keeps the first member reaching each
@@ -418,7 +372,7 @@ def nsga2_solve(
     front = [ObjectivePoint(t, c) for t, c in points[front_idx].tolist()]
     return NsgaResult(
         front=front,
-        front_placements=[Placement.from_vector(app, ids[population[i]]) for i in front_idx],
+        front_placements=[Placement.from_vector(app, population[i]) for i in front_idx],
         hypervolume_history=history,
-        final_population=ids[population],
+        final_population=population,
     )

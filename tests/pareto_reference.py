@@ -2,8 +2,8 @@
 
 Each function is the plain, quadratic or per-row form of a library routine:
 a dominance matrix for the non-dominated sort, a set and a sort for the
-front, a per-front argsort for the crowding distance, a set of row bytes for the
-duplicate mask, and ``np.unique`` over one opaque item per row for repeats.
+front, a per-front argsort for the crowding distance, and ``np.unique`` over
+one opaque item per row for repeats.
 """
 
 import numpy as np
@@ -68,19 +68,6 @@ def crowding_distance(points, ranks):
             vals = pts[order, m]
             dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
     return dist
-
-
-def duplicate_mask(population, offspring):
-    """Offspring rows equal to a population row or to an earlier offspring."""
-    seen = {row.tobytes() for row in population}
-    stale = np.zeros(len(offspring), dtype=bool)
-    for i, row in enumerate(offspring):
-        key = row.tobytes()
-        if key in seen:
-            stale[i] = True
-        else:
-            seen.add(key)
-    return stale
 
 
 def repeats(rows):

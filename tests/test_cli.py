@@ -638,6 +638,19 @@ def test_diverged_sweep_exits_3_and_lists_every_stage(tmp_path):
     assert len(read_solutions(run / "solutions.csv")) == 5
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "run-dir"])
+def test_infer_refuses_bad_weights_before_placing(tmp_path, scenario_file, capsys, out):
+    checkpoint = tiny_checkpoint(tmp_path / "model.json")
+    run = tmp_path / "run"
+    argv = ["infer", "--checkpoint", str(checkpoint), "--scenario", str(scenario_file),
+            "--weights", "garbage"]
+    assert main(argv + (["--out", str(run)] if out else [])) == 2
+    captured = capsys.readouterr()
+    assert "placement:" not in captured.out
+    assert "weights" in captured.err
+    assert not run.exists()
+
+
 def test_infer_divergence_names_the_checkpoint(tmp_path, scenario_file):
     checkpoint = tiny_checkpoint(tmp_path / "model.json", **{"gin.input_mlp.linears.0.w": 1e308})
     run = tmp_path / "run"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from exact_front import exact_front
 
 from fogforge import evolutionary
 from fogforge.evolutionary import (
@@ -25,6 +26,7 @@ from fogforge.model import (
     pareto_front,
 )
 from fogforge.scenarios import ScenarioConfig, generate_scenario
+from fogforge.training import TrainConfig, build_datasets
 
 
 def chain_app(n):
@@ -143,6 +145,19 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigurationError, match=named):
             EvoConfig(**fields)
+    # counts must be ints: a bool, a float or a negative seed is refused by name
+    for fields, named in (
+        ({"generations": True}, "generations"),
+        ({"generations": 2.5}, "generations"),
+        ({"generations": -1}, "generations"),
+        ({"population_size": 10.0}, "population_size"),
+        ({"tournament_size": 2.0}, "tournament_size"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 0.5}, "seed"),
+    ):
+        with pytest.raises(ConfigurationError, match=named):
+            EvoConfig(**fields)
+    assert EvoConfig(population_size=np.int64(10), seed=np.int64(3)).seed == 3
 
 
 def test_offspring_mutation_changes_at_most_one_gene():
@@ -249,6 +264,19 @@ def test_nsga2_recovers_oracle_front():
         if result.front == oracle.front:
             hits += 1
     assert hits >= 5
+
+
+def test_nsga2_reaches_exact_desk_fronts_at_defaults():
+    """The desk seed-0 test scenarios (21 devices, 3x3 apps) at ``EvoConfig()``,
+    against exact fronts from the reduced enumeration."""
+    scenarios = build_datasets(TrainConfig.desk(seed=0)).test
+    hits = 0
+    for scenario in scenarios:
+        app = scenario.applications[0]
+        result = nsga2_solve(app, scenario.devices, EvoConfig())
+        hits += result.front == exact_front(app, scenario.devices).front
+    assert len(scenarios) == 8
+    assert hits >= 7, f"NSGA-II reached the exact front on {hits}/8 scenarios"
 
 
 def test_nsga2_front_is_mutually_nondominated():

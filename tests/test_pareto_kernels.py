@@ -13,9 +13,7 @@ from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from fogforge.evolutionary import (
-    _duplicate_mask,
     _environmental_selection,
-    _pack,
     _repeats,
     crowding_distance,
     fast_nondominated_sort,
@@ -87,65 +85,6 @@ def test_crowding_matches_per_front_reference(points, data):
     got = crowding_distance(pts, ranks)
     want = ref.crowding_distance(pts, ranks)
     assert got.tobytes() == want.tobytes()
-
-
-genes = st.integers(min_value=1, max_value=4)
-
-
-@PROPERTY
-@given(genes.flatmap(lambda g: st.tuples(
-    st.lists(st.lists(st.integers(0, 2), min_size=g, max_size=g), min_size=1, max_size=12),
-    st.lists(st.lists(st.integers(0, 2), min_size=g, max_size=g), min_size=1, max_size=12),
-)))
-def test_duplicate_mask_matches_set_reference(rows):
-    population = np.array(rows[0], dtype=np.int64)
-    offspring = np.array(rows[1], dtype=np.int64)
-    got = _duplicate_mask(population, offspring)
-    assert got.tolist() == ref.duplicate_mask(population, offspring).tolist()
-
-
-@st.composite
-def packed_pools(draw):
-    """A pool size at a bit boundary and two lists of rank rows over it.
-
-    Genes take values at the pool's ends and middle, so repeats are common,
-    and up to 30 genes span several words at the larger pools.
-    """
-    pool = draw(st.sampled_from([2, 3, 4, 5, 1024, 1025]))
-    value = st.sampled_from(sorted({0, 1, pool // 2, pool - 2, pool - 1}))
-    genes = draw(st.integers(1, 30))
-    row = st.lists(value, min_size=genes, max_size=genes)
-    population = draw(st.lists(row, min_size=1, max_size=12))
-    offspring = draw(st.lists(row, min_size=1, max_size=12))
-    return pool, np.array(population, dtype=np.int64), np.array(offspring, dtype=np.int64)
-
-
-@PROPERTY
-@given(packed_pools())
-def test_packed_duplicate_mask_matches_set_reference(drawn):
-    pool, population, offspring = drawn
-    got = _duplicate_mask(_pack(population, pool), _pack(offspring, pool))
-    assert got.tolist() == ref.duplicate_mask(population, offspring).tolist()
-
-
-def test_packed_keys_span_words_at_scale():
-    """81 genes on 1,001 devices take 10 bits a gene, 6 genes a word, 14 words."""
-    rng = np.random.default_rng(0)
-    pool = 1001
-    population = rng.integers(0, pool, size=(40, 81))
-    offspring = rng.integers(0, pool, size=(40, 81))
-    offspring[5] = population[7]
-    offspring[9] = offspring[2]
-    # one gene off population[0], at word edges (genes 0, 5, 6, 77, 78) and the last gene
-    for k, gene in enumerate((0, 5, 6, 77, 78, 80)):
-        offspring[10 + k] = population[0]
-        offspring[10 + k, gene] = (population[0, gene] + 1) % pool
-    keys = _pack(population, pool)
-    assert keys.shape == (40, 14) and keys.min() >= 0
-    got = _duplicate_mask(keys, _pack(offspring, pool))
-    want = ref.duplicate_mask(population, offspring)
-    assert got.tolist() == want.tolist()
-    assert np.flatnonzero(got).tolist() == [5, 9]
 
 
 signed_coordinate = st.sampled_from([0.0, -0.0, 1.0, 2.25, 2.5])

@@ -1,12 +1,17 @@
 """Solver outputs pinned byte for byte.
 
 The digests below were recorded at commit 9c4b4cd, before the oracle summed
-its term matrices column by column and before NSGA-II held rank chromosomes
-with packed duplicate keys; both changes keep every output bit. A solver
-change that moves any bit of these outputs fails here by field and seed.
+its term matrices column by column; that change keeps every output bit. The
+``nsga2.final_population`` digests were re-recorded when NSGA-II stopped
+re-mating offspring that repeat a member: the final population moved, while
+its fronts, front placements and hypervolume histories kept every bit. A
+solver change that moves any bit of these outputs fails here by field and
+seed.
 
-To re-record after a deliberate change of outputs, print ``solver_digests(s)``
-for s = 0, 1, 2 and say in the change why the outputs moved.
+To re-record after a deliberate change of outputs, run this file as a script
+(``PYTHONPATH=src python tests/test_solver_outputs.py``), which prints
+``solver_digests(s)`` for s = 0, 1, 2 in the layout of ``GOLDEN``, and say in
+the change why the outputs moved.
 """
 
 import hashlib
@@ -81,7 +86,7 @@ GOLDEN = {
         "nsga2.hypervolume_history":
             "5e49387f717535d1e96770604610ee1947242a306b4dea8f3c485fa325378204",
         "nsga2.final_population":
-            "7975511b44b3f5ffa23a28a15e36b2c097f6e7e6bc81a893e893769e7080f03e",
+            "77a06b40f125cb80b095d9db0f7031b498830100a0d147e879d4daea0cd11cd7",
         "ga.result":
             "2a6a8aa3427561c6d3a59e6f62056ff0360ffa8f8480b96a8afde9e48b7582db",
     },
@@ -99,7 +104,7 @@ GOLDEN = {
         "nsga2.hypervolume_history":
             "33c8345024cafe6890b6cacb15cd0289704f1782967f42ccf68ff315ffe4a540",
         "nsga2.final_population":
-            "3d4e0a2cfc24a8273dcdaac3dad5dcaac87fccfa88e4c21445f733cb816b7812",
+            "ad9b5de379116caf1860b7d1d1c9f4cae81de4447b43c1b6578beb5f10c2eee5",
         "ga.result":
             "83996e935a7fece1facba38b0a4d3b233ef0d27bc160cf44c0fac3c329cc9d59",
     },
@@ -117,7 +122,7 @@ GOLDEN = {
         "nsga2.hypervolume_history":
             "33c8345024cafe6890b6cacb15cd0289704f1782967f42ccf68ff315ffe4a540",
         "nsga2.final_population":
-            "1eabd2972c839c0e829d4892cd19c21bf966f87b85ecd7967e544a126a585973",
+            "c152c9914e38c09983966a9f0d787881c868dda98589a2a78d2e33b6f830db37",
         "ga.result":
             "1d5e1f49458bf96676f121caa9ad556bf3a88ee850a8a057d1954807e96bfbb2",
     },
@@ -129,3 +134,13 @@ def test_solver_outputs_are_byte_identical(seed):
     got = solver_digests(seed)
     changed = sorted(field for field, digest in GOLDEN[seed].items() if got[field] != digest)
     assert not changed, f"seed {seed}: {changed}"
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for seed in sorted(GOLDEN):
+        print(f"    {seed}: {{")
+        for name, digest in solver_digests(seed).items():
+            print(f'        "{name}":\n            "{digest}",')
+        print("    },")
+    print("}")
