@@ -10,8 +10,9 @@ halves, then mutation):
   evaluated.
 * ``nsga2_solve``: canonical NSGA-II (fast non-dominated sort, crowding
   distance, binary tournament on the crowded comparison, elitist environmental
-  selection), returning the final rank-0 front. Offspring may repeat a member;
-  selection pushes repeated objective points behind every distinct one.
+  selection), returning the final rank-0 front. Each generation ranks and
+  crowds parents and offspring once; selection pushes repeated objective
+  points behind every distinct one.
 
 Mutation supports two readings of a single "15% mutation" knob. The default
 mutates each offspring with probability ``mutation_prob`` by redrawing exactly
@@ -22,6 +23,7 @@ redrawn genes per offspring.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -71,8 +73,9 @@ class EvoConfig:
             raise ConfigurationError(f"population_size must be at most {MAX_POPULATION}")
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ConfigurationError("population_size must be even and >= 2")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ConfigurationError("mutation_prob must lie in [0, 1]")
+        prob = self.mutation_prob
+        if not (isinstance(prob, numbers.Real) and not isinstance(prob, bool) and 0 <= prob <= 1):
+            raise ConfigurationError(f"mutation_prob must be a real number in [0, 1]: {prob!r}")
         if self.crossover not in CROSSOVER_KINDS:
             raise ConfigurationError(f"crossover must be one of {CROSSOVER_KINDS}")
         if self.mutation not in MUTATION_KINDS:
@@ -189,11 +192,9 @@ def _mutate(
         hit = rng.random(size) < prob
         gene_idx = rng.integers(0, genes, size=size)
         values = ids[rng.integers(0, len(ids), size=size)]
-        rows = np.where(hit)[0]
-        out[rows, gene_idx[rows]] = values[rows]
+        out[hit, gene_idx[hit]] = values[hit]
     else:
-        rate = prob / genes
-        mask = rng.random((size, genes)) < rate
+        mask = rng.random((size, genes)) < prob / genes
         values = ids[rng.integers(0, len(ids), size=(size, genes))]
         out = np.where(mask, values, out)
     return out
@@ -213,9 +214,7 @@ def _tournament(
 ) -> np.ndarray:
     """Indices of ``count`` tournament winners; ``keys`` sorts ascending-better."""
     entrants = rng.integers(0, len(keys), size=(count, size))
-    entrant_keys = keys[entrants]
-    winners = entrants[np.arange(count), np.argmin(entrant_keys, axis=1)]
-    return winners
+    return entrants[np.arange(count), np.argmin(keys[entrants], axis=1)]
 
 
 def _seed_population(
@@ -329,8 +328,10 @@ def nsga2_solve(
     devices: Sequence[Device],
     config: EvoConfig,
 ) -> NsgaResult:
-    """Rank-0 front of a canonical NSGA-II run.
+    """Rank-0 front of a canonical NSGA-II run (Deb et al., IEEE TEC 6(2), 2002).
 
+    Each generation sorts and crowds the combined parents and offspring once;
+    survivors mate by the rank and crowding distance they were selected by.
     ``hypervolume_history`` tracks the rank-0 front's hypervolume against the
     analytic-bound reference point after every generation; elitist selection
     makes it nondecreasing as long as the front fits in the population.
@@ -341,8 +342,7 @@ def nsga2_solve(
     ref = ObjectivePoint(norms.max_time, norms.max_cost)
 
     population = _seed_population(rng, ids, config, app.service_count)
-    times, costs = batch_objectives(app, devices, population)
-    points = np.stack([times, costs], axis=1)
+    points = np.stack(batch_objectives(app, devices, population), axis=1)
     ranks = fast_nondominated_sort(points)
     crowding = crowding_distance(points, ranks)
     history = [hypervolume_2d(points[ranks == 0], ref)]
@@ -360,10 +360,9 @@ def nsga2_solve(
         survivors = _environmental_selection(c_points, c_ranks, c_crowding, config.population_size)
         population = combined[survivors]
         points = c_points[survivors]
-        # survivors hold whole lower fronts (every dropped duplicate leaves a
-        # kept twin), so their ranks are those of the combined sort
+        # survivors keep the rank and crowding distance they were selected by
         ranks = c_ranks[survivors]
-        crowding = crowding_distance(points, ranks)
+        crowding = c_crowding[survivors]
         history.append(hypervolume_2d(points[ranks == 0], ref))
 
     # the population's non-dominated points are its rank-0 points; the kernel

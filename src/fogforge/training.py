@@ -68,7 +68,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         counts = {
-            "episodes": 0, "envs_per_episode": 1, "eval_interval": 1, "lr_decay_interval": 1
+            "episodes": 0, "envs_per_episode": 1, "eval_interval": 1, "lr_decay_interval": 1, "seed": 0
         }
         for name, low in counts.items():
             value = getattr(self, name)

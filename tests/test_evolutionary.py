@@ -128,8 +128,12 @@ def test_crowding_small_fronts_infinite():
 def test_config_validation():
     with pytest.raises(ConfigurationError, match="even"):
         EvoConfig(population_size=9)
-    with pytest.raises(ConfigurationError, match="mutation_prob"):
-        EvoConfig(mutation_prob=1.2)
+    # mutation_prob is a real number in [0, 1], not a bool, a string or a NaN
+    for value in (1.2, -0.1, float("nan"), float("inf"), True, False, "0.5", None):
+        with pytest.raises(ConfigurationError, match="mutation_prob"):
+            EvoConfig(mutation_prob=value)
+    assert EvoConfig(mutation_prob=np.float64(0.5)).mutation_prob == 0.5
+    assert EvoConfig(mutation_prob=1).mutation_prob == 1
     with pytest.raises(ConfigurationError, match="crossover"):
         EvoConfig(crossover="triple")
     with pytest.raises(ConfigurationError, match="mutation"):
@@ -340,6 +344,23 @@ def test_nsga2_scores_only_the_offspring(monkeypatch):
     monkeypatch.setattr(evolutionary, "batch_objectives", counted)
     nsga2_solve(scenario.applications[0], scenario.devices, config)
     assert rows == [config.population_size] * (config.generations + 1)
+
+
+def test_nsga2_crowds_each_generation_once(monkeypatch):
+    """One crowding distance per generation, on the combined parents and
+    offspring; survivors keep theirs, as in Deb et al. (2002)."""
+    scenario = random_scenario(19)
+    config = EvoConfig(population_size=24, generations=7, seed=3)
+    calls = []
+    crowd = evolutionary.crowding_distance
+
+    def counted(points, ranks):
+        calls.append(len(points))
+        return crowd(points, ranks)
+
+    monkeypatch.setattr(evolutionary, "crowding_distance", counted)
+    nsga2_solve(scenario.applications[0], scenario.devices, config)
+    assert calls == [config.population_size] + [2 * config.population_size] * config.generations
 
 
 # --- device ids ----------------------------------------------------------------

@@ -3,10 +3,11 @@
 The digests below were recorded at commit 9c4b4cd, before the oracle summed
 its term matrices column by column; that change keeps every output bit. The
 ``nsga2.final_population`` digests were re-recorded when NSGA-II stopped
-re-mating offspring that repeat a member: the final population moved, while
-its fronts, front placements and hypervolume histories kept every bit. A
-solver change that moves any bit of these outputs fails here by field and
-seed.
+re-mating offspring that repeat a member, and again when survivors kept the
+crowding distance they were selected by instead of a second one computed on
+the survivors alone: each time the final population moved, while its fronts,
+front placements and hypervolume histories kept every bit. A solver change
+that moves any bit of these outputs fails here by field and seed.
 
 To re-record after a deliberate change of outputs, run this file as a script
 (``PYTHONPATH=src python tests/test_solver_outputs.py``), which prints
@@ -86,7 +87,7 @@ GOLDEN = {
         "nsga2.hypervolume_history":
             "5e49387f717535d1e96770604610ee1947242a306b4dea8f3c485fa325378204",
         "nsga2.final_population":
-            "77a06b40f125cb80b095d9db0f7031b498830100a0d147e879d4daea0cd11cd7",
+            "ffbe18d5a2fc3aa16261c7d55fd896afd6b35af881201504781417ea0b7ebb5f",
         "ga.result":
             "2a6a8aa3427561c6d3a59e6f62056ff0360ffa8f8480b96a8afde9e48b7582db",
     },
@@ -104,7 +105,7 @@ GOLDEN = {
         "nsga2.hypervolume_history":
             "33c8345024cafe6890b6cacb15cd0289704f1782967f42ccf68ff315ffe4a540",
         "nsga2.final_population":
-            "ad9b5de379116caf1860b7d1d1c9f4cae81de4447b43c1b6578beb5f10c2eee5",
+            "7b54c51bd7cf84a463d897eb44acc7a952bc912722400f13ed41f337c70995c6",
         "ga.result":
             "83996e935a7fece1facba38b0a4d3b233ef0d27bc160cf44c0fac3c329cc9d59",
     },
@@ -122,7 +123,7 @@ GOLDEN = {
         "nsga2.hypervolume_history":
             "33c8345024cafe6890b6cacb15cd0289704f1782967f42ccf68ff315ffe4a540",
         "nsga2.final_population":
-            "c152c9914e38c09983966a9f0d787881c868dda98589a2a78d2e33b6f830db37",
+            "36485c04855aad949f4285caae7dbc9865dc83bc50b02ff6316f887044f370b1",
         "ga.result":
             "1d5e1f49458bf96676f121caa9ad556bf3a88ee850a8a057d1954807e96bfbb2",
     },

@@ -103,6 +103,9 @@ def test_config_validation():
         ("episodes", 2.0),
         ("envs_per_episode", True),
         ("eval_interval", 1.5),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
     ],
 )
 def test_optimizer_and_count_validation(field, value):
