@@ -1,19 +1,22 @@
 """Policy model (graph encoder plus two actor-critic heads) and PPO updates.
 
 The heads read the env's :class:`~fogforge.env.EnvState` as it is. The
-service head scores each node from the concatenated graph and node
-embeddings, masked to eligible services. The device head scores every device
-from its own features joined with the candidate service's features and each
-service's host latency; all devices are legal. Devices with equal feature
-rows get equal scores, so the head runs once per distinct device row and
-each device reads its row's score.
+service head scores each eligible service from the concatenated graph and
+node embeddings; services masked out are not scored at all, since a masked
+choice has no probability and gets no gradient. The device head scores every
+device from its own features joined with the candidate service's features
+and each service's host latency; all devices are legal. Devices with equal
+feature rows get equal scores, so the head runs once per distinct device row
+and each device reads its row's score.
 
 Every pass is batched: ``PolicyModel._decide`` scores B states in one tape
 pass (one state is B = 1). Rollouts step their envs in lockstep through one
 pass per step and record a :class:`Rollout` of (envs, steps) arrays. One PPO
 update re-scores all of its actions in one pass per epoch, computes the
 losses on the resulting vectors, and takes a single Adam step over all
-parameters, averaging the two heads' losses.
+parameters, averaging the two heads' losses. The two critics run only in
+that update (``evaluate_actions``): rollouts, greedy placement and ``act``
+read no value, so they score none.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from fogforge.env import NODE_FEATURES, Action, EnvState, PlacementEnv
 from fogforge.gin import GinConfig, GinEncoder, check_sizes
-from fogforge.model import ConfigurationError, from_json, is_count, read_json, write_file
+from fogforge.model import ConfigurationError, from_json, is_count, is_real, read_json, write_file
 from fogforge.nn import (
     Adam,
     Mlp,
@@ -75,22 +78,30 @@ class PpoHyper:
     def __post_init__(self) -> None:
         if not (is_count(self.update_epochs) and self.update_epochs >= 1):
             raise ConfigurationError(f"update_epochs must be an int >= 1: {self.update_epochs!r}")
-        if not 0.0 < self.clip_ratio < 1.0:
-            raise ConfigurationError("clip_ratio must lie in (0, 1)")
-        coefs = (self.policy_coef, self.value_coef, self.entropy_coef)
-        if not all(math.isfinite(c) and c >= 0 for c in coefs):
-            raise ConfigurationError(f"loss coefficients must be finite and >= 0, got {coefs}")
+        ratio = self.clip_ratio
+        if not (is_real(ratio) and 0.0 < ratio < 1.0):
+            raise ConfigurationError(f"clip_ratio must be a real number in (0, 1): {ratio!r}")
+        for name in ("policy_coef", "value_coef", "entropy_coef"):
+            coef = getattr(self, name)
+            if not (is_real(coef) and math.isfinite(coef) and coef >= 0):
+                raise ConfigurationError(
+                    f"loss coefficients must be finite real numbers >= 0: {name}={coef!r}"
+                )
         clip = self.grad_clip_norm
-        if clip is not None and not (math.isfinite(clip) and clip > 0):
-            raise ConfigurationError(f"grad_clip_norm must be None or finite and > 0, got {clip}")
+        if clip is not None and not (is_real(clip) and math.isfinite(clip) and clip > 0):
+            raise ConfigurationError(
+                f"grad_clip_norm must be None or a finite real number > 0: {clip!r}"
+            )
 
 
 class _Decision(NamedTuple):
     """One batched head pass over B states: per row, the two indices, the
-    score rows with their masks, and the log-probability and critic value of
-    each choice. ``service_mask`` marks each row's eligible services. Pools of
-    different sizes pad the device rows; ``device_mask`` marks each row's real
-    devices."""
+    score rows with their masks, the log-probability of each choice, and the
+    two critics' inputs, which only :meth:`PolicyModel.evaluate_actions`
+    feeds to the critics. ``service_mask`` marks each row's eligible
+    services; only those are scored, and every other service score is 0.
+    Pools of different sizes pad the device rows; ``device_mask`` marks each
+    row's real devices."""
 
     service_index: np.ndarray  # (B,) int
     device_pos: np.ndarray  # (B,) int
@@ -100,8 +111,8 @@ class _Decision(NamedTuple):
     device_mask: np.ndarray  # (B, most devices) bool
     logp_s: Tensor  # (B,)
     logp_d: Tensor  # (B,)
-    value_s: Tensor  # (B,)
-    value_d: Tensor  # (B,)
+    critic_s_in: Tensor  # (B, hidden): the graph embeddings
+    critic_d_in: np.ndarray  # (B, 3 + tasks): candidate features, host latencies
 
 
 class PolicyModel(Module):
@@ -162,17 +173,19 @@ class PolicyModel(Module):
         nodes = np.concatenate([state.node_features for state in states])
         with np.errstate(over="ignore", invalid="ignore"):
             emb = self.gin(nodes, np.array([state.adjacency for state in states]))
-            hidden = emb.graph_embedding.shape[1]
-            tiled_hg = Tensor(np.ones((batch, tasks, 1))) * emb.graph_embedding.reshape(
-                batch, 1, hidden
-            )
-            s_in = concat([tiled_hg.reshape(batch * tasks, hidden), emb.node_embeddings], axis=1)
-            s_scores = self.actor_s(s_in).reshape(batch, tasks)
+            # the service head scores the eligible services only; every other
+            # entry reads a constant 0 from the pad slot, which the masked
+            # log-softmax, _choose and the entropy never read
+            flat = np.flatnonzero(eligible)
+            s_in = concat([emb.graph_embedding[flat // tasks], emb.node_embeddings[flat]], axis=1)
+            slot = np.full(batch * tasks, len(flat))
+            slot[flat] = np.arange(len(flat))
+            scored = self.actor_s(s_in).reshape(len(flat))
+            s_scores = concat([scored, Tensor(np.zeros(1))])[slot.reshape(batch, tasks)]
             s_logp = _finite(masked_log_softmax(s_scores, eligible), "service")
             if service_index is None:
                 service_index = _choose(s_scores, s_logp, eligible, mode, rngs)
             logp_s = s_logp[rows, service_index]
-            value_s = self.critic_s(emb.graph_embedding).reshape(batch)
 
             candidate = nodes[rows * tasks + service_index, :3]
             host_latency = np.array([state.host_latency for state in states])
@@ -199,11 +212,9 @@ class PolicyModel(Module):
             if device_pos is None:
                 device_pos = _choose(d_scores, d_logp, device_mask, mode, rngs)
             logp_d = d_logp[rows, device_pos]
-            critic_in = np.concatenate([candidate, host_latency], axis=1)
-            value_d = self.critic_d(Tensor(critic_in)).reshape(batch)
         return _Decision(
             service_index, device_pos, s_scores, eligible, d_scores, device_mask,
-            logp_s, logp_d, value_s, value_d,
+            logp_s, logp_d, emb.graph_embedding, np.concatenate([candidate, host_latency], axis=1),
         )
 
     def act(
@@ -224,13 +235,17 @@ class PolicyModel(Module):
         service_index: Sequence[int] | np.ndarray,
         device_pos: Sequence[int] | np.ndarray,
     ) -> dict[str, Tensor]:
-        """Differentiable (B,) log-probs, values, and entropies for stored actions."""
+        """Differentiable (B,) log-probs, values, and entropies for stored
+        actions. The critics run here only: no other caller reads a value."""
         d = self._decide(states, np.asarray(service_index), np.asarray(device_pos))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value_s = self.critic_s(d.critic_s_in).reshape(len(states))
+            value_d = self.critic_d(Tensor(d.critic_d_in)).reshape(len(states))
         return {
             "logp_s": d.logp_s,
             "logp_d": d.logp_d,
-            "value_s": d.value_s,
-            "value_d": d.value_d,
+            "value_s": value_s,
+            "value_d": value_d,
             "entropy_s": masked_entropy(d.service_scores, d.service_mask),
             "entropy_d": masked_entropy(d.device_scores, d.device_mask),
         }
@@ -256,6 +271,13 @@ def _choose(
 
     Greedy reads the scores, not ``logp``: rounding in the log-softmax can tie
     two distinct scores.
+
+    Sampling takes the steps of ``rngs[k].choice(n, p=p / p.sum())`` on all
+    rows at once: each row's normalised cumulative sum, one ``random()`` per
+    row, and the count of entries at or below the draw (``choice``'s
+    right-sided search). So it draws what ``choice`` draws, without
+    ``choice``'s check that ``p`` sums to 1; :func:`_finite` has already
+    refused non-finite log-probabilities.
     """
     if mode == "greedy":
         return np.argmax(np.where(mask, scores.data, -np.inf), axis=-1)
@@ -263,8 +285,11 @@ def _choose(
         if rngs is None or len(rngs) != len(mask):
             raise ConfigurationError("sampling requires one random generator per row")
         probs = np.where(mask, np.exp(logp.data), 0.0)
-        picks = [rng.choice(len(p), p=p / p.sum()) for p, rng in zip(probs, rngs)]
-        return np.array(picks, dtype=np.intp)
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        cdf /= cdf[:, -1:]
+        draws = np.array([rng.random() for rng in rngs])
+        return np.count_nonzero(cdf <= draws[:, None], axis=1)
     raise ConfigurationError(f"unknown selection mode {mode!r}")
 
 

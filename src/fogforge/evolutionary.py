@@ -23,7 +23,6 @@ redrawn genes per offspring.
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,6 +41,7 @@ from .model import (
     batch_objectives,
     hypervolume_2d,
     is_count,
+    is_real,
     pareto_front,  # unused here; kept for tracers that wrap ``fogforge.evolutionary.pareto_front``
     pareto_indices,
 )
@@ -74,7 +74,7 @@ class EvoConfig:
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ConfigurationError("population_size must be even and >= 2")
         prob = self.mutation_prob
-        if not (isinstance(prob, numbers.Real) and not isinstance(prob, bool) and 0 <= prob <= 1):
+        if not (is_real(prob) and 0 <= prob <= 1):
             raise ConfigurationError(f"mutation_prob must be a real number in [0, 1]: {prob!r}")
         if self.crossover not in CROSSOVER_KINDS:
             raise ConfigurationError(f"crossover must be one of {CROSSOVER_KINDS}")

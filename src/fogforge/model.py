@@ -42,6 +42,11 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for real numbers (numpy's included); false for bools, strings and the rest."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def from_json(kind, value, where: str, *, ignore_unknown: bool = False):
     """Read ``value``, as ``json.loads`` returns it, as a value of type ``kind``.
 

@@ -133,15 +133,7 @@ class Tensor:
                 f"matmul expects (..., n, k) @ (k, m) or two equal stacks, got {a.shape} @ {b.shape}"
             )
         if b.data.ndim == 2:
-            rows = a.data.reshape(-1, a.data.shape[-1])
-            out = (rows @ b.data).reshape(*a.shape[:-1], b.data.shape[1])
-
-            def bw(g):
-                g_rows = g.reshape(-1, g.shape[-1])
-                grad_a = (g_rows @ b.data.T).reshape(a.shape) if a.requires_grad else None
-                return grad_a, rows.T @ g_rows if b.requires_grad else None
-
-            return _node(out, (a, b), bw)
+            return affine(a, b)
 
         def bw_stacked(g):
             grad_a = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
@@ -226,6 +218,26 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> 
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def affine(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ w``, plus ``bias`` when given, for rows ``(..., n, k)`` and a
+    ``(k, m)`` weight: one 2-d product and one tape node. The bias is added in
+    place to the fresh product, so an affine layer makes one ``(rows, m)``
+    array, not two; values and gradients are those of ``x @ w + bias``."""
+    rows = x.data.reshape(-1, x.data.shape[-1])
+    out = rows @ w.data
+    if bias is not None:
+        out += bias.data
+    parents = (x, w) if bias is None else (x, w, bias)
+
+    def bw(g):
+        g_rows = g.reshape(-1, g.shape[-1])
+        grad_x = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        grad_w = rows.T @ g_rows if w.requires_grad else None
+        return (grad_x, grad_w) if bias is None else (grad_x, grad_w, _unbroadcast(g, bias.shape))
+
+    return _node(out.reshape(*x.shape[:-1], w.data.shape[1]), parents, bw)
 
 
 def minimum(a, b) -> Tensor:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fogforge.model import ConfigurationError
-from fogforge.nn.autodiff import Tensor, _node, as_tensor
+from fogforge.nn.autodiff import Tensor, _node, affine, as_tensor
 
 
 class Module:
@@ -89,7 +89,7 @@ class Linear(Module):
             raise ConfigurationError(
                 f"linear expects (..., {self.w.data.shape[0]}), got {x.shape}"
             )
-        return x @ self.w + self.b
+        return affine(x, self.w, self.b)
 
 
 class BatchNorm(Module):

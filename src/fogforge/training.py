@@ -36,6 +36,7 @@ from .model import (
     WeightVector,
     evaluate,
     is_count,
+    is_real,
     pareto_front,
 )
 from .nn import Adam
@@ -77,10 +78,11 @@ class TrainConfig:
         sizes = (self.train_size, self.test_size, self.validation_size)
         if not all(is_count(n) and n >= 1 for n in sizes):
             raise ConfigurationError(f"dataset sizes must be ints >= 1: {sizes}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError(f"learning_rate must be finite and > 0: {self.learning_rate}")
-        if not 0 < self.lr_decay_gamma <= 1:
-            raise ConfigurationError(f"lr_decay_gamma must lie in (0, 1]: {self.lr_decay_gamma}")
+        lr, gamma = self.learning_rate, self.lr_decay_gamma
+        if not (is_real(lr) and math.isfinite(lr) and lr > 0):
+            raise ConfigurationError(f"learning_rate must be a finite real number > 0: {lr!r}")
+        if not (is_real(gamma) and 0 < gamma <= 1):
+            raise ConfigurationError(f"lr_decay_gamma must be a real number in (0, 1]: {gamma!r}")
         if self.threads != 1:
             raise ConfigurationError("threads must be 1: rollouts run serially")
         self.weights.check()

@@ -110,6 +110,77 @@ def test_uniform_scores_sample_uniformly_and_respect_mask():
     np.testing.assert_allclose(counts[eligible] / draws, 1 / 3, atol=0.02)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 4),
+    columns=st.integers(1, 1001),
+    spread=st.sampled_from([0.0, 1.0, 30.0, 800.0]),
+    holes=st.sampled_from([0.0, 0.3, 0.9]),
+)
+def test_sampling_draws_what_rng_choice_draws(seed, rows, columns, spread, holes):
+    # padded rows, masked entries inside a row, and scores so far apart that
+    # exp underflows to a zero probability under the mask
+    data = np.random.default_rng(seed)
+    scores = Tensor(data.normal(0.0, 1.0, (rows, columns)) * spread)
+    mask = data.random((rows, columns)) >= holes
+    for k in range(rows):
+        mask[k, data.integers(1, columns + 1):] = False  # padding
+        mask[k, data.integers(0, columns)] = True
+    logp = masked_log_softmax(scores, mask)
+    probs = np.where(mask, np.exp(logp.data), 0.0)
+    streams = [np.random.default_rng([seed, k]) for k in range(rows)]
+    twins = [np.random.default_rng([seed, k]) for k in range(rows)]
+    picks = _choose(scores, logp, mask, "sample", streams)
+    expected = [rng.choice(len(p), p=p / p.sum()) for p, rng in zip(probs, twins)]
+    assert picks.tolist() == expected
+    # each draw takes one number from its row's stream, as choice does
+    assert [rng.random() for rng in streams] == [rng.random() for rng in twins]
+
+
+def test_service_head_scores_eligible_services_only():
+    envs = two_pools_env_pair(seed=3) + [make_env(seed=3, device_count=5, rows=2)]
+    model = fresh(envs[0], seed=3)
+    rows = []
+    forward = model.actor_s.forward
+
+    def counting(x):
+        rows.append(x.shape[0])
+        return forward(x)
+
+    model.actor_s.forward = counting
+    rollout = collect_trajectory(model, envs, [np.random.default_rng(s) for s in (1, 2, 3)])
+    steps = envs[0].task_count
+    eligible = [sum(int(row[t].eligible_mask.sum()) for row in rollout.states) for t in range(steps)]
+    assert rows == eligible  # one pass per step, one row per eligible service
+    assert sum(eligible) < len(envs) * steps * steps
+    rows.clear()
+    states, services, devices = zip(*recorded(rollout))
+    model.evaluate_actions(states, services, devices)
+    assert rows == [sum(eligible)]
+
+
+def test_critics_run_only_when_actions_are_evaluated():
+    env = make_env(seed=9)
+    model = fresh(env, seed=9)
+    calls = []
+    for name in ("critic_s", "critic_d"):
+        forward = getattr(model, name).forward
+
+        def counting(x, name=name, forward=forward):
+            calls.append(name)
+            return forward(x)
+
+        getattr(model, name).forward = counting
+    for mode, rngs in (("sample", [np.random.default_rng(0)]), ("greedy", None)):
+        rollout = collect_trajectory(model, [env], rngs, mode)
+    assert calls == []  # act never scores a value
+    state, service, device = recorded(rollout)[0]
+    ev = model.evaluate_actions([state], [service], [device])
+    assert calls == ["critic_s", "critic_d"]
+    assert np.isfinite(ev["value_s"].data).all() and np.isfinite(ev["value_d"].data).all()
+
+
 def test_single_device_forced():
     cloud = Device(id=0, speed=1.0, latency=50.0, cost=20.0, is_cloud=True)
     app = generate_scenario(ScenarioConfig(device_count=1, app_rows=(2,)), 0).applications[0]

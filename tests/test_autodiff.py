@@ -214,6 +214,25 @@ def test_linear_identity_and_zero():
     np.testing.assert_allclose(layer(Tensor(x)).data, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
+def test_linear_is_one_node_equal_to_matmul_plus_bias(shape):
+    rng = np.random.default_rng(8)
+    layer = Linear(3, 2, rng)
+    x0 = rng.normal(size=shape)
+    weights = rng.normal(size=(*shape[:-1], 2))
+    x = Tensor(x0, requires_grad=True)
+    y = layer(x)
+    (y * weights).sum().backward()
+    # plain numpy on the flattened rows, bit for bit, forward and backward
+    w, b = layer.w.data, layer.b.data
+    rows, weights_rows = x0.reshape(-1, 3), weights.reshape(-1, 2)
+    np.testing.assert_array_equal(y.data, (rows @ w + b).reshape(*shape[:-1], 2))
+    np.testing.assert_array_equal(x.grad, (weights_rows @ w.T).reshape(shape))
+    np.testing.assert_array_equal(layer.w.grad, rows.T @ weights_rows)
+    np.testing.assert_array_equal(layer.b.grad, weights_rows.sum(0))
+    assert len(y._parents) == 3  # one node: x, w and b
+
+
 def test_linear_init_bounds():
     rng = np.random.default_rng(6)
     layer = Linear(16, 8, rng)

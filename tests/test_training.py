@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fogforge.agents import AgentConfig, PolicyModel
+from fogforge.agents import AgentConfig, PolicyModel, PpoHyper
 from fogforge.gin import GinConfig
 from fogforge.model import ConfigurationError, Device, WeightVector, evaluate, pareto_front
 from fogforge.scenarios import ScenarioConfig, generate_scenario
@@ -87,6 +87,19 @@ def test_config_validation():
         tiny_config(threads=2)
     with pytest.raises(ConfigurationError, match="weights"):
         tiny_config(weights=WeightVector(0.9, 0.5))
+    # PPO's real-number fields refuse bools, strings and None by name
+    for field, value in (
+        ("policy_coef", True),
+        ("value_coef", "2.0"),
+        ("entropy_coef", None),
+        ("clip_ratio", "0.2"),
+        ("clip_ratio", True),
+        ("grad_clip_norm", True),
+        ("grad_clip_norm", "1.0"),
+    ):
+        with pytest.raises(ConfigurationError, match=field):
+            PpoHyper(**{field: value})
+    assert PpoHyper(clip_ratio=np.float64(0.2), policy_coef=1).clip_ratio == 0.2
 
 
 @pytest.mark.parametrize(
@@ -100,6 +113,11 @@ def test_config_validation():
         ("lr_decay_gamma", 1.5),
         ("lr_decay_gamma", float("nan")),
         ("lr_decay_interval", 0),
+        ("learning_rate", True),
+        ("learning_rate", "0.1"),
+        ("learning_rate", None),
+        ("lr_decay_gamma", True),
+        ("lr_decay_gamma", "0.9"),
         ("episodes", 2.0),
         ("envs_per_episode", True),
         ("eval_interval", 1.5),
@@ -267,7 +285,6 @@ def test_inference_needs_exactly_one_cloud(tiny):
 
 
 def test_trained_inference_near_optimal_on_dominant_device():
-    from fogforge.agents import PpoHyper
     from fogforge.model import Device, brute_force_oracle
     from fogforge.scenarios import Scenario
 
