@@ -305,17 +305,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_evo(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     scenario = load_scenario(args.scenario)
-    if args.algorithm == "nsga2":  # its crowded tournament is binary and it reads no weights
-        for flag, value in (("--weights", args.weights), ("--tournament", args.tournament)):
-            if value is not None:
-                raise UsageError(f"{flag} applies to --algorithm ga only")
+    if args.algorithm == "nsga2" and args.weights is not None:  # NSGA-II reads no weights
+        raise UsageError("--weights applies to --algorithm ga only")
     config = EvoConfig(
         population_size=args.population,
         generations=args.generations,
         mutation_prob=args.mutation,
-        crossover=args.crossover,
-        mutation=args.mutation_kind,
-        tournament_size=args.tournament or 2,
         seed=seed,
     )
     app = scenario.applications[0]
@@ -473,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", type=positive_int, default=200)
     p.add_argument("--generations", type=int, default=200)
     p.add_argument("--mutation", type=float, default=0.15)
-    p.add_argument("--crossover", choices=("uniform", "one-point"), default="uniform")
-    p.add_argument("--mutation-kind", choices=("offspring", "per-gene"), default="offspring")
-    p.add_argument("--tournament", type=positive_int, default=None, help="GA only (default 2)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evo)
 

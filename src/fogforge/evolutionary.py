@@ -6,7 +6,7 @@ each generation with :func:`_breed` (crossover of the selected parents'
 halves, then mutation):
 
 * ``ga_solve``: single-objective generational GA on the weighted objective
-  (tournament selection, elitism of 1), returning the best placement ever
+  (binary tournament selection, elitism of 1), returning the best placement ever
   evaluated.
 * ``nsga2_solve``: canonical NSGA-II (fast non-dominated sort, crowding
   distance, binary tournament on the crowded comparison, elitist environmental
@@ -14,11 +14,10 @@ halves, then mutation):
   crowds parents and offspring once; selection pushes repeated objective
   points behind every distinct one.
 
-Mutation supports two readings of a single "15% mutation" knob. The default
-mutates each offspring with probability ``mutation_prob`` by redrawing exactly
-one uniformly chosen gene; the alternative mutates every gene independently at
-rate ``mutation_prob / gene_count``. Both have the same expected number of
-redrawn genes per offspring.
+Crossover is uniform: each gene comes from either parent with probability 1/2.
+Mutation redraws one uniformly chosen gene of an offspring with probability
+``mutation_prob``. Selection is a binary tournament, on the weighted objective
+in the GA and on the crowded comparison in NSGA-II.
 """
 
 from __future__ import annotations
@@ -46,11 +45,11 @@ from .model import (
     pareto_indices,
 )
 
-CROSSOVER_KINDS = ("uniform", "one-point")
-MUTATION_KINDS = ("offspring", "per-gene")
-# 25x the default population. The largest array a run allocates is the GA
-# tournament's population x tournament_size entrant indices and their scores,
-# 16 bytes each: 400 MB at this bound, where 2**62 would ask for exabytes
+# 25x the default population. A run's arrays grow with the population times
+# the application's size: NSGA-II combines 2 x population chromosomes, and
+# `batch_objectives` builds term matrices of one float64 per offspring and
+# dependency edge. Each is a few MB at this bound for a 9x9 grid application,
+# where 2**62 would ask for exabytes
 MAX_POPULATION = 5_000
 
 
@@ -59,13 +58,10 @@ class EvoConfig:
     population_size: int = 200
     generations: int = 200
     mutation_prob: float = 0.15
-    crossover: str = "uniform"
-    mutation: str = "offspring"
-    tournament_size: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("population_size", "generations", "tournament_size", "seed"):
+        for name in ("population_size", "generations", "seed"):
             value = getattr(self, name)
             if not (is_count(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be an int >= 0: {value!r}")
@@ -76,12 +72,6 @@ class EvoConfig:
         prob = self.mutation_prob
         if not (is_real(prob) and 0 <= prob <= 1):
             raise ConfigurationError(f"mutation_prob must be a real number in [0, 1]: {prob!r}")
-        if self.crossover not in CROSSOVER_KINDS:
-            raise ConfigurationError(f"crossover must be one of {CROSSOVER_KINDS}")
-        if self.mutation not in MUTATION_KINDS:
-            raise ConfigurationError(f"mutation must be one of {MUTATION_KINDS}")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ConfigurationError("tournament_size must lie in [1, population_size]")
 
 
 @dataclass
@@ -167,36 +157,20 @@ def crowding_distance(points: Sequence[tuple[float, float]], ranks: np.ndarray) 
     return dist
 
 
-def _crossover(rng: np.random.Generator, parents_a: np.ndarray, parents_b: np.ndarray, kind: str) -> np.ndarray:
-    pairs, genes = parents_a.shape
-    if kind == "uniform":
-        mask = rng.random((pairs, genes)) < 0.5
-    else:  # one-point: genes before the cut come from the first parent
-        cut = rng.integers(1, genes, size=pairs) if genes > 1 else np.ones(pairs, dtype=np.int64)
-        mask = np.arange(genes)[None, :] < cut[:, None]
+def _crossover(rng: np.random.Generator, parents_a: np.ndarray, parents_b: np.ndarray) -> np.ndarray:
+    mask = rng.random(parents_a.shape) < 0.5
     child_a = np.where(mask, parents_a, parents_b)
     child_b = np.where(mask, parents_b, parents_a)
     return np.concatenate([child_a, child_b], axis=0)
 
 
-def _mutate(
-    rng: np.random.Generator,
-    population: np.ndarray,
-    ids: np.ndarray,
-    prob: float,
-    kind: str,
-) -> np.ndarray:
+def _mutate(rng: np.random.Generator, population: np.ndarray, ids: np.ndarray, prob: float) -> np.ndarray:
     size, genes = population.shape
     out = population.copy()
-    if kind == "offspring":
-        hit = rng.random(size) < prob
-        gene_idx = rng.integers(0, genes, size=size)
-        values = ids[rng.integers(0, len(ids), size=size)]
-        out[hit, gene_idx[hit]] = values[hit]
-    else:
-        mask = rng.random((size, genes)) < prob / genes
-        values = ids[rng.integers(0, len(ids), size=(size, genes))]
-        out = np.where(mask, values, out)
+    hit = rng.random(size) < prob
+    gene_idx = rng.integers(0, genes, size=size)
+    values = ids[rng.integers(0, len(ids), size=size)]
+    out[hit, gene_idx[hit]] = values[hit]
     return out
 
 
@@ -205,15 +179,14 @@ def _breed(
 ) -> np.ndarray:
     """Offspring of ``parents``: cross its first half with its second, then mutate."""
     half = len(parents) // 2
-    offspring = _crossover(rng, parents[:half], parents[half:], config.crossover)
-    return _mutate(rng, offspring, ids, config.mutation_prob, config.mutation)
+    offspring = _crossover(rng, parents[:half], parents[half:])
+    return _mutate(rng, offspring, ids, config.mutation_prob)
 
 
-def _tournament(
-    rng: np.random.Generator, keys: np.ndarray, count: int, size: int
-) -> np.ndarray:
-    """Indices of ``count`` tournament winners; ``keys`` sorts ascending-better."""
-    entrants = rng.integers(0, len(keys), size=(count, size))
+def _tournament(rng: np.random.Generator, keys: np.ndarray, count: int) -> np.ndarray:
+    """Indices of ``count`` binary tournament winners; ``keys`` sorts
+    ascending-better and full ties go to the first entrant."""
+    entrants = rng.integers(0, len(keys), size=(count, 2))
     return entrants[np.arange(count), np.argmin(keys[entrants], axis=1)]
 
 
@@ -258,7 +231,7 @@ def ga_solve(
     history: list[float] = []
     for generation in range(config.generations + 1):
         if generation:
-            parents = population[_tournament(rng, fitness, config.population_size, config.tournament_size)]
+            parents = population[_tournament(rng, fitness, config.population_size)]
             population = _breed(rng, parents, ids, config)
             # elitism of 1: the incumbent best replaces the first offspring slot
             population[0] = best[1]

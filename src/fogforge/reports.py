@@ -19,6 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+from xml.sax.saxutils import escape
 
 from .env import Action, PlacementEnv
 from .model import (
@@ -318,7 +319,7 @@ def svg_scatter(series: dict[str, list[ObjectivePoint]], title: str = "") -> str
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="{margin / 2:.1f}" text-anchor="middle" '
-            f'font-size="15">{title}</text>'
+            f'font-size="15">{escape(title)}</text>'
         )
     for tick in _ticks(x_lo, x_hi):
         x = sx(tick)
@@ -353,6 +354,6 @@ def svg_scatter(series: dict[str, list[ObjectivePoint]], title: str = "") -> str
         parts.append(
             f'<circle cx="{width - margin - 130}" cy="{legend_y - 4}" r="4" fill="{color}"/>'
         )
-        parts.append(f'<text x="{width - margin - 120}" y="{legend_y}">{label}</text>')
+        parts.append(f'<text x="{width - margin - 120}" y="{legend_y}">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -290,7 +290,6 @@ class SweepResult:
     solutions: list[SweepSolution]
     front: list[ObjectivePoint]
     results: dict[WeightVector, TrainResult]
-    validation_metrics: dict[WeightVector, float]
     failures: list[tuple[WeightVector, str]]
     total_episodes: int
 
@@ -307,7 +306,6 @@ def sweep(config: TrainConfig, datasets: ScenarioDataset | None = None) -> Sweep
     if datasets is None:
         datasets = build_datasets(config)
     results: dict[WeightVector, TrainResult] = {}
-    validation_metrics: dict[WeightVector, float] = {}
     failures: list[tuple[WeightVector, str]] = []
     total_episodes = 0
 
@@ -321,7 +319,6 @@ def sweep(config: TrainConfig, datasets: ScenarioDataset | None = None) -> Sweep
         if result.diverged:
             failures.append((weights, result.metrics[-1]["error"]))
         total_episodes += result.episodes_trained
-        validation_metrics[weights] = evaluate_policy(result.model, datasets.validation, weights)
 
     target = datasets.validation[0]
     app = target.applications[0]
@@ -337,7 +334,6 @@ def sweep(config: TrainConfig, datasets: ScenarioDataset | None = None) -> Sweep
         solutions=solutions,
         front=front,
         results=results,
-        validation_metrics=validation_metrics,
         failures=failures,
         total_episodes=total_episodes,
     )

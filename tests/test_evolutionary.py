@@ -134,18 +134,10 @@ def test_config_validation():
             EvoConfig(mutation_prob=value)
     assert EvoConfig(mutation_prob=np.float64(0.5)).mutation_prob == 0.5
     assert EvoConfig(mutation_prob=1).mutation_prob == 1
-    with pytest.raises(ConfigurationError, match="crossover"):
-        EvoConfig(crossover="triple")
-    with pytest.raises(ConfigurationError, match="mutation"):
-        EvoConfig(mutation="nope")
-    with pytest.raises(ConfigurationError, match="tournament"):
-        EvoConfig(tournament_size=0)
     # sizes past their bounds are refused before any solver allocates for them
     for fields, named in (
         ({"population_size": 2**62}, "population_size"),
         ({"population_size": MAX_POPULATION + 1}, "population_size"),
-        ({"tournament_size": 2**62}, "tournament_size"),
-        ({"population_size": 20, "tournament_size": 21}, "tournament_size"),
     ):
         with pytest.raises(ConfigurationError, match=named):
             EvoConfig(**fields)
@@ -155,7 +147,6 @@ def test_config_validation():
         ({"generations": 2.5}, "generations"),
         ({"generations": -1}, "generations"),
         ({"population_size": 10.0}, "population_size"),
-        ({"tournament_size": 2.0}, "tournament_size"),
         ({"seed": -1}, "seed"),
         ({"seed": 0.5}, "seed"),
     ):
@@ -168,19 +159,10 @@ def test_offspring_mutation_changes_at_most_one_gene():
     rng = np.random.default_rng(0)
     ids = np.arange(4, dtype=np.int64)
     pop = np.zeros((50, 8), dtype=np.int64)
-    out = _mutate(rng, pop, ids, prob=1.0, kind="offspring")
+    out = _mutate(rng, pop, ids, prob=1.0)
     changed = (out != pop).sum(axis=1)
     assert changed.max() <= 1
     assert changed.sum() > 0  # redraws rarely all collide with the old value
-
-
-def test_per_gene_mutation_rate():
-    rng = np.random.default_rng(1)
-    ids = np.array([0, 1, 2, 3], dtype=np.int64)
-    pop = np.full((4000, 10), 7, dtype=np.int64)  # 7 outside ids: every hit visible
-    out = _mutate(rng, pop, ids, prob=0.5, kind="per-gene")
-    rate = (out != pop).mean()
-    assert rate == pytest.approx(0.05, abs=0.01)  # prob / genes per gene
 
 
 # --- GA -----------------------------------------------------------------------
@@ -238,15 +220,6 @@ def test_ga_deterministic_under_seed():
     b = ga_solve(app, devices, WeightVector(0.5, 0.5), SMALL)
     assert a.placement.assignment == b.placement.assignment
     assert a.history == b.history
-
-
-def test_ga_alternate_operators_still_converge():
-    app, devices = dominant_setup()
-    config = EvoConfig(
-        population_size=20, generations=60, crossover="one-point", mutation="per-gene", seed=2
-    )
-    result = ga_solve(app, devices, WeightVector(0.5, 0.5), config)
-    assert set(result.placement.assignment.values()) == {1}
 
 
 # --- NSGA-II ------------------------------------------------------------------
@@ -380,8 +353,7 @@ def test_solvers_follow_order_preserving_relabelled_ids():
     weights = WeightVector(0.5, 0.5)
     for config in (
         EvoConfig(population_size=20, generations=15, seed=6),
-        EvoConfig(population_size=20, generations=15, crossover="one-point",
-                  mutation="per-gene", seed=7),
+        EvoConfig(population_size=20, generations=15, seed=7),
     ):
         base = nsga2_solve(app, devices, config)
         result = nsga2_solve(app, relabelled, config)

@@ -1,6 +1,7 @@
 """Run artifacts: solutions schema, trajectory replay, manifests, comparisons."""
 
 import json
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -271,6 +272,15 @@ def test_svg_scatter_three_series():
     # one marker per point plus one legend dot per series
     assert svg.count("<circle") == 4 + 3
     assert ">demo</text>" in svg
+
+
+def test_svg_scatter_escapes_markup_in_labels_and_title():
+    # run directory names become series labels; "&" and "<" must not break the XML
+    series = {"R&D": [ObjectivePoint(1.0, 2.0)], "<b>": [ObjectivePoint(2.0, 1.0)]}
+    svg = svg_scatter(series, title="R&D vs <b>")
+    texts = minidom.parseString(svg).getElementsByTagName("text")
+    shown = {node.firstChild.data for node in texts}
+    assert {"R&D", "<b>", "R&D vs <b>"} <= shown
 
 
 def test_svg_scatter_degenerate_single_point():
