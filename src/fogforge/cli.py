@@ -201,9 +201,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
     writer = RunWriter(args.out, "train", asdict(config), seed)
-    write_json(writer.path("config.json"), asdict(config))
     datasets = build_datasets(config)
     result = train(config, datasets)
+    # written once training returns, so a refused config leaves no file
+    write_json(writer.path("config.json"), asdict(config))
     write_metrics(writer.path("metrics.jsonl"), result.metrics)
     save_checkpoint(result.model, writer.path("checkpoints/best.json"))
     target = datasets.validation[0]
@@ -225,9 +226,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
     config = train_config_from_args(args, seed)
     writer = RunWriter(args.out, "sweep", asdict(config), seed)
-    write_json(writer.path("config.json"), asdict(config))
     datasets = build_datasets(config)
     result = sweep(config, datasets)
+    write_json(writer.path("config.json"), asdict(config))
     rows: list[dict] = []
     for weights, stage_result in result.results.items():
         save_checkpoint(
@@ -255,7 +256,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    weights = parse_weights(args.weights) if args.weights else WeightVector(0.5, 0.5)
+    weights = WeightVector(0.5, 0.5) if args.weights is None else parse_weights(args.weights)
     config = {"checkpoint": args.checkpoint, "scenario": args.scenario}
     writer = None if args.out is None else RunWriter(args.out, "infer", config, None)
     scenario = load_scenario(args.scenario)
@@ -291,8 +292,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         seed,
     )
     placement = run_baseline(kind, app, scenario.devices, seed=seed)
-    point = emit_placement_run(writer, scenario, placement, weights)
+    point = evaluate(app, placement, scenario.devices)
+    # scored first: a pool with non-positive bounds is refused before any file
     score = weighted_objective(point, weights, scenario.bounds())
+    emit_placement_run(writer, scenario, placement, weights)
     write_metrics(
         writer.path("metrics.jsonl"),
         [{"strategy": kind.value, "time": point.time, "cost": point.cost, "weighted": score}],
@@ -320,7 +323,7 @@ def cmd_evo(args: argparse.Namespace) -> int:
         seed,
     )
     if args.algorithm == "ga":
-        weights = parse_weights(args.weights or "0.5,0.5")
+        weights = parse_weights("0.5,0.5" if args.weights is None else args.weights)
         result = ga_solve(app, scenario.devices, weights, config)
         emit_placement_run(writer, scenario, result.placement, weights)
         write_front_csv(writer.path("front.csv"), [result.point], [result.placement])

@@ -18,7 +18,6 @@ from fogforge.model import (
     ConfigurationError,
     Device,
     InvalidPlacementError,
-    NormBounds,
     Placement,
     Service,
     WeightVector,
@@ -80,10 +79,9 @@ class PlacementEnv:
         app: Application,
         devices: Sequence[Device],
         weights: WeightVector,
-        bounds: NormBounds | None = None,
     ) -> None:
         """Places ``app`` on ``devices``, whose one cloud hosts every service at
-        reset; ``bounds`` default to :func:`analytic_bounds`."""
+        reset; weighted scores normalise by :func:`analytic_bounds`."""
         clouds = [k for k, d in enumerate(devices) if d.is_cloud]
         if len(clouds) != 1:
             raise ConfigurationError(
@@ -92,7 +90,7 @@ class PlacementEnv:
         self.app = app
         self.devices = tuple(devices)
         self.weights = weights.check()
-        self.bounds = bounds if bounds is not None else analytic_bounds(self.app, self.devices)
+        self.bounds = analytic_bounds(self.app, self.devices)
 
         self.services: list[Service] = list(self.app.services())
         self.task_count = len(self.services)

@@ -16,14 +16,15 @@ halves, then mutation):
 
 Crossover is uniform: each gene comes from either parent with probability 1/2.
 Mutation redraws one uniformly chosen gene of an offspring with probability
-``mutation_prob``. Selection is a binary tournament, on the weighted objective
-in the GA and on the crowded comparison in NSGA-II.
+``mutation_prob``. Both solvers pick parents through one binary tournament,
+:func:`_tournament`, on the weighted objective in the GA and on the crowded
+comparison in NSGA-II.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,15 +80,15 @@ class GaResult:
     placement: Placement
     point: ObjectivePoint
     objective: float
-    history: list[float] = field(default_factory=list)
+    history: list[float]
 
 
 @dataclass
 class NsgaResult:
     front: list[ObjectivePoint]
     front_placements: list[Placement]
-    hypervolume_history: list[float] = field(default_factory=list)
-    final_population: np.ndarray | None = None
+    hypervolume_history: list[float]
+    final_population: np.ndarray
 
 
 def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -183,11 +184,21 @@ def _breed(
     return _mutate(rng, offspring, ids, config.mutation_prob)
 
 
-def _tournament(rng: np.random.Generator, keys: np.ndarray, count: int) -> np.ndarray:
-    """Indices of ``count`` binary tournament winners; ``keys`` sorts
-    ascending-better and full ties go to the first entrant."""
-    entrants = rng.integers(0, len(keys), size=(count, 2))
-    return entrants[np.arange(count), np.argmin(keys[entrants], axis=1)]
+def _tournament(rng: np.random.Generator, keys: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """Indices of ``count`` binary tournament winners.
+
+    All first entrants are drawn, then all second ones. ``keys`` compare
+    lexicographically, most significant first and lower better; the second
+    entrant wins only when it is strictly better, so full ties go to the first.
+    """
+    first = rng.integers(0, len(keys[0]), size=count)
+    second = rng.integers(0, len(keys[0]), size=count)
+    second_wins = np.zeros(count, dtype=bool)
+    tied = np.ones(count, dtype=bool)
+    for key in keys:
+        second_wins |= tied & (key[second] < key[first])
+        tied &= key[second] == key[first]
+    return np.where(second_wins, second, first)
 
 
 def _seed_population(
@@ -231,7 +242,7 @@ def ga_solve(
     history: list[float] = []
     for generation in range(config.generations + 1):
         if generation:
-            parents = population[_tournament(rng, fitness, config.population_size)]
+            parents = population[_tournament(rng, (fitness,), config.population_size)]
             population = _breed(rng, parents, ids, config)
             # elitism of 1: the incumbent best replaces the first offspring slot
             population[0] = best[1]
@@ -266,17 +277,6 @@ def _repeats(words: np.ndarray) -> np.ndarray:
     repeat = np.zeros(len(words), dtype=bool)
     repeat[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
     return repeat
-
-
-def _crowded_tournament(
-    rng: np.random.Generator, ranks: np.ndarray, crowding: np.ndarray, count: int
-) -> np.ndarray:
-    """Binary tournament with the crowded comparison: lower rank wins, ties go
-    to the larger crowding distance, full ties to the first entrant."""
-    a = rng.integers(0, len(ranks), size=count)
-    b = rng.integers(0, len(ranks), size=count)
-    b_wins = (ranks[b] < ranks[a]) | ((ranks[b] == ranks[a]) & (crowding[b] > crowding[a]))
-    return np.where(b_wins, b, a)
 
 
 def _environmental_selection(
@@ -321,7 +321,8 @@ def nsga2_solve(
     history = [hypervolume_2d(points[ranks == 0], ref)]
 
     for _ in range(config.generations):
-        parents = population[_crowded_tournament(rng, ranks, crowding, config.population_size)]
+        # the crowded comparison: lower rank, then larger crowding distance
+        parents = population[_tournament(rng, (ranks, -crowding), config.population_size)]
         offspring = _breed(rng, parents, ids, config)
         # the survivors carry their points: only the offspring are scored
         o_times, o_costs = batch_objectives(app, devices, offspring)

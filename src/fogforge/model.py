@@ -18,7 +18,7 @@ import numbers
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -517,8 +517,8 @@ class WeightedOptimum:
 class OracleResult:
     front: list[ObjectivePoint]
     front_placements: list[Placement]
-    weighted: list[WeightedOptimum] = field(default_factory=list)
-    enumerated: int = 0
+    weighted: list[WeightedOptimum]
+    enumerated: int
 
 
 def brute_force_oracle(
@@ -629,13 +629,12 @@ def brute_force_oracle(
         return Placement.from_vector(app, inst.ids[digits])
 
     # the kernel leaves the running front deduplicated and in (time, cost) order
-    result = OracleResult(
+    return OracleResult(
         front=[ObjectivePoint(t, c) for t, c in zip(front_times.tolist(), front_costs.tolist())],
         front_placements=[placement(index) for index in front_index],
+        weighted=[
+            WeightedOptimum(w, placement(index), point, obj)
+            for w, (obj, index, point) in zip(weights, best)
+        ],
         enumerated=total,
     )
-    for w, entry in zip(weights, best):
-        assert entry is not None
-        obj, index, point = entry
-        result.weighted.append(WeightedOptimum(w, placement(index), point, obj))
-    return result

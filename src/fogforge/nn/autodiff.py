@@ -123,23 +123,17 @@ class Tensor:
         return _node(np.power(a.data, e), (a,), bw)
 
     def __matmul__(self, other):
-        """Matrix product. Stacked rows ``(..., n, k) @ (k, m)`` run as one 2-d
-        product; two stacks ``(B, n, k) @ (B, k, m)`` multiply graph by graph."""
+        """Two equal stacks ``(B, n, k) @ (B, k, m)``, multiplied graph by graph."""
         other = as_tensor(other)
         a, b = self, other
-        stacked = b.data.ndim > 2 and a.shape[:-2] == b.shape[:-2]
-        if a.data.ndim < 2 or not (b.data.ndim == 2 or stacked):
-            raise AutodiffUsageError(
-                f"matmul expects (..., n, k) @ (k, m) or two equal stacks, got {a.shape} @ {b.shape}"
-            )
-        if b.data.ndim == 2:
-            return affine(a, b)
+        if a.data.ndim < 3 or a.shape[:-2] != b.shape[:-2]:
+            raise AutodiffUsageError(f"matmul expects two equal stacks, got {a.shape} @ {b.shape}")
 
-        def bw_stacked(g):
+        def bw(g):
             grad_a = g @ b.data.swapaxes(-1, -2) if a.requires_grad else None
             return grad_a, a.data.swapaxes(-1, -2) @ g if b.requires_grad else None
 
-        return _node(a.data @ b.data, (a, b), bw_stacked)
+        return _node(a.data @ b.data, (a, b), bw)
 
     # --- elementwise functions ------------------------------------------------
 
@@ -220,24 +214,21 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def affine(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``x @ w``, plus ``bias`` when given, for rows ``(..., n, k)`` and a
-    ``(k, m)`` weight: one 2-d product and one tape node. The bias is added in
-    place to the fresh product, so an affine layer makes one ``(rows, m)``
-    array, not two; values and gradients are those of ``x @ w + bias``."""
+def affine(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """``x @ w + bias`` for rows ``(..., n, k)`` and a ``(k, m)`` weight: one
+    2-d product and one tape node. The bias is added in place to the fresh
+    product, so an affine layer makes one ``(rows, m)`` array, not two."""
     rows = x.data.reshape(-1, x.data.shape[-1])
     out = rows @ w.data
-    if bias is not None:
-        out += bias.data
-    parents = (x, w) if bias is None else (x, w, bias)
+    out += bias.data
 
     def bw(g):
         g_rows = g.reshape(-1, g.shape[-1])
         grad_x = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
         grad_w = rows.T @ g_rows if w.requires_grad else None
-        return (grad_x, grad_w) if bias is None else (grad_x, grad_w, _unbroadcast(g, bias.shape))
+        return grad_x, grad_w, _unbroadcast(g, bias.shape)
 
-    return _node(out.reshape(*x.shape[:-1], w.data.shape[1]), parents, bw)
+    return _node(out.reshape(*x.shape[:-1], w.data.shape[1]), (x, w, bias), bw)
 
 
 def minimum(a, b) -> Tensor:

@@ -12,7 +12,7 @@ class Adam:
     beta1, beta2 = 0.9, 0.999
     eps = 1e-8
 
-    def __init__(self, params: list[Tensor], lr: float = 0.022):
+    def __init__(self, params: list[Tensor], lr: float):
         if lr <= 0:
             raise ConfigurationError("learning rate must be > 0")
         self.params = list(params)

@@ -186,7 +186,7 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
 
 
-def utc_stamp(epoch: float | None = None) -> str:
+def utc_stamp(epoch: float) -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))
 
 
@@ -286,7 +286,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(_TICKS)]
 
 
-def svg_scatter(series: dict[str, list[ObjectivePoint]], title: str = "") -> str:
+def svg_scatter(series: dict[str, list[ObjectivePoint]], title: str) -> str:
     """Self-contained 640 x 480 SVG scatter of time against cost, one labeled
     series per method."""
     if not series or all(not pts for pts in series.values()):
@@ -315,12 +315,9 @@ def svg_scatter(series: dict[str, list[ObjectivePoint]], title: str = "") -> str
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
+        f'<text x="{width / 2:.1f}" y="{margin / 2:.1f}" text-anchor="middle" '
+        f'font-size="15">{escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="{margin / 2:.1f}" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
-        )
     for tick in _ticks(x_lo, x_hi):
         x = sx(tick)
         parts.append(

@@ -291,7 +291,6 @@ class SweepResult:
     front: list[ObjectivePoint]
     results: dict[WeightVector, TrainResult]
     failures: list[tuple[WeightVector, str]]
-    total_episodes: int
 
 
 def sweep(config: TrainConfig, datasets: ScenarioDataset | None = None) -> SweepResult:
@@ -307,7 +306,6 @@ def sweep(config: TrainConfig, datasets: ScenarioDataset | None = None) -> Sweep
         datasets = build_datasets(config)
     results: dict[WeightVector, TrainResult] = {}
     failures: list[tuple[WeightVector, str]] = []
-    total_episodes = 0
 
     for index, (weights, parent) in enumerate(SWEEP_SCHEDULE):
         stage_config = replace(config, weights=weights, seed=config.seed + index)
@@ -318,7 +316,6 @@ def sweep(config: TrainConfig, datasets: ScenarioDataset | None = None) -> Sweep
         result = results[weights] = train(stage_config, datasets, model=start, episodes=budget)
         if result.diverged:
             failures.append((weights, result.metrics[-1]["error"]))
-        total_episodes += result.episodes_trained
 
     target = datasets.validation[0]
     app = target.applications[0]
@@ -335,5 +332,4 @@ def sweep(config: TrainConfig, datasets: ScenarioDataset | None = None) -> Sweep
         front=front,
         results=results,
         failures=failures,
-        total_episodes=total_episodes,
     )

@@ -637,7 +637,7 @@ def test_divergent_update_aborts():
     rollout = collect_trajectory(model, [env], [np.random.default_rng(16)])
     model.actor_s.linears[0].w.data[0, 0] = np.nan
     with pytest.raises(DivergenceError):
-        ppo_update(model, rollout, PpoHyper(), Adam(model.parameters()))
+        ppo_update(model, rollout, PpoHyper(), Adam(model.parameters(), lr=0.022))
 
 
 def test_overflowing_loss_raises_divergence():
@@ -650,14 +650,14 @@ def test_overflowing_loss_raises_divergence():
     state, service, device = recorded(rollout)[0]
     assert np.isfinite(model.evaluate_actions([state], [service], [device])["value_s"].item())
     with pytest.raises(DivergenceError, match="non-finite loss"):
-        ppo_update(model, rollout, PpoHyper(), Adam(model.parameters()))
+        ppo_update(model, rollout, PpoHyper(), Adam(model.parameters(), lr=0.022))
 
 
 def test_non_finite_parameters_abort_update():
     env = make_env(seed=15)
     model = fresh(env, seed=15)
     rollout = collect_trajectory(model, [env], [np.random.default_rng(16)])
-    optimizer = Adam(model.parameters())
+    optimizer = Adam(model.parameters(), lr=0.022)
     optimizer.lr = np.inf  # finite loss, but the step leaves non-finite weights
     with pytest.raises(DivergenceError, match="parameters"):
         ppo_update(model, rollout, PpoHyper(), optimizer)

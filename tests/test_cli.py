@@ -530,6 +530,9 @@ BAD_TRAIN_CONFIGS = {
     "nan-cost-choice": {"scenario": {**TINY_TRAIN["scenario"], "cost_choices": [float("nan")]}},
     "infinite-op-count": {"scenario": {**TINY_TRAIN["scenario"], "op_count": float("inf")}},
     "nan-device-speed": {"scenario": {**TINY_TRAIN["scenario"], "device_speed": float("nan")}},
+    # every device costs 0, so the analytic cost bound is not positive
+    "zero-cost-pool": {"scenario": {**TINY_TRAIN["scenario"], "cost_choices": [0.0],
+                                    "cloud_cost": 0.0}},
 }
 
 
@@ -541,7 +544,7 @@ def test_bad_training_config_exits_2_before_writing(tmp_path, command, override,
     run = tmp_path / "run"
     capsys.readouterr()
     assert main([command, "--config", str(config), "--out", str(run)]) == 2
-    assert not (run / "config.json").exists()
+    assert not run.exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
@@ -642,13 +645,15 @@ def test_diverged_sweep_exits_3_and_lists_every_stage(tmp_path):
 def test_infer_refuses_bad_weights_before_placing(tmp_path, scenario_file, capsys, out):
     checkpoint = tiny_checkpoint(tmp_path / "model.json")
     run = tmp_path / "run"
-    argv = ["infer", "--checkpoint", str(checkpoint), "--scenario", str(scenario_file),
-            "--weights", "garbage"]
-    assert main(argv + (["--out", str(run)] if out else [])) == 2
-    captured = capsys.readouterr()
-    assert "placement:" not in captured.out
-    assert "weights" in captured.err
-    assert not run.exists()
+    for weights in ("garbage", ""):  # an empty flag is refused, not read as the default
+        argv = ["infer", "--checkpoint", str(checkpoint), "--scenario", str(scenario_file),
+                "--weights", weights]
+        capsys.readouterr()
+        assert main(argv + (["--out", str(run)] if out else [])) == 2, weights
+        captured = capsys.readouterr()
+        assert "placement:" not in captured.out, weights
+        assert "weights" in captured.err, weights
+        assert not run.exists(), weights
 
 
 def test_infer_divergence_names_the_checkpoint(tmp_path, scenario_file):
@@ -696,13 +701,14 @@ def zero_cost_file(tmp_path):
 @pytest.mark.parametrize(
     "args",
     [["oracle", "--weights", "0.5,0.5"],
-     ["evo", "--algorithm", "ga", "--population", "20", "--generations", "5"]],
-    ids=["weighted-oracle", "ga"],
+     ["evo", "--algorithm", "ga", "--population", "20", "--generations", "5"],
+     ["baseline", "--strategy", "all-in-cloud"]],
+    ids=["weighted-oracle", "ga", "baseline"],
 )
 def test_weighted_solvers_refuse_zero_cost_bounds(tmp_path, zero_cost_file, args):
     run = tmp_path / "run"
     assert main([*args, "--scenario", str(zero_cost_file), "--out", str(run)]) == 2
-    assert not (run / "solutions.csv").exists()
+    assert not run.exists()
 
 
 def test_evo_input_errors_leave_no_run_directory(tmp_path, zero_cost_file, scenario_file, capsys):
@@ -713,6 +719,7 @@ def test_evo_input_errors_leave_no_run_directory(tmp_path, zero_cost_file, scena
     cases = {
         "zero-cost-pool": ([*ga, "--scenario", str(zero_cost_file)], "cost"),
         "bad-weights": ([*ga_run, "--weights", "0.7,0.7"], "weights"),
+        "empty-weights": ([*ga_run, "--weights", ""], "weights"),
         "nsga2-weights": ([*nsga2, "--weights", "0.9,0.1"], "--weights"),
         # the operators are fixed: a script passing an operator flag exits 2 naming it
         "nsga2-tournament": ([*nsga2, "--tournament", "7"], "--tournament"),

@@ -11,7 +11,6 @@ from fogforge.model import (
     Application,
     ConfigurationError,
     Device,
-    NormBounds,
     WeightVector,
     placement_cost,
     response_time,
@@ -79,9 +78,11 @@ def test_first_step_without_reset_matches_step_after_reset():
 
 
 def test_non_positive_bounds_fail_when_the_env_is_built():
-    scenario = grid_scenario(seed=5)
+    # every device costs 0, so the analytic cost bound is 0
+    scenario = grid_scenario(seed=5, cost_choices=(0.0,), cloud_cost=0.0)
+    assert scenario.bounds().max_cost == 0.0
     with pytest.raises(ConfigurationError, match="bounds must be positive"):
-        PlacementEnv(scenario.applications[0], scenario.devices, HALF, NormBounds(1.0, 0.0))
+        PlacementEnv(scenario.applications[0], scenario.devices, HALF)
 
 
 def test_reward_evolution_example():

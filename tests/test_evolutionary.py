@@ -1,5 +1,7 @@
 """Genetic solvers: weighted-sum GA, NSGA-II, and their shared subroutines."""
 
+import copy
+
 import numpy as np
 import pytest
 from exact_front import exact_front
@@ -163,6 +165,70 @@ def test_offspring_mutation_changes_at_most_one_gene():
     changed = (out != pop).sum(axis=1)
     assert changed.max() <= 1
     assert changed.sum() > 0  # redraws rarely all collide with the old value
+
+
+# --- the one binary tournament -------------------------------------------------
+
+
+def tournament_draws(rng, size, count):
+    """The entrants ``_tournament`` draws: every first entrant, then every second."""
+    twin = copy.deepcopy(rng)
+    first = twin.integers(0, size, size=count)
+    second = twin.integers(0, size, size=count)
+    return first, second, twin
+
+
+def test_tournament_second_entrant_wins_only_when_strictly_better():
+    fitness = np.array([3.0, 1.0, 2.0, 1.0])  # 1 and 3 tie
+    rng = np.random.default_rng(5)
+    first, second, twin = tournament_draws(rng, len(fitness), 200)
+    winners = evolutionary._tournament(rng, (fitness,), 200)
+    kinds = set()
+    for a, b, won in zip(first.tolist(), second.tolist(), winners.tolist()):
+        if fitness[b] < fitness[a]:
+            assert won == b
+            kinds.add("better")
+        else:
+            assert won == a
+            kinds.add("same" if a == b else "tie" if fitness[b] == fitness[a] else "worse")
+    assert kinds == {"better", "same", "tie", "worse"}
+    # the two draws are all the tournament takes from the generator
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_tournament_crowded_comparison_prefers_lower_rank_then_larger_distance():
+    ranks = np.array([0, 0, 1, 0, 1])
+    crowding = np.array([np.inf, 0.5, np.inf, np.inf, 2.0])  # 0 and 3 are boundary points
+    rng = np.random.default_rng(11)
+    first, second, _ = tournament_draws(rng, len(ranks), 400)
+    winners = evolutionary._tournament(rng, (ranks, -crowding), 400)
+    assert len(set(zip(first.tolist(), second.tolist()))) == 25  # every ordered pair
+    for a, b, won in zip(first.tolist(), second.tolist(), winners.tolist()):
+        better = ranks[b] < ranks[a] or (ranks[b] == ranks[a] and crowding[b] > crowding[a])
+        assert won == (b if better else a), (a, b)
+    # spot checks of the rule: rank beats an infinite distance, inf ties inf
+    pairs = dict(zip(zip(first.tolist(), second.tolist()), winners.tolist()))
+    assert pairs[(2, 1)] == 1 and pairs[(1, 2)] == 1
+    assert pairs[(0, 3)] == 0 and pairs[(3, 0)] == 3
+    assert pairs[(1, 0)] == 0 and pairs[(4, 2)] == 2 and pairs[(2, 4)] == 2
+
+
+def test_both_solvers_select_through_the_one_tournament(monkeypatch):
+    scenario = random_scenario(19)
+    app, devices = scenario.applications[0], scenario.devices
+    config = EvoConfig(population_size=24, generations=7, seed=3)
+    keys = []
+    tournament = evolutionary._tournament
+
+    def counted(rng, solver_keys, count):
+        keys.append(len(solver_keys))
+        return tournament(rng, solver_keys, count)
+
+    monkeypatch.setattr(evolutionary, "_tournament", counted)
+    ga_solve(app, devices, WeightVector(0.5, 0.5), config)
+    nsga2_solve(app, devices, config)
+    # the GA compares weighted fitness; NSGA-II rank, then crowding distance
+    assert keys == [1] * config.generations + [2] * config.generations
 
 
 # --- GA -----------------------------------------------------------------------

@@ -14,11 +14,12 @@ from test_model import slow_objectives
 from fogforge.env import Action, PlacementEnv
 from fogforge.model import (
     Application,
+    ConfigurationError,
     Device,
-    NormBounds,
     Placement,
     WeightVector,
     _Instance,
+    analytic_bounds,
     batch_objectives,
     evaluate,
     latency_contribution_matrix,
@@ -115,7 +116,13 @@ def test_kernel_matches_reference_walks(app, devices, data):
 @PROPERTY
 @given(apps(), device_pools(), st.data())
 def test_env_eligibility_and_telescoping(app, devices, data):
-    env = PlacementEnv(app, devices, WeightVector(0.5, 0.5), bounds=NormBounds(1.0, 1.0))
+    bounds = analytic_bounds(app, devices)
+    if bounds.max_time <= 0 or bounds.max_cost <= 0:
+        # the env normalises by the analytic bounds, so it refuses such a pool
+        with pytest.raises(ConfigurationError, match="bounds must be positive"):
+            PlacementEnv(app, devices, WeightVector(0.5, 0.5))
+        return
+    env = PlacementEnv(app, devices, WeightVector(0.5, 0.5))
     preds = {s: [src for src, dst in app.edges if dst == s] for s in env.services}
     start = env.reset()
     state, r_time, r_cost, done = start, 0.0, 0.0, False

@@ -284,10 +284,10 @@ def test_svg_scatter_escapes_markup_in_labels_and_title():
 
 
 def test_svg_scatter_degenerate_single_point():
-    svg = svg_scatter({"one": [ObjectivePoint(3.0, 3.0)]})
+    svg = svg_scatter({"one": [ObjectivePoint(3.0, 3.0)]}, title="one point")
     assert "<circle" in svg
 
 
 def test_svg_scatter_rejects_empty():
     with pytest.raises(ConfigurationError, match="nothing to plot"):
-        svg_scatter({"a": []})
+        svg_scatter({"a": []}, title="empty")

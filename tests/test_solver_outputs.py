@@ -6,8 +6,14 @@ its term matrices column by column; that change keeps every output bit. The
 re-mating offspring that repeat a member, and again when survivors kept the
 crowding distance they were selected by instead of a second one computed on
 the survivors alone: each time the final population moved, while its fronts,
-front placements and hypervolume histories kept every bit. A solver change
-that moves any bit of these outputs fails here by field and seed.
+front placements and hypervolume histories kept every bit. When the GA and
+NSGA-II came to draw parents through one binary tournament, every digest
+stayed: NSGA-II's tournament already drew all first entrants, then all second
+ones, and ties went to the first, so it keeps every draw. The GA now draws in
+that order too, which picks other parents, but on these instances its
+weighted optimum is already in the seeded start (one single-device chromosome
+per device), so its best-ever placement and history cannot move. A solver
+change that moves any bit of these outputs fails here by field and seed.
 
 To re-record after a deliberate change of outputs, run this file as a script
 (``PYTHONPATH=src python tests/test_solver_outputs.py``), which prints

@@ -375,5 +375,6 @@ def test_sweep_transfer_budget_accounting(tiny):
     result = sweep(config, datasets)
     scratch_total = 5 * config.episodes
     expected = config.episodes + 4 * (config.episodes // 2)
-    assert result.total_episodes == expected
-    assert result.total_episodes < scratch_total
+    total_episodes = sum(r.episodes_trained for r in result.results.values())
+    assert total_episodes == expected
+    assert total_episodes < scratch_total
