@@ -450,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--weights", default=None)
+    p.add_argument("--weights", default=None,
+                   help="'w_time,w_cost' (default 0.5,0.5) for the run directory's "
+                        "solutions.csv and trajectory scores only; the placement "
+                        "does not depend on it")
     p.add_argument("--out", default=None, help="optional run directory")
     p.set_defaults(func=cmd_infer)
 
@@ -479,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--weights", action="append", default=None,
                    help="optional weighted argmin (repeatable)")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=positive_int, default=10_000_000,
+                   help="largest placement count to enumerate (>= 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
 

@@ -94,10 +94,11 @@ class NsgaResult:
 def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
     """Rank of every point (0 = non-dominated) by min-min dominance, in O(n log n).
 
-    Two-objective sweep (Jensen 2003): visit the points in (time, cost) order;
-    each front's last member holds its lowest cost so far, and those costs rise
-    with the rank, so a point joins the first front whose last cost exceeds
-    its own. Equal points share a rank.
+    Two-objective sweep (Jensen 2003): visit the distinct points in (time,
+    cost) order; each front's last member holds its lowest cost so far, and
+    those costs rise with the rank, so a point joins the first front whose
+    last cost exceeds its own. Equal points sit next to each other in that
+    order and share a rank.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
@@ -105,20 +106,20 @@ def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ConfigurationError(f"points must have shape (n, 2), got {pts.shape}")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
+    times, costs = pts[order, 0], pts[order, 1]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (times[1:] != times[:-1]) | (costs[1:] != costs[:-1])
     last_costs: list[float] = []
-    sorted_ranks: list[int] = []
-    previous = None
-    for point in pts[order].tolist():
-        if point != previous:
-            rank = bisect_right(last_costs, point[1])
-            if rank == len(last_costs):
-                last_costs.append(point[1])
-            else:
-                last_costs[rank] = point[1]
-            previous = point
-        sorted_ranks.append(rank)
+    distinct_ranks: list[int] = []
+    for cost in costs[fresh].tolist():
+        rank = bisect_right(last_costs, cost)
+        if rank == len(last_costs):
+            last_costs.append(cost)
+        else:
+            last_costs[rank] = cost
+        distinct_ranks.append(rank)
     ranks = np.empty(len(pts), dtype=np.int64)
-    ranks[order] = sorted_ranks
+    ranks[order] = np.array(distinct_ranks, dtype=np.int64)[np.cumsum(fresh) - 1]
     return ranks
 
 
@@ -282,7 +283,8 @@ def _repeats(words: np.ndarray) -> np.ndarray:
 def _environmental_selection(
     points: np.ndarray, ranks: np.ndarray, crowding: np.ndarray, size: int
 ) -> np.ndarray:
-    """Indices of the ``size`` survivors: by rank, then crowding descending.
+    """Indices of the ``size`` survivors: by rank, then crowding descending,
+    then index (``lexsort`` is stable).
 
     Individuals whose objective point duplicates an earlier one are pushed
     behind every distinct individual (they only survive when there are fewer
@@ -292,7 +294,7 @@ def _environmental_selection(
     """
     # equal float64 bytes are equal int64 words, so 0.0 and -0.0 stay apart
     repeats = _repeats(np.ascontiguousarray(points, dtype=np.float64).view(np.int64))
-    order = np.lexsort((np.arange(len(ranks)), -crowding, ranks, repeats))
+    order = np.lexsort((-crowding, ranks, repeats))
     return order[:size]
 
 

@@ -346,12 +346,13 @@ class _Instance:
 
         Each matrix's rows are added left to right from 0.0 (:func:`_row_sums`)
         and times add the execution, head and edge sums in that order, so
-        every layout, numpy version and CPU gives the same bits.
+        every layout, numpy version and CPU gives the same bits. The oracle's
+        blocks add in this order too, from their fixed prefix's sums.
         """
-        times = _row_sums(execution)
-        times = times + _row_sums(heads)
-        times = times + _row_sums(edges)
-        return times, _row_sums(costs)
+        times = _row_sums(execution, 0.0)
+        times = times + _row_sums(heads, 0.0)
+        times = times + _row_sums(edges, 0.0)
+        return times, _row_sums(costs, 0.0)
 
     def objectives(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(times, costs) of an (N, service_count) matrix of device positions."""
@@ -363,20 +364,24 @@ class _Instance:
         return inbound.astype(np.float64, copy=False)  # bincount of no edges is int
 
 
-def _row_sums(matrix: np.ndarray) -> np.ndarray:
-    """Each row of ``matrix`` added left to right, starting from 0.0.
+def _row_sums(matrix: np.ndarray, start: float) -> np.ndarray:
+    """Each row of ``matrix`` added left to right onto ``start``.
 
+    ``start`` is 0.0 or a sum of values added from 0.0, so it is never -0.0.
     That one order holds in every layout; the layout picks only how it runs.
-    A C-ordered matrix takes one ``accumulate`` along its rows, whose last
-    column plus 0.0 (which only turns an all -0.0 row into 0.0) is the sum.
-    Any other layout, such as the oracle's column-major blocks, and a matrix
-    without columns (an app without edges) add whole columns in turn onto
-    zeros; on a column-major block ``accumulate`` takes ten times as long.
+    A C-ordered matrix summed from 0.0 takes one ``accumulate`` along its
+    rows, whose last column plus 0.0 (which only turns an all -0.0 row into
+    0.0) is the sum. A matrix without columns (an app without edges) sums to
+    ``start``. Any other start or layout, such as the oracle's column-major
+    blocks, adds whole columns in turn onto ``start``; on a column-major
+    block ``accumulate`` takes ten times as long.
     """
-    if matrix.flags.c_contiguous and matrix.shape[1]:
+    if matrix.flags.c_contiguous and matrix.shape[1] and start == 0.0:
         return np.add.accumulate(matrix, axis=1)[:, -1] + 0.0
-    total = np.zeros(len(matrix))
-    for column in matrix.T:
+    if not matrix.shape[1]:
+        return np.full(len(matrix), start, dtype=np.float64)
+    total = matrix[:, 0] + start  # IEEE addition commutes, signed zeros included
+    for column in matrix.T[1:]:
         total += column
     return total
 
@@ -533,16 +538,20 @@ def brute_force_oracle(
     Every total placement is scored, in lexicographic order over device
     positions, in blocks of ``n_dev**k`` rows that share their first
     ``n_svc - k`` positions; k is the largest with ``n_dev**k <= chunk``, but
-    at least 1. The term matrices of :meth:`_Instance.terms` are built once,
-    and each block refills only the columns that read one of its fixed
-    services and sums them with :meth:`_Instance.totals`, so every point
-    equals what :func:`batch_objectives` returns for it. Only the block rows
-    that the running front does not weakly dominate are merged into it, and
-    only front points and weighted argmins are decoded into placements.
-    Weighted objectives are normalized by :func:`analytic_bounds`.
+    at least 1. The term matrices of :meth:`_Instance.terms` are built once.
+    Each term matrix's leading run of columns that read only fixed services
+    is one sum per block, and each block adds the remaining columns onto it
+    with :func:`_row_sums` in the order of :meth:`_Instance.totals`, so every
+    point equals what :func:`batch_objectives` returns for it. Only the block
+    rows that the running front does not weakly dominate are merged into it
+    and offered to the weighted argmins, and only front points and weighted
+    argmins are decoded into placements. Weighted objectives are normalized
+    by :func:`analytic_bounds`.
     """
     n_svc = app.service_count
     n_dev = len(devices)
+    if not (is_count(cap) and cap >= 1):
+        raise ConfigurationError(f"cap must be an int >= 1: {cap!r}")
     if n_dev == 0:
         raise ConfigurationError("device set is empty")
     total = n_dev**n_svc
@@ -563,15 +572,21 @@ def brute_force_oracle(
     p = n_svc - k
     rows = n_dev**k
     # column-major, so every term matrix is too: the block loop refills
-    # whole columns and _Instance.totals sums column by column
+    # whole columns and _row_sums adds column by column
     pos = np.zeros((rows, n_svc), dtype=np.int64, order="F")
     pos[:, p:] = np.indices((n_dev,) * k).reshape(k, rows).T
-    # every column that reads only suffix services is gathered here, once;
-    # each block refills the columns that read a prefix service
-    exec_terms, head_terms, edge_terms, cost_terms = inst.terms(pos)
-    head_cols = np.flatnonzero(inst.heads < p)
+    # every column that reads only suffix services is gathered here, once
+    block_terms = inst.terms(pos)
     src, dst = inst.src, inst.dst
-    inner = np.flatnonzero((src < p) & (dst < p))  # one value per block
+    inner = (src < p) & (dst < p)  # prefix-only edges
+    # the leading prefix-only columns of each term matrix: the first p
+    # execution and cost columns, the prefix's row heads (heads ascend) and
+    # the leading inner edges. Their sum is one start value per block
+    n_inner = int(np.logical_and.accumulate(inner).sum())
+    leads = (p, int(np.count_nonzero(inst.heads < p)), n_inner, p)
+    # later inner edges hold one value per block, refilled as a column
+    late_inner = np.flatnonzero(inner[n_inner:]) + n_inner
+    edge_terms = block_terms[2]
     # an edge across the split compares its suffix end's column with the
     # prefix end's position; its latency is the suffix column's or the prefix's
     forward = np.flatnonzero((src < p) & (dst >= p))
@@ -579,6 +594,9 @@ def brute_force_oracle(
     forward_latency = inst.latency[forward_dst]
     back = np.flatnonzero((src >= p) & (dst < p))
     back_src = pos[:, src[back]]
+    # the block's first row; its prefix columns are every row's
+    first = np.zeros((1, n_svc), dtype=np.int64)
+    prefix = first[0, :p]
 
     # running front: its points and the lowest placement index reaching each
     front_times = np.empty(0)
@@ -586,39 +604,45 @@ def brute_force_oracle(
     front_index = np.empty(0, dtype=np.int64)
     best: list[tuple[float, int, ObjectivePoint] | None] = [None] * len(weights)
 
-    for block, prefix in enumerate(itertools.product(range(n_dev), repeat=p)):
-        prefix = np.array(prefix, dtype=np.int64)
-        exec_terms[:, :p] = inst.ops[:p] / inst.speed[prefix]
-        cost_terms[:, :p] = inst.cost[prefix]
-        head_terms[:, head_cols] = inst.latency[prefix[inst.heads[head_cols]]]
-        inner_dst = prefix[dst[inner]]
-        edge_terms[:, inner] = inst.latency[inner_dst] * (prefix[src[inner]] != inner_dst)
+    for block, fixed in enumerate(itertools.product(range(n_dev), repeat=p)):
+        prefix[:] = fixed
+        first_terms = inst.terms(first)
+        edge_terms[:, late_inner] = first_terms[2][0, late_inner]
         edge_terms[:, forward] = forward_latency * (forward_dst != prefix[src[forward]])
         back_dst = prefix[dst[back]]
         edge_terms[:, back] = inst.latency[back_dst] * (back_src != back_dst)
-        times, costs = inst.totals(exec_terms, head_terms, edge_terms, cost_terms)
+        exec_sums, head_sums, edge_sums, costs = (
+            _row_sums(term[:, lead:], _row_sums(row[:, :lead], 0.0)[0])
+            for term, row, lead in zip(block_terms, first_terms, leads)
+        )
+        times = exec_sums + head_sums + edge_sums
         start = block * rows
 
+        # only rows the running front does not weakly dominate can join it
+        # (an equal point stays with the front's earlier placement) or lower
+        # a weighted argmin: every weight is >= 0, so an earlier front point
+        # scores no higher than the rows it weakly dominates. `lowest` is the
+        # front's cost at or before each row's time, +inf before its first point
+        lowest = np.concatenate([[np.inf], front_costs])
+        new = np.flatnonzero(lowest[np.searchsorted(front_times, times, side="right")] > costs)
+        if not new.size:
+            continue
+        new_times, new_costs = times[new], costs[new]
+
         for wi, w in enumerate(weights):
-            objs = _weighted(times, costs, w, norms)
+            objs = _weighted(new_times, new_costs, w, norms)
             am = int(np.argmin(objs))
             if best[wi] is None or objs[am] < best[wi][0]:
                 best[wi] = (
                     float(objs[am]),
-                    start + am,
-                    ObjectivePoint(float(times[am]), float(costs[am])),
+                    start + int(new[am]),
+                    ObjectivePoint(float(new_times[am]), float(new_costs[am])),
                 )
 
-        # only rows the running front does not weakly dominate can join it;
-        # an equal point stays with the front's earlier placement
-        new = np.arange(rows)
-        if front_times.size:
-            at = np.searchsorted(front_times, times, side="right") - 1
-            new = new[(at < 0) | (front_costs[at] > costs)]
         # the running front goes first: on equal points the kernel keeps the
         # lower position, which is the lexicographically earlier placement
-        all_times = np.concatenate([front_times, times[new]])
-        all_costs = np.concatenate([front_costs, costs[new]])
+        all_times = np.concatenate([front_times, new_times])
+        all_costs = np.concatenate([front_costs, new_costs])
         kept = pareto_indices(all_times, all_costs)
         front_times, front_costs = all_times[kept], all_costs[kept]
         front_index = np.concatenate([front_index, start + new])[kept]

@@ -189,6 +189,15 @@ def test_oracle_cap_exceeded(tmp_path, scenario_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_cap_below_one_is_usage_error(tmp_path, scenario_file, capsys, cap):
+    run = tmp_path / "run"
+    rc = main(["oracle", "--scenario", str(scenario_file), "--cap", cap, "--out", str(run)])
+    assert rc == 2
+    assert "argument --cap: must be >= 1" in capsys.readouterr().err
+    assert not run.exists()
+
+
 @pytest.mark.parametrize(
     "case",
     ["missing-scenario", "unknown-strategy", "oracle-cap", "missing-checkpoint", "odd-population"],

@@ -479,6 +479,9 @@ def test_oracle_cap():
     devices = random_devices(np.random.default_rng(41), 4)
     with pytest.raises(InstanceTooLargeError):
         brute_force_oracle(app, devices, cap=1000)
+    for cap in (0, -1, 2.5, True, "10"):  # a cap must be an int >= 1
+        with pytest.raises(ConfigurationError, match="cap"):
+            brute_force_oracle(app, devices, cap=cap)
 
 
 def test_from_json_round_trips_asdict(tmp_path):
