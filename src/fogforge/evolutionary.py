@@ -10,9 +10,11 @@ halves, then mutation):
   evaluated.
 * ``nsga2_solve``: canonical NSGA-II (fast non-dominated sort, crowding
   distance, binary tournament on the crowded comparison, elitist environmental
-  selection), returning the final rank-0 front. Each generation ranks and
-  crowds parents and offspring once; selection pushes repeated objective
-  points behind every distinct one.
+  selection), returning the final rank-0 front. Each generation ranks, crowds
+  and finds the repeated objective points of parents and offspring together
+  from one sorted sweep, :func:`_rank_and_crowd`; selection pushes the repeats
+  behind every distinct point. :func:`fast_nondominated_sort` and
+  :func:`crowding_distance` are the public forms of the same sort and distance.
 
 Crossover is uniform: each gene comes from either parent with probability 1/2.
 Mutation redraws one uniformly chosen gene of an offspring with probability
@@ -91,20 +93,17 @@ class NsgaResult:
     final_population: np.ndarray
 
 
-def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Rank of every point (0 = non-dominated) by min-min dominance, in O(n log n).
+def _sweep(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-objective non-dominated sort (Jensen 2003) of an (n, 2) array, n >= 1.
 
-    Two-objective sweep (Jensen 2003): visit the distinct points in (time,
-    cost) order; each front's last member holds its lowest cost so far, and
-    those costs rise with the rank, so a point joins the first front whose
-    last cost exceeds its own. Equal points sit next to each other in that
-    order and share a rank.
+    Returns the (time, cost) ``lexsort`` order, the mask of sorted positions
+    whose point differs from its predecessor's by float equality (the
+    distinct points) and the rank of each sorted position. The sweep visits
+    the distinct points in order; each front's last member holds its lowest
+    cost so far, and those costs rise with the rank, so a point joins the
+    first front whose last cost exceeds its own. Equal points sit next to each
+    other in that order and share a rank.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ConfigurationError(f"points must have shape (n, 2), got {pts.shape}")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     times, costs = pts[order, 0], pts[order, 1]
     fresh = np.ones(len(pts), dtype=bool)
@@ -118,8 +117,25 @@ def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
         else:
             last_costs[rank] = cost
         distinct_ranks.append(rank)
+    return order, fresh, np.array(distinct_ranks, dtype=np.int64)[np.cumsum(fresh) - 1]
+
+
+def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Rank of every point (0 = non-dominated) by min-min dominance, in O(n log n).
+
+    One sweep in (time, cost) order (see :func:`_sweep`); equal points share
+    a rank. Points must be free of NaN, which no order can rank.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ConfigurationError(f"points must have shape (n, 2), got {pts.shape}")
+    if np.isnan(pts).any():
+        raise ConfigurationError("points must not be NaN")
+    order, _, sorted_ranks = _sweep(pts)
     ranks = np.empty(len(pts), dtype=np.int64)
-    ranks[order] = np.array(distinct_ranks, dtype=np.int64)[np.cumsum(fresh) - 1]
+    ranks[order] = sorted_ranks
     return ranks
 
 
@@ -129,7 +145,10 @@ def crowding_distance(points: Sequence[tuple[float, float]], ranks: np.ndarray) 
     An interior point adds, per objective in turn, the gap between its two
     neighbours on that objective divided by its front's span. Fronts of at
     most two points, and fronts with zero span on some objective (collapsed
-    onto a single point), are all boundary.
+    onto a single point), are all boundary. This is the general form: the
+    groups in ``ranks`` may be any labels, not only non-dominated fronts, and
+    each objective takes its own sort. NSGA-II's kernel,
+    :func:`_rank_and_crowd`, returns the same bits on genuine fronts.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
@@ -157,6 +176,67 @@ def crowding_distance(points: Sequence[tuple[float, float]], ranks: np.ndarray) 
         dist[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / span[inner]
     dist[boundary] = np.inf
     return dist
+
+
+def _rank_and_crowd(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ranks, crowding distances and repeat mask of an (n, 2) array, n >= 1, from one sweep.
+
+    Bit for bit, these are :func:`fast_nondominated_sort`, :func:`crowding_distance`
+    on those ranks, and True for each point whose bytes equal an earlier
+    point's, provided no coordinate is -0.0 or NaN. NSGA-II's points never are:
+    ``batch_objectives`` sums every total onto +0.0 from finite inputs. On such
+    points float equality, which the sweep compares by, is byte equality, so
+    the repeats are the sweep's non-distinct positions.
+
+    A stable sort of the sweep's ranks lists each front in time order, equal
+    points by index. Inside a front, equal time means an equal point and cost
+    falls as time rises, so the front's cost order is its time order with the
+    runs of equal points reversed as blocks. Each point's cost neighbours and
+    the front's cost ends are read from the time order, and every distance
+    takes the same operands as in :func:`crowding_distance`.
+    """
+    n = len(points)
+    order, fresh, sorted_ranks = _sweep(points)
+    by_front = np.argsort(sorted_ranks, kind="stable")
+    idx = order[by_front]  # point indices, front by front, each in time order
+    front = sorted_ranks[by_front]
+    times, costs = points[idx, 0], points[idx, 1]
+    pos = np.arange(n)
+    # fronts are ranks 0, 1, ... in turn: [lo, hi] spans each point's front
+    sizes = np.bincount(front)
+    front_end = np.cumsum(sizes)
+    lo = (front_end - sizes)[front]
+    hi = front_end[front] - 1
+    # [s, e] spans each point's run of equal points; a front starts a run
+    run_first = fresh[by_front]
+    run_start = np.flatnonzero(run_first)
+    run = np.cumsum(run_first) - 1
+    s = run_start[run]
+    e = np.append(run_start[1:], n)[run] - 1
+    time_span = times[hi] - times[lo]
+    cost_span = costs[lo] - costs[hi]
+    # the ends of the time order are the first run's first point and the last
+    # run's last; the ends of the cost order are the last run's first point
+    # and the first run's last
+    edge = ((pos == s) | (pos == e)) & ((s == lo) | (e == hi))
+    edge |= (time_span <= 0.0) | (cost_span <= 0.0)
+    inner = np.flatnonzero(~edge)
+    # cost neighbours: inside a run, the next or previous point; at its end,
+    # the neighbouring run, whose points all hold one cost
+    dearer = np.where(inner < e[inner], inner + 1, s[inner] - 1)
+    cheaper = np.where(inner > s[inner], inner - 1, e[inner] + 1)
+    dist = np.full(n, np.inf)
+    dist[inner] = (times[inner + 1] - times[inner - 1]) / time_span[inner] + (
+        costs[dearer] - costs[cheaper]
+    ) / cost_span[inner]
+
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[idx] = front
+    crowding = np.empty(n, dtype=np.float64)
+    crowding[idx] = dist
+    repeats = np.empty(n, dtype=bool)
+    repeats[order] = ~fresh
+    return ranks, crowding, repeats
 
 
 def _crossover(rng: np.random.Generator, parents_a: np.ndarray, parents_b: np.ndarray) -> np.ndarray:
@@ -267,35 +347,19 @@ def ga_solve(
     )
 
 
-def _repeats(words: np.ndarray) -> np.ndarray:
-    """True for each row of int64 words equal to an earlier row.
-
-    One stable lexsort puts equal rows next to each other in index order;
-    every row equal to its sorted predecessor is a repeat.
-    """
-    order = np.lexsort(words.T)
-    ordered = words[order]
-    repeat = np.zeros(len(words), dtype=bool)
-    repeat[order[1:]] = (ordered[1:] == ordered[:-1]).all(axis=1)
-    return repeat
-
-
 def _environmental_selection(
-    points: np.ndarray, ranks: np.ndarray, crowding: np.ndarray, size: int
+    ranks: np.ndarray, crowding: np.ndarray, repeats: np.ndarray, size: int
 ) -> np.ndarray:
     """Indices of the ``size`` survivors: by rank, then crowding descending,
     then index (``lexsort`` is stable).
 
-    Individuals whose objective point duplicates an earlier one are pushed
-    behind every distinct individual (they only survive when there are fewer
-    than ``size`` distinct points). Without this, small discrete search spaces
-    fill the population with copies of a few elite placements and exploration
-    dies.
+    Individuals whose objective point repeats an earlier one (``repeats``)
+    are pushed behind every distinct individual (they only survive when
+    there are fewer than ``size`` distinct points). Without this, small
+    discrete search spaces fill the population with copies of a few elite
+    placements and exploration dies.
     """
-    # equal float64 bytes are equal int64 words, so 0.0 and -0.0 stay apart
-    repeats = _repeats(np.ascontiguousarray(points, dtype=np.float64).view(np.int64))
-    order = np.lexsort((-crowding, ranks, repeats))
-    return order[:size]
+    return np.lexsort((-crowding, ranks, repeats))[:size]
 
 
 def nsga2_solve(
@@ -318,8 +382,7 @@ def nsga2_solve(
 
     population = _seed_population(rng, ids, config, app.service_count)
     points = np.stack(batch_objectives(app, devices, population), axis=1)
-    ranks = fast_nondominated_sort(points)
-    crowding = crowding_distance(points, ranks)
+    ranks, crowding, _ = _rank_and_crowd(points)
     history = [hypervolume_2d(points[ranks == 0], ref)]
 
     for _ in range(config.generations):
@@ -330,10 +393,8 @@ def nsga2_solve(
         o_times, o_costs = batch_objectives(app, devices, offspring)
         combined = np.concatenate([population, offspring], axis=0)
         c_points = np.concatenate([points, np.stack([o_times, o_costs], axis=1)], axis=0)
-        c_ranks = fast_nondominated_sort(c_points)
-        c_crowding = crowding_distance(c_points, c_ranks)
-
-        survivors = _environmental_selection(c_points, c_ranks, c_crowding, config.population_size)
+        c_ranks, c_crowding, repeats = _rank_and_crowd(c_points)
+        survivors = _environmental_selection(c_ranks, c_crowding, repeats, config.population_size)
         population = combined[survivors]
         points = c_points[survivors]
         # survivors keep the rank and crowding distance they were selected by

@@ -474,16 +474,24 @@ def pareto_indices(times: np.ndarray, costs: np.ndarray) -> np.ndarray:
 
 
 def pareto_front(points: Sequence[ObjectivePoint] | np.ndarray) -> list[ObjectivePoint]:
-    """Non-dominated subset, deduplicated, sorted by (time, cost) ascending."""
+    """Non-dominated subset, deduplicated, sorted by (time, cost) ascending.
+
+    Points must be free of NaN, which dominance cannot order.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         return []
+    if np.isnan(pts).any():
+        raise ConfigurationError("points must not be NaN")
     front = pts[pareto_indices(pts[:, 0], pts[:, 1]), :2]
     return [ObjectivePoint(t, c) for t, c in front.tolist()]
 
 
 def hypervolume_2d(points: Sequence[ObjectivePoint] | np.ndarray, ref: ObjectivePoint) -> float:
-    """Area dominated by the front of `points` relative to reference point `ref`."""
+    """Area dominated by the front of `points` relative to reference point `ref`.
+
+    Points must be free of NaN (see :func:`pareto_front`).
+    """
     front = [p for p in pareto_front(points) if p.time < ref.time and p.cost < ref.cost]
     hv = 0.0
     prev_cost = ref.cost
@@ -526,6 +534,23 @@ class OracleResult:
     enumerated: int
 
 
+def _undominated(front_times, front_costs, times, costs) -> np.ndarray:
+    """Ascending indices of the points that no point of a front weakly dominates.
+
+    The front is deduplicated and in (time, cost) order, so its cost falls as
+    its time rises. Its last point, (+inf, +inf) while it has none, weakly
+    dominates every point at or past it in both objectives; one vectorised
+    compare drops those. Each point left is kept when its cost is below the
+    front's cost at or before its time (+inf before the first point), found
+    with ``searchsorted``.
+    """
+    lowest = np.concatenate([[np.inf], front_costs])
+    last_time = front_times[-1] if len(front_times) else np.inf
+    rows = np.flatnonzero((times < last_time) | (costs < lowest[-1]))
+    reach = np.searchsorted(front_times, times[rows], side="right")
+    return rows[lowest[reach] > costs[rows]]
+
+
 def brute_force_oracle(
     app: Application,
     devices: Sequence[Device],
@@ -545,8 +570,12 @@ def brute_force_oracle(
     point equals what :func:`batch_objectives` returns for it. Only the block
     rows that the running front does not weakly dominate are merged into it
     and offered to the weighted argmins, and only front points and weighted
-    argmins are decoded into placements. Weighted objectives are normalized
-    by :func:`analytic_bounds`.
+    argmins are decoded into placements. That test (:func:`_undominated`) is
+    screened: one vectorised compare drops the rows at or past the front's
+    last (cheapest) point in both objectives, which it weakly dominates, and
+    only the rows left are looked up against the whole front with
+    ``searchsorted``. Weighted objectives are normalized by
+    :func:`analytic_bounds`.
     """
     n_svc = app.service_count
     n_dev = len(devices)
@@ -621,10 +650,8 @@ def brute_force_oracle(
         # only rows the running front does not weakly dominate can join it
         # (an equal point stays with the front's earlier placement) or lower
         # a weighted argmin: every weight is >= 0, so an earlier front point
-        # scores no higher than the rows it weakly dominates. `lowest` is the
-        # front's cost at or before each row's time, +inf before its first point
-        lowest = np.concatenate([[np.inf], front_costs])
-        new = np.flatnonzero(lowest[np.searchsorted(front_times, times, side="right")] > costs)
+        # scores no higher than the rows it weakly dominates
+        new = _undominated(front_times, front_costs, times, costs)
         if not new.size:
             continue
         new_times, new_costs = times[new], costs[new]

@@ -386,18 +386,18 @@ def test_nsga2_scores_only_the_offspring(monkeypatch):
 
 
 def test_nsga2_crowds_each_generation_once(monkeypatch):
-    """One crowding distance per generation, on the combined parents and
-    offspring; survivors keep theirs, as in Deb et al. (2002)."""
+    """One rank-and-crowd pass per generation, on the combined parents and
+    offspring; survivors keep their crowding distance, as in Deb et al. (2002)."""
     scenario = random_scenario(19)
     config = EvoConfig(population_size=24, generations=7, seed=3)
     calls = []
-    crowd = evolutionary.crowding_distance
+    rank_and_crowd = evolutionary._rank_and_crowd
 
-    def counted(points, ranks):
+    def counted(points):
         calls.append(len(points))
-        return crowd(points, ranks)
+        return rank_and_crowd(points)
 
-    monkeypatch.setattr(evolutionary, "crowding_distance", counted)
+    monkeypatch.setattr(evolutionary, "_rank_and_crowd", counted)
     nsga2_solve(scenario.applications[0], scenario.devices, config)
     assert calls == [config.population_size] + [2 * config.population_size] * config.generations
 

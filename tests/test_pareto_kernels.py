@@ -9,18 +9,20 @@ import itertools
 
 import numpy as np
 import pareto_reference as ref
+import pytest
 from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from fogforge.evolutionary import (
     _environmental_selection,
-    _repeats,
+    _rank_and_crowd,
     crowding_distance,
     fast_nondominated_sort,
 )
 from fogforge.env import Action, PlacementEnv
 from fogforge.model import (
     Application,
+    ConfigurationError,
     Device,
     ObjectivePoint,
     WeightVector,
@@ -28,6 +30,7 @@ from fogforge.model import (
     batch_objectives,
     brute_force_oracle,
     evaluate,
+    hypervolume_2d,
     pareto_front,
     pareto_indices,
     weighted_objective,
@@ -64,15 +67,59 @@ def test_pareto_indices_pick_first_occurrence(points):
     assert [points.index(points[i]) for i in idx] == idx.tolist()
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("points", [[(1.0, NAN), (2.0, 1.0), (0.5, 5.0)], [(2.0, 1.0), (NAN, 0.0)]])
+@pytest.mark.parametrize(
+    "call",
+    [fast_nondominated_sort, pareto_front, lambda points: hypervolume_2d(points, ObjectivePoint(9.0, 9.0))],
+    ids=["fast_nondominated_sort", "pareto_front", "hypervolume_2d"],
+)
+def test_nan_points_are_refused(call, points):
+    """NaN compares false both ways, so no dominance order holds it: unchecked,
+    the sort ranks the non-dominated (2, 1) 2 and the front drops it."""
+    with pytest.raises(ConfigurationError, match="NaN"):
+        call(points)
+
+
+@st.composite
+def kernel_points(draw):
+    """Point lists drawn from a small pool, so repeats are many, with ties in
+    one coordinate, +inf and non-integers; never -0.0 or NaN, which NSGA-II's
+    points cannot hold."""
+    coordinate = st.sampled_from([0.0, 1.0, 2.5, 3.0, np.inf]) | st.floats(0.0, 6.0).map(
+        lambda x: x + 0.0  # -0.0 becomes 0.0
+    )
+    pool = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@PROPERTY
+@given(kernel_points())
+def test_rank_and_crowd_matches_sort_crowding_and_repeats(points):
+    pts = np.array(points, dtype=np.float64)
+    # +inf makes inf - inf and inf / inf in both, which must agree as NaN bits too
+    with np.errstate(invalid="ignore"):
+        ranks, crowding, repeats = _rank_and_crowd(pts)
+        want_ranks = fast_nondominated_sort(pts)
+        want_crowding = crowding_distance(pts, want_ranks)
+    assert ranks.tolist() == want_ranks.tolist()
+    assert crowding.tobytes() == want_crowding.tobytes()
+    assert repeats.tolist() == ref.repeats(pts).tolist()
+
+
 @PROPERTY
 @given(point_lists.filter(len), st.data())
 def test_environmental_selection_keeps_ranks(points, data):
+    """Survivors keep their ranks, and a repeated point survives only once
+    every distinct point has."""
     pts = np.array(points, dtype=np.float64)
-    ranks = fast_nondominated_sort(pts)
-    crowding = crowding_distance(pts, ranks)
+    ranks, crowding, repeats = _rank_and_crowd(pts)
     size = data.draw(st.integers(min_value=1, max_value=len(pts)))
-    survivors = _environmental_selection(pts, ranks, crowding, size)
+    survivors = _environmental_selection(ranks, crowding, repeats, size)
     assert ranks[survivors].tolist() == ref.nondominated_sort(pts[survivors]).tolist()
+    assert repeats[survivors].sum() == max(0, size - np.count_nonzero(~repeats))
 
 
 @PROPERTY
@@ -92,18 +139,24 @@ def test_crowding_matches_per_front_reference(points, data):
 
 
 
-@PROPERTY
-@given(st.lists(st.tuples(signed_coordinate, signed_coordinate), min_size=1, max_size=40), st.data())
-def test_selection_finds_repeated_points_by_their_bytes(points, data):
-    """Repeated points are found on their float64 bits, as the old void-view
-    ``np.unique`` found them on their bytes: 0.0 and -0.0 stay distinct."""
-    pts = np.array(points, dtype=np.float64)
-    assert _repeats(pts.view(np.int64)).tolist() == ref.repeats(pts).tolist()
-    ranks = fast_nondominated_sort(pts)
-    crowding = crowding_distance(pts, ranks)
-    size = data.draw(st.integers(min_value=1, max_value=len(pts)))
-    want = np.lexsort((np.arange(len(pts)), -crowding, ranks, ref.repeats(pts)))[:size]
-    assert _environmental_selection(pts, ranks, crowding, size).tolist() == want.tolist()
+def test_batch_objectives_sums_signed_zeros_to_positive_zero():
+    """NSGA-II finds repeated points by float equality, which is byte
+    equality only without -0.0: every total is summed onto +0.0, so all
+    -0.0 ops, latencies and costs still give +0.0, in either layout and in
+    the oracle's blocks."""
+    app = Application(
+        rows=2,
+        ops=((-0.0, -0.0), (-0.0, -0.0)),
+        edges=Application.chain_edges(2) + (((0, 0), (1, 1)),),
+    )
+    devices = [Device(3, speed=1.0, latency=-0.0, cost=-0.0), Device(5, speed=2.0, latency=-0.0, cost=-0.0)]
+    vectors = np.array(list(itertools.product([3, 5], repeat=app.service_count)), dtype=np.int64)
+    for assignments in (vectors, np.asfortranarray(vectors)):
+        times, costs = batch_objectives(app, devices, assignments)
+        assert times.tolist() == costs.tolist() == [0.0] * len(vectors)
+        assert not np.signbit(times).any() and not np.signbit(costs).any()
+    for chunk in (2, 16):
+        assert not np.signbit(brute_force_oracle(app, devices, chunk=chunk).front).any()
 
 
 small_value = st.integers(min_value=0, max_value=4).map(float)
@@ -205,6 +258,47 @@ def test_oracle_matches_enumeration_at_every_chunk(instance, w_times):
         assert result.enumerated == len(vectors)
         assert result.front == front
         assert [p.to_vector(app).tolist() for p in result.front_placements] == placements
+        assert [
+            (o.weights, o.placement.to_vector(app).tolist(), o.point, o.objective)
+            for o in result.weighted
+        ] == weighted
+
+
+def test_oracle_matches_enumeration_on_a_long_front():
+    """Devices on a latency/cost trade-off give a front of 12 points, where
+    the block screen against the front's last point and the searchsorted
+    test against the rest both decide: one block, six blocks and 1,296."""
+    app = Application(
+        rows=2,
+        ops=((1.0, 2.0, 1.5), (0.5, 1.0, 2.0)),
+        edges=Application.chain_edges(2, 3) + (((0, 1), (1, 2)),),
+        cols=3,
+    )
+    devices = [
+        Device(10 + 3 * k, speed=1.0 + 0.5 * k, latency=9.0 - 1.7 * k, cost=0.5 + 0.3 * k * k)
+        for k in range(6)
+    ]
+    weights = [WeightVector(0.0, 1.0), WeightVector(0.5, 0.5), WeightVector(1.0, 0.0)]
+    norms = analytic_bounds(app, devices)
+
+    # every placement in lexicographic order over device positions
+    vectors = np.array(
+        list(itertools.product([d.id for d in devices], repeat=app.service_count)), dtype=np.int64
+    )
+    times, costs = batch_objectives(app, devices, vectors)
+    front_idx = pareto_indices(times, costs)
+    front = [ObjectivePoint(t, c) for t, c in zip(times[front_idx].tolist(), costs[front_idx].tolist())]
+    assert len(front) >= 8
+    weighted = []
+    for w in weights:
+        objs = w.w_time * (times / norms.max_time) + w.w_cost * (costs / norms.max_cost)
+        first = int(np.argmin(objs))  # the first placement reaching the minimum
+        weighted.append((w, vectors[first].tolist(), ObjectivePoint(times[first], costs[first]), objs[first]))
+
+    for chunk in (6**6, 6**5, 6**2):
+        result = brute_force_oracle(app, devices, weights=weights, chunk=chunk)
+        assert result.front == front
+        assert [p.to_vector(app).tolist() for p in result.front_placements] == vectors[front_idx].tolist()
         assert [
             (o.weights, o.placement.to_vector(app).tolist(), o.point, o.objective)
             for o in result.weighted
