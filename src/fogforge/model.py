@@ -490,15 +490,24 @@ def pareto_front(points: Sequence[ObjectivePoint] | np.ndarray) -> list[Objectiv
 def hypervolume_2d(points: Sequence[ObjectivePoint] | np.ndarray, ref: ObjectivePoint) -> float:
     """Area dominated by the front of `points` relative to reference point `ref`.
 
-    Points must be free of NaN (see :func:`pareto_front`).
+    Points must be free of NaN (see :func:`pareto_front`). The front points
+    strictly inside ``ref`` each add one slab, (ref.time - t) times the drop
+    in cost from the previous point's (``ref.cost`` before the first); the
+    slabs are summed left to right in time order. Every slab is positive, so
+    the sum is the one a running total from 0.0 gives.
     """
-    front = [p for p in pareto_front(points) if p.time < ref.time and p.cost < ref.cost]
-    hv = 0.0
-    prev_cost = ref.cost
-    for p in front:
-        hv += (ref.time - p.time) * (prev_cost - p.cost)
-        prev_cost = p.cost
-    return hv
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return 0.0
+    if np.isnan(pts).any():
+        raise ConfigurationError("points must not be NaN")
+    t, c = pts[pareto_indices(pts[:, 0], pts[:, 1]), :2].T
+    inside = (t < ref.time) & (c < ref.cost)
+    t, c = t[inside], c[inside]
+    if not len(t):
+        return 0.0
+    prev_cost = np.concatenate([[ref.cost], c[:-1]])
+    return float(np.add.accumulate((ref.time - t) * (prev_cost - c))[-1])
 
 
 def batch_objectives(
@@ -567,7 +576,10 @@ def brute_force_oracle(
     Each term matrix's leading run of columns that read only fixed services
     is one sum per block, and each block adds the remaining columns onto it
     with :func:`_row_sums` in the order of :meth:`_Instance.totals`, so every
-    point equals what :func:`batch_objectives` returns for it. Only the block
+    point equals what :func:`batch_objectives` returns for it. The execution,
+    head and cost columns past those leads read only the services that vary
+    within a block, so when a block's start for one of them equals the previous
+    block's, it reuses that block's row sums. Only the block
     rows that the running front does not weakly dominate are merged into it
     and offered to the weighted argmins, and only front points and weighted
     argmins are decoded into placements. That test (:func:`_undominated`) is
@@ -626,6 +638,11 @@ def brute_force_oracle(
     # the block's first row; its prefix columns are every row's
     first = np.zeros((1, n_svc), dtype=np.int64)
     prefix = first[0, :p]
+    # (start, row sums) of the last block, per term matrix. The execution,
+    # head and cost columns past their leads are the same in every block, so
+    # an equal start gives equal sums; starts are sums from 0.0, never -0.0.
+    # The edge sums (term 2) are always added again: their refilled columns change
+    held: list[tuple[float, np.ndarray | None]] = [(np.nan, None)] * 4
 
     # running front: its points and the lowest placement index reaching each
     front_times = np.empty(0)
@@ -640,10 +657,11 @@ def brute_force_oracle(
         edge_terms[:, forward] = forward_latency * (forward_dst != prefix[src[forward]])
         back_dst = prefix[dst[back]]
         edge_terms[:, back] = inst.latency[back_dst] * (back_src != back_dst)
-        exec_sums, head_sums, edge_sums, costs = (
-            _row_sums(term[:, lead:], _row_sums(row[:, :lead], 0.0)[0])
-            for term, row, lead in zip(block_terms, first_terms, leads)
-        )
+        for i, (term, row, lead) in enumerate(zip(block_terms, first_terms, leads)):
+            lead_sum = _row_sums(row[:, :lead], 0.0)[0]
+            if i == 2 or lead_sum != held[i][0]:
+                held[i] = (lead_sum, _row_sums(term[:, lead:], lead_sum))
+        exec_sums, head_sums, edge_sums, costs = (sums for _, sums in held)
         times = exec_sums + head_sums + edge_sums
         start = block * rows
 

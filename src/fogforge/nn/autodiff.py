@@ -2,8 +2,12 @@
 
 Every operation builds a node recording its parents and a closure mapping the
 output gradient to parent gradients (broadcast-aware). Calling ``backward()``
-on a scalar walks the tape in reverse topological order. Double precision
-throughout; constants do not extend the tape.
+on a scalar walks the tape in reverse topological order and consumes it: each
+interior node drops its gradient, parents and closure once it has pushed its
+gradient on, so activations and captured arrays are freed as the walk goes,
+and a second walk through the same graph raises. Leaves keep their
+accumulated gradients. Double precision throughout; constants do not extend
+the tape.
 """
 
 from __future__ import annotations
@@ -57,6 +61,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into every leaf's ``grad``, consuming
+        the graph: each interior node is released once its closure has run
+        (``grad`` None, no parents, and a closure that raises
+        :class:`AutodiffUsageError`), so backward walks a graph only once.
+        Leaves (parameters and any tensor made with ``requires_grad=True``)
+        keep their gradients."""
         if self.data.size != 1:
             raise AutodiffUsageError(f"backward requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -75,12 +85,14 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is None:
                 continue
             for parent, grad in zip(node._parents, node._backward(node.grad)):
                 if parent.requires_grad and grad is not None:
                     parent.grad = grad if parent.grad is None else parent.grad + grad
+            node.grad, node._parents, node._backward = None, (), _released
 
     # --- arithmetic ----------------------------------------------------------
 
@@ -183,6 +195,11 @@ class Tensor:
             return (buf,)
 
         return _node(a.data[index], (a,), bw)
+
+
+def _released(grad: np.ndarray) -> tuple:
+    """The closure of a node that a backward walk has already consumed."""
+    raise AutodiffUsageError("backward through a released graph")
 
 
 # False only inside ``no_grad``, which always restores it

@@ -2,8 +2,9 @@
 
 Each function is the plain, quadratic or per-row form of a library routine:
 a dominance matrix for the non-dominated sort, a set and a sort for the
-front, a per-front argsort for the crowding distance, and ``np.unique`` over
-one opaque item per row for repeats.
+front, a running total over the front for the hypervolume, a per-front
+argsort for the crowding distance, and ``np.unique`` over one opaque item per
+row for repeats.
 """
 
 import numpy as np
@@ -44,6 +45,18 @@ def pareto_front(points):
             front.append(p)
             best_cost = p.cost
     return front
+
+
+def hypervolume_2d(points, ref):
+    """Area the front dominates inside ``ref``, one slab per front point,
+    added to a running total from 0.0 in time order."""
+    hv = 0.0
+    prev_cost = ref.cost
+    for p in pareto_front(points):
+        if p.time < ref.time and p.cost < ref.cost:
+            hv += (ref.time - p.time) * (prev_cost - p.cost)
+            prev_cost = p.cost
+    return hv
 
 
 def crowding_distance(points, ranks):

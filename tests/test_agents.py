@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -554,6 +555,30 @@ def test_vector_loss_matches_per_transition_reference():
     assert report.total_losses[0] == pytest.approx(total.item(), rel=1e-12, abs=1e-12)
     for name, param in model.named_parameters().items():
         assert max_rel_error(param.grad, reference_grads[name]) < 1e-9, name
+
+
+def test_update_peaks_near_one_forward_tape():
+    # backward releases each epoch's tape as it walks it, so the next epoch's
+    # forward pass does not stack on top of the last one's tape and gradients
+    config, model, rollout = desk_rollouts(0, lockstep=True)
+    states = [state for row in rollout.states for state in row]
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ev = model.evaluate_actions(
+            states, rollout.service_index.ravel(), rollout.device_pos.ravel()
+        )
+        tape_bytes = tracemalloc.get_traced_memory()[0] - base
+        del ev
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ppo_update(model, rollout, config.ppo, optimizer)
+        peak_bytes = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert config.ppo.update_epochs >= 2
+    assert peak_bytes <= 1.5 * tape_bytes, (peak_bytes, tape_bytes)
 
 
 def test_update_moves_parameters():

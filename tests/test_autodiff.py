@@ -192,6 +192,48 @@ def test_no_grad_records_no_tape():
     assert mlp(x).sum().requires_grad
 
 
+def tape(root):
+    """Every node reachable from ``root`` through ``_parents``."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_gradients():
+    mlp = Mlp(MlpSpec(2, (3,), 1, batch_norm=True), np.random.default_rng(4))
+    x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]]), requires_grad=True)
+    loss = (mlp(x) ** 2).sum()
+    nodes = tape(loss)
+    interior = [n for n in nodes if n._backward is not None]
+    leaves = [n for n in nodes if n.requires_grad and n._backward is None]
+    assert len(interior) > 5 and {id(n) for n in leaves} == {
+        id(p) for p in [x, *mlp.parameters()]
+    }
+    loss.backward()
+    for node in interior:
+        assert node.grad is None and node._parents == ()
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def test_backward_through_a_released_graph_raises():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    hidden = (p * 3.0).tanh()
+    loss = (hidden * hidden).sum()
+    loss.backward()
+    first = p.grad.copy()
+    with pytest.raises(AutodiffUsageError, match="released graph"):
+        loss.backward()
+    with pytest.raises(AutodiffUsageError, match="released graph"):
+        (hidden * 2.0).sum().backward()  # a new graph on a released interior node
+    (p * 1.0).sum().backward()  # the leaf itself still starts new graphs
+    np.testing.assert_array_equal(p.grad, first + 1.0)
+
+
 def test_backward_requires_scalar():
     t = Tensor(np.ones(4), requires_grad=True)
     with pytest.raises(AutodiffUsageError):
@@ -220,6 +262,7 @@ def test_linear_is_one_node_equal_to_matmul_plus_bias(shape):
     weights = rng.normal(size=(*shape[:-1], 2))
     x = Tensor(x0, requires_grad=True)
     y = layer(x)
+    assert len(y._parents) == 3  # one node: x, w and b
     (y * weights).sum().backward()
     # plain numpy on the flattened rows, bit for bit, forward and backward
     w, b = layer.w.data, layer.b.data
@@ -228,7 +271,6 @@ def test_linear_is_one_node_equal_to_matmul_plus_bias(shape):
     np.testing.assert_array_equal(x.grad, (weights_rows @ w.T).reshape(shape))
     np.testing.assert_array_equal(layer.w.grad, rows.T @ weights_rows)
     np.testing.assert_array_equal(layer.b.grad, weights_rows.sum(0))
-    assert len(y._parents) == 3  # one node: x, w and b
 
 
 def test_linear_init_bounds():

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import fogforge.model
 from fogforge.agents import AgentConfig, PolicyModel, load_checkpoint, save_checkpoint
 from fogforge.gin import GinConfig
 from fogforge.model import (
@@ -446,6 +447,30 @@ def test_oracle_builds_its_instance_once(monkeypatch):
     result = brute_force_oracle(app, devices, weights=[WeightVector(0.5, 0.5)], chunk=17)
     assert len(builds) == 1
     assert result == expected
+
+
+def test_oracle_reuses_row_sums_when_a_block_start_repeats(monkeypatch):
+    # equal speeds and costs: every block has the same execution and cost
+    # start; the head start is the first service's latency, which changes
+    # only when it moves to the next device, every 3 of the 9 blocks
+    app = make_app(2, ops=1.0)
+    devices = [Device(id=k, speed=1.0, latency=0.5 * k, cost=2.0) for k in range(3)]
+    weights = [WeightVector(0.5, 0.5), WeightVector(0.0, 1.0)]
+    expected = brute_force_oracle(app, devices, weights=weights)  # one block
+    calls = []
+    row_sums = fogforge.model._row_sums
+
+    def counted(columns, start):
+        calls.append(columns.shape)
+        return row_sums(columns, start)
+
+    monkeypatch.setattr(fogforge.model, "_row_sums", counted)
+    result = brute_force_oracle(app, devices, weights=weights, chunk=9)
+    assert result == expected
+    blocks = 9
+    # per block: four start sums and the refilled edge columns; the execution
+    # and cost columns once, the head columns once per head start
+    assert len(calls) == 5 * blocks + 1 + 1 + 3
 
 
 def test_oracle_results_follow_relabelled_device_ids():

@@ -67,6 +67,21 @@ def test_pareto_indices_pick_first_occurrence(points):
     assert [points.index(points[i]) for i in idx] == idx.tolist()
 
 
+@PROPERTY
+@given(
+    point_lists | st.lists(st.tuples(mixed_coordinate, mixed_coordinate), max_size=60),
+    st.sampled_from([0.0, 2.0, 3.5, 6.0, 9.0, np.inf]),
+    st.sampled_from([0.0, 2.0, 3.5, 6.0, 9.0, np.inf]),
+)
+def test_hypervolume_matches_running_total_bit_for_bit(points, ref_time, ref_cost):
+    """Reference points inside the grid leave some front points outside, on
+    its edge or past it."""
+    reference = ObjectivePoint(ref_time, ref_cost)
+    got = hypervolume_2d(points, reference)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(ref.hypervolume_2d(points, reference)).tobytes()
+
+
 NAN = float("nan")
 
 
