@@ -146,13 +146,13 @@ class PolicyModel(Module):
         states: Sequence[EnvState],
         service_index: np.ndarray | None = None,
         device_pos: np.ndarray | None = None,
-        mode: str = "sample",
         rngs: Sequence[np.random.Generator] | None = None,
     ) -> _Decision:
         """Score both heads on a batch of env states in one tape pass; choose
-        by ``mode`` whichever indices are not given, row ``k`` drawing from
-        ``rngs[k]``. The device head reads the candidate's service features
-        from the first three columns of ``node_features``.
+        whichever indices are not given, row ``k`` drawing from ``rngs[k]``,
+        or greedily when ``rngs`` is None. The device head reads the
+        candidate's service features from the first three columns of
+        ``node_features``.
 
         Rollouts, greedy placement and the PPO update all score the heads here,
         so an update re-scores exactly what its rollouts sampled. Overflow in
@@ -184,7 +184,7 @@ class PolicyModel(Module):
             s_scores = concat([scored, Tensor(np.zeros(1))])[slot.reshape(batch, tasks)]
             s_logp = _finite(masked_log_softmax(s_scores, eligible), "service")
             if service_index is None:
-                service_index = _choose(s_scores, s_logp, eligible, mode, rngs)
+                service_index = _choose(s_scores, s_logp, eligible, rngs)
             logp_s = s_logp[rows, service_index]
 
             candidate = nodes[rows * tasks + service_index, :3]
@@ -210,7 +210,7 @@ class PolicyModel(Module):
             d_scores = self.actor_d(Tensor(class_rows)).reshape(len(class_rows))[gather]
             d_logp = _finite(masked_log_softmax(d_scores, device_mask), "device")
             if device_pos is None:
-                device_pos = _choose(d_scores, d_logp, device_mask, mode, rngs)
+                device_pos = _choose(d_scores, d_logp, device_mask, rngs)
             logp_d = d_logp[rows, device_pos]
         return _Decision(
             service_index, device_pos, s_scores, eligible, d_scores, device_mask,
@@ -220,13 +220,13 @@ class PolicyModel(Module):
     def act(
         self,
         states: Sequence[EnvState],
-        mode: str = "sample",
         rngs: Sequence[np.random.Generator] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One full decision per state: service and device indices and their
-        log-probs, each as a (B,) array. Records no tape."""
+        log-probs, each as a (B,) array; state ``k`` samples from ``rngs[k]``,
+        or every state is greedy when ``rngs`` is None. Records no tape."""
         with no_grad():
-            d = self._decide(states, mode=mode, rngs=rngs)
+            d = self._decide(states, rngs=rngs)
         return d.service_index, d.device_pos, d.logp_s.data, d.logp_d.data
 
     def evaluate_actions(
@@ -262,12 +262,12 @@ def _choose(
     scores: Tensor,
     logp: Tensor,
     mask: np.ndarray,
-    mode: str,
     rngs: Sequence[np.random.Generator] | None,
 ) -> np.ndarray:
-    """One index per row. Greedy: argmax of the masked scores. Sample: row
-    ``k`` draws from ``exp(logp)`` with ``rngs[k]``; padding has probability
-    0, so it is never drawn and does not move the draw.
+    """One index per row. Without ``rngs``, greedy: argmax of the masked
+    scores. With them, row ``k`` draws from ``exp(logp)`` with ``rngs[k]``;
+    padding has probability 0, so it is never drawn and does not move the
+    draw.
 
     Greedy reads the scores, not ``logp``: rounding in the log-softmax can tie
     two distinct scores.
@@ -279,18 +279,16 @@ def _choose(
     ``choice``'s check that ``p`` sums to 1; :func:`_finite` has already
     refused non-finite log-probabilities.
     """
-    if mode == "greedy":
+    if rngs is None:
         return np.argmax(np.where(mask, scores.data, -np.inf), axis=-1)
-    if mode == "sample":
-        if rngs is None or len(rngs) != len(mask):
-            raise ConfigurationError("sampling requires one random generator per row")
-        probs = np.where(mask, np.exp(logp.data), 0.0)
-        probs /= probs.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(probs, axis=1)
-        cdf /= cdf[:, -1:]
-        draws = np.array([rng.random() for rng in rngs])
-        return np.count_nonzero(cdf <= draws[:, None], axis=1)
-    raise ConfigurationError(f"unknown selection mode {mode!r}")
+    if len(rngs) != len(mask):
+        raise ConfigurationError("sampling requires one random generator per row")
+    probs = np.where(mask, np.exp(logp.data), 0.0)
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    draws = np.array([rng.random() for rng in rngs])
+    return np.count_nonzero(cdf <= draws[:, None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -313,11 +311,11 @@ def collect_trajectory(
     model: PolicyModel,
     envs: Sequence[PlacementEnv],
     rngs: Sequence[np.random.Generator] | None = None,
-    mode: str = "sample",
 ) -> Rollout:
     """Roll one full episode on every env in lockstep, one batched pass per
-    step; env ``k`` samples from ``rngs[k]``. Every env places the model's
-    task count of services, so all episodes end on the same step."""
+    step; env ``k`` samples from ``rngs[k]``, or every env is greedy when
+    ``rngs`` is None. Every env places the model's task count of services,
+    so all episodes end on the same step."""
     shape = (len(envs), model.task_count)
     service_index, device_pos = np.zeros(shape, np.intp), np.zeros(shape, np.intp)
     logp_s, logp_d, rewards = np.zeros(shape), np.zeros(shape), np.zeros(shape)
@@ -325,7 +323,7 @@ def collect_trajectory(
     history: list[list[EnvState]] = [[] for _ in envs]
     for t in range(model.task_count):
         service_index[:, t], device_pos[:, t], logp_s[:, t], logp_d[:, t] = model.act(
-            states, mode, rngs
+            states, rngs
         )
         for k, env in enumerate(envs):
             history[k].append(states[k])

@@ -213,7 +213,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     point = emit_placement_run(writer, target, placement, config.weights)
     writer.finish()
     print(
-        f"trained {result.episodes_trained} episodes; best test metric "
+        f"trained {result.episodes_trained} episodes; test metric "
         f"{result.best_test_metric}; validation point ({point.time}, {point.cost})"
     )
     if result.diverged:
@@ -385,7 +385,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         labeled[label] = read_solutions(path / "solutions.csv")
     report = compare_solutions(labeled)
     writer = RunWriter(args.out, "compare", {"runs": list(args.runs)}, None)
-    write_comparison_csv(writer.path("comparison.csv"), labeled)
+    write_comparison_csv(writer.path("comparison.csv"), labeled, report.joint_front)
     svg = svg_scatter(
         {m.label: m.points for m in report.methods}, title="solution comparison"
     )

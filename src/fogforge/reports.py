@@ -265,8 +265,11 @@ def compare_solutions(labeled: dict[str, list[SolutionRow]]) -> ComparisonReport
     )
 
 
-def write_comparison_csv(path: str | Path, labeled: dict[str, list[SolutionRow]]) -> None:
-    joint = pareto_front([row.point for rows in labeled.values() for row in rows])
+def write_comparison_csv(
+    path: str | Path, labeled: dict[str, list[SolutionRow]], joint: list[ObjectivePoint]
+) -> None:
+    """One row per solution, flagged when it is on ``joint``, the joint front
+    that :func:`compare_solutions` reports."""
     write_table(path, ("label", "time", "cost", "joint_front_flag"), (
         (label, _fmt(row.time), _fmt(row.cost), int(row.point in joint))
         for label, rows in labeled.items() for row in rows

@@ -1,8 +1,10 @@
-"""Training orchestrator: episode loop, checkpoint selection, weight sweep.
+"""Training orchestrator: episode loop, test-set evaluation, weight sweep.
 
-``train`` runs synchronous PPO over a seeded scenario dataset and keeps the
-parameter snapshot with the best greedy test-set score. ``sweep`` trains one
-model per weight vector of the fixed five-stage ``SWEEP_SCHEDULE``,
+``train`` runs synchronous PPO over a seeded scenario dataset, scores the
+greedy policy on the test split every ``eval_interval`` episodes and after
+the last one, and returns the parameters its last episode left; it selects
+no snapshot on the test split. ``sweep`` trains one model per weight vector
+of the fixed five-stage ``SWEEP_SCHEDULE``,
 warm-starting each child from its neighboring parent (the middle model
 first, then outward), so the whole five-point solution set costs far fewer
 episodes than five independent runs.
@@ -62,7 +64,7 @@ class TrainConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     agent: AgentConfig = field(default_factory=AgentConfig)
     ppo: PpoHyper = field(default_factory=PpoHyper)
-    learning_rate: float = 0.022
+    learning_rate: float = 0.001
     lr_decay_gamma: float = 0.9
     lr_decay_interval: int = 10
     threads: int = 1  # rollouts run serially; kept so saved configs still load
@@ -145,7 +147,7 @@ def infer_placement(model: PolicyModel, app: Application, devices: Sequence[Devi
     and the application to match the model's trained task count.
     """
     env = PlacementEnv(app, devices, WeightVector(0.5, 0.5))
-    collect_trajectory(model, [env], mode="greedy")
+    collect_trajectory(model, [env])
     return env.placement()
 
 
@@ -159,7 +161,7 @@ def evaluate_policy(
     state against its scenario's own bounds.
     """
     envs = [PlacementEnv(sc.applications[0], sc.devices, weights) for sc in scenarios]
-    rollout = collect_trajectory(model, envs, mode="greedy")
+    rollout = collect_trajectory(model, envs)
     return float(np.mean([final.weighted for final in rollout.finals]))
 
 
@@ -169,8 +171,7 @@ def evaluate_policy(
 class TrainResult:
     model: PolicyModel
     metrics: list[dict]
-    best_test_metric: float | None
-    best_episode: int | None
+    best_test_metric: float | None  # the last evaluation's test metric
     episodes_trained: int
     diverged: bool
 
@@ -183,11 +184,13 @@ def train(
 ) -> TrainResult:
     """PPO training with periodic greedy evaluation on the test split.
 
-    Returns the model restored to the snapshot with the best (lowest) test
-    mean weighted objective, or to the parameters it started from when no
-    evaluation ran. A divergence in a rollout, the update or an evaluation
-    ends training; the last good snapshot is returned with ``diverged`` set.
-    The learning rate is multiplied by ``lr_decay_gamma`` after every
+    Returns the parameters the last episode left, and as
+    ``best_test_metric`` their test mean weighted objective: the last
+    episode is always evaluated, and no snapshot is selected. A divergence in
+    a rollout, the update or an evaluation ends training and returns, with
+    ``diverged`` set, the parameters of the last evaluation (or those
+    training started from, when none ran) and that evaluation's metric. The
+    learning rate is multiplied by ``lr_decay_gamma`` after every
     ``lr_decay_interval``-th completed episode.
     """
     if datasets is None:
@@ -203,9 +206,8 @@ def train(
     budget = config.episodes if episodes is None else episodes
 
     metrics: list[dict] = []
-    best_metric: float | None = None
-    best_episode: int | None = None
-    best_state = model.state_dict()
+    test_metric: float | None = None
+    fallback = model.state_dict()  # the divergence fallback: the last evaluated parameters
     diverged = False
     trained = 0
 
@@ -219,12 +221,11 @@ def train(
             rollout = collect_trajectory(model, envs, streams)
             report = ppo_update(model, rollout, config.ppo, optimizer)
             trained = episode + 1
-            test_metric = (
-                evaluate_policy(model, datasets.test, config.weights) if eval_due else None
-            )
+            evaluated = evaluate_policy(model, datasets.test, config.weights) if eval_due else None
         except DivergenceError as exc:
             diverged = True
             metrics.append({"episode": episode, "diverged": True, "error": str(exc)})
+            model.load_state_dict(fallback)
             break
         if trained % config.lr_decay_interval == 0:
             optimizer.lr *= config.lr_decay_gamma
@@ -236,21 +237,15 @@ def train(
             **asdict(report),
             "lr": optimizer.lr,
         }
-        if test_metric is not None:
-            if best_metric is None or test_metric < best_metric:
-                best_metric = test_metric
-                best_episode = episode
-                best_state = model.state_dict()
-            row["test_metric"] = test_metric
-            row["best_test_metric"] = best_metric
+        if evaluated is not None:
+            test_metric = row["test_metric"] = evaluated
+            fallback = model.state_dict()
         metrics.append(row)
 
-    model.load_state_dict(best_state)
     return TrainResult(
         model=model,
         metrics=metrics,
-        best_test_metric=best_metric,
-        best_episode=best_episode,
+        best_test_metric=test_metric,
         episodes_trained=trained,
         diverged=diverged,
     )

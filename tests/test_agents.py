@@ -54,10 +54,10 @@ def fresh(env, seed=0, config=SMALL):
 ARRAYS = ("service_index", "device_pos", "logp_s", "logp_d", "rewards")
 
 
-def serial_rollouts(model, envs, rngs, mode="sample"):
+def serial_rollouts(model, envs, rngs):
     """One-env rollouts run one after another, stacked into one record in
     env order; an env or generator listed twice runs twice."""
-    parts = [collect_trajectory(model, [env], [rng], mode) for env, rng in zip(envs, rngs)]
+    parts = [collect_trajectory(model, [env], [rng]) for env, rng in zip(envs, rngs)]
     return Rollout(
         states=[row for part in parts for row in part.states],
         finals=[final for part in parts for final in part.finals],
@@ -81,7 +81,7 @@ def test_single_eligible_service_is_forced():
     # chain heads (0,0) and (1,0) eligible; restrict to one by masking
     obs.eligible_mask[:] = False
     obs.eligible_mask[0] = True
-    svc, _, logp, _ = model.act([obs], mode="sample", rngs=[np.random.default_rng(1)])
+    svc, _, logp, _ = model.act([obs], [np.random.default_rng(1)])
     assert svc[0] == 0
     assert logp[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -96,17 +96,17 @@ def test_uniform_scores_sample_uniformly_and_respect_mask():
     assert len(eligible) == 3  # the three row heads
 
     rng = np.random.default_rng(2)
-    svc, *_ = model.act([obs], mode="sample", rngs=[rng])
+    svc, *_ = model.act([obs], [rng])
     assert obs.eligible_mask[svc[0]]
     # the draws below reuse one pass's scores instead of rerunning the GIN each time
-    scores = model._decide([obs], mode="greedy").service_scores
+    scores = model._decide([obs]).service_scores
     np.testing.assert_array_equal(scores.data, scores.data[0, 0])
     mask = obs.eligible_mask[np.newaxis]
     logp = masked_log_softmax(scores, mask)
     counts = np.zeros(env.task_count)
     draws = 30_000
     for _ in range(draws):
-        counts[_choose(scores, logp, mask, "sample", [rng])[0]] += 1
+        counts[_choose(scores, logp, mask, [rng])[0]] += 1
     assert counts[~obs.eligible_mask].sum() == 0  # masked services never sampled
     np.testing.assert_allclose(counts[eligible] / draws, 1 / 3, atol=0.02)
 
@@ -132,11 +132,21 @@ def test_sampling_draws_what_rng_choice_draws(seed, rows, columns, spread, holes
     probs = np.where(mask, np.exp(logp.data), 0.0)
     streams = [np.random.default_rng([seed, k]) for k in range(rows)]
     twins = [np.random.default_rng([seed, k]) for k in range(rows)]
-    picks = _choose(scores, logp, mask, "sample", streams)
+    picks = _choose(scores, logp, mask, streams)
     expected = [rng.choice(len(p), p=p / p.sum()) for p, rng in zip(probs, twins)]
     assert picks.tolist() == expected
     # each draw takes one number from its row's stream, as choice does
     assert [rng.random() for rng in streams] == [rng.random() for rng in twins]
+
+
+def test_without_generators_the_choice_is_greedy():
+    scores = Tensor(np.array([[0.5, 3.0, 2.0], [4.0, 1.0, 9.0]]))
+    mask = np.array([[True, False, True], [True, True, False]])
+    logp = masked_log_softmax(scores, mask)
+    assert _choose(scores, logp, mask, None).tolist() == [2, 0]
+    for streams in ([np.random.default_rng(0)], [np.random.default_rng(k) for k in range(3)]):
+        with pytest.raises(ConfigurationError, match="one random generator per row"):
+            _choose(scores, logp, mask, streams)
 
 
 def test_service_head_scores_eligible_services_only():
@@ -173,8 +183,8 @@ def test_critics_run_only_when_actions_are_evaluated():
             return forward(x)
 
         getattr(model, name).forward = counting
-    for mode, rngs in (("sample", [np.random.default_rng(0)]), ("greedy", None)):
-        rollout = collect_trajectory(model, [env], rngs, mode)
+    for rngs in ([np.random.default_rng(0)], None):  # sampled, then greedy
+        rollout = collect_trajectory(model, [env], rngs)
     assert calls == []  # act never scores a value
     state, service, device = recorded(rollout)[0]
     ev = model.evaluate_actions([state], [service], [device])
@@ -188,7 +198,7 @@ def test_single_device_forced():
     env = PlacementEnv(app, (cloud,), HALF)
     model = fresh(env)
     obs = env.reset()
-    _, dev, _, logp = model.act([obs], mode="sample", rngs=[np.random.default_rng(3)])
+    _, dev, _, logp = model.act([obs], [np.random.default_rng(3)])
     assert dev[0] == 0
     assert logp[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -215,7 +225,7 @@ def test_identical_devices_get_identical_probabilities():
 def test_class_scores_match_a_full_device_pass():
     env = make_env(seed=0, device_count=1000, rows=9)
     model = PolicyModel(env.task_count, AgentConfig(), np.random.default_rng(0))
-    actions = recorded(collect_trajectory(model, [env], mode="greedy"))
+    actions = recorded(collect_trajectory(model, [env]))
     assert len(env.device_classes) < len(env.device_ids) == 1001
     for state, service, device in actions[:: len(actions) // 8]:
         d = model._decide([state], [service], [device])
@@ -332,8 +342,8 @@ def assert_same_episodes(lockstep, serial):
 def test_greedy_mode_is_deterministic():
     env = make_env(seed=4)
     model = fresh(env, seed=4)
-    first = collect_trajectory(model, [env], mode="greedy")
-    second = collect_trajectory(model, [env], mode="greedy")
+    first = collect_trajectory(model, [env])
+    second = collect_trajectory(model, [env])
     assert np.array_equal(first.service_index, second.service_index)
     assert np.array_equal(first.device_pos, second.device_pos)
     for state, service, device in recorded(first):  # the highest-scoring eligible choices
@@ -445,7 +455,7 @@ def test_non_finite_scores_raise_divergence(head, mode):
     model = fresh(env, seed=19)
     getattr(model, head).linears[-1].b.data[:] = np.nan
     with pytest.raises(DivergenceError, match="log-probabilities"):
-        collect_trajectory(model, [env], [np.random.default_rng(0)], mode=mode)
+        collect_trajectory(model, [env], [np.random.default_rng(0)] if mode == "sample" else None)
 
 
 def test_first_epoch_ratio_is_one():
@@ -653,7 +663,7 @@ def test_task_count_mismatch_rejected():
     model = fresh(env_big)
     obs = env_small.reset()
     with pytest.raises(ConfigurationError):
-        model.act([obs], mode="greedy")
+        model.act([obs])
 
 
 def test_divergent_update_aborts():

@@ -65,7 +65,7 @@ def desk_digests(seed: int) -> dict[str, str]:
         return [PlacementEnv(sc.applications[0], sc.devices, config.weights) for sc in scenarios]
 
     test_envs = envs(datasets.test)
-    greedy = collect_trajectory(model, test_envs, mode="greedy")
+    greedy = collect_trajectory(model, test_envs)
     assignments = np.array(
         [env.placement().to_vector(env.app) for env in test_envs], dtype=np.int64
     )

@@ -249,7 +249,7 @@ def test_comparison_csv_flags_joint_front(tmp_path):
         "b": [SolutionRow(time=4.0, cost=4.0), SolutionRow(time=2.0, cost=2.0)],
     }
     path = tmp_path / "comparison.csv"
-    write_comparison_csv(path, labeled)
+    write_comparison_csv(path, labeled, compare_solutions(labeled).joint_front)
     lines = path.read_text().splitlines()
     assert lines[0] == "label,time,cost,joint_front_flag"
     flags = {tuple(line.split(",")[:1] + line.split(",")[3:]) for line in lines[1:]}

@@ -1,11 +1,13 @@
-"""Training loop, checkpoint selection, parameter transfer, and the sweep."""
+"""Training loop, divergence fallback, parameter transfer, and the sweep."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fogforge.agents import AgentConfig, PolicyModel, PpoHyper
+from fogforge import training
+from fogforge.agents import AgentConfig, DivergenceError, PolicyModel, PpoHyper
 from fogforge.gin import GinConfig
 from fogforge.model import ConfigurationError, Device, WeightVector, evaluate, pareto_front
 from fogforge.scenarios import ScenarioConfig, generate_scenario
@@ -200,15 +202,24 @@ def test_lr_decays_after_every_interval(tiny):
     assert [row["lr"] for row in result.metrics] == [lr, lr, lr / 2, lr / 2, lr / 2, lr / 4, lr / 4]
 
 
-def test_best_checkpoint_is_monotone_and_restored(tiny):
+def test_returned_model_is_the_last_evaluated(tiny):
     config, datasets = tiny
     result = train(config, datasets)
-    best_seen = [row["best_test_metric"] for row in result.metrics if "best_test_metric" in row]
-    assert best_seen
-    assert all(b <= a + 1e-12 for a, b in zip(best_seen, best_seen[1:]))
-    # returned model is the best snapshot, so re-evaluating reproduces the metric
-    score = evaluate_policy(result.model, datasets.test, config.weights)
-    assert score == pytest.approx(result.best_test_metric, abs=1e-12)
+    assert not hasattr(result, "best_episode")
+    assert all("best_test_metric" not in row for row in result.metrics)
+    # no selection: the returned model is the last one evaluated
+    assert result.best_test_metric == result.metrics[-1]["test_metric"]
+    assert evaluate_policy(result.model, datasets.test, config.weights) == result.best_test_metric
+
+
+def test_desk_training_ends_on_its_best_evaluation():
+    # at the default rate the device head leaves uniform (ln 21 over 21
+    # devices) and the last evaluation is within 1.2x of the run's best
+    result = train(TrainConfig.desk(seed=1))
+    assert not result.diverged
+    assert result.metrics[-1]["entropy_d"] < 0.8 * math.log(21)
+    evaluated = [row["test_metric"] for row in result.metrics if "test_metric" in row]
+    assert evaluated[-1] <= 1.2 * min(evaluated)
 
 
 def test_eval_runs_on_final_episode(tiny):
@@ -247,6 +258,30 @@ def test_divergent_rollout_returns_start_parameters(tiny):
     assert result.episodes_trained == 0
     for key, value in start.items():
         assert np.array_equal(result.model.state_dict()[key], value, equal_nan=True)
+
+
+def test_divergence_after_an_evaluation_returns_its_parameters(tiny, monkeypatch):
+    config, datasets = tiny
+    calls, evaluated = [], {}
+    update = training.ppo_update
+
+    def diverging(model, *args):
+        calls.append(None)
+        if len(calls) < 3:
+            return update(model, *args)
+        evaluated.update(model.state_dict())  # what the evaluation after episode 1 scored
+        update(model, *args)  # the failing update has already moved the parameters
+        raise DivergenceError("injected")
+
+    monkeypatch.setattr(training, "ppo_update", diverging)
+    result = train(replace(config, eval_interval=1), datasets)
+    assert result.diverged and result.episodes_trained == 2
+    assert [row["episode"] for row in result.metrics] == [0, 1, 2]
+    returned = result.model.state_dict()
+    assert returned.keys() == evaluated.keys()
+    for key, value in evaluated.items():
+        assert returned[key].tobytes() == value.tobytes(), key
+    assert result.best_test_metric == result.metrics[1]["test_metric"]
 
 
 # --- inference and transfer ---------------------------------------------------
