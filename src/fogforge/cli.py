@@ -169,17 +169,16 @@ def emit_placement_run(
     writer: RunWriter,
     scenario: Scenario,
     placement,
+    point: ObjectivePoint,
     weights: WeightVector,
-) -> ObjectivePoint:
-    """solutions.csv + trajectory.jsonl for a single-placement producer."""
-    app = scenario.applications[0]
-    point = evaluate(app, placement, scenario.devices)
+) -> None:
+    """solutions.csv + trajectory.jsonl for a single-placement producer, whose
+    caller has scored ``placement`` as ``point``."""
     write_solutions(
         writer.path("solutions.csv"),
         [SolutionRow(time=point.time, cost=point.cost, w_time=weights.w_time, w_cost=weights.w_cost)],
     )
     write_metrics(writer.path("trajectory.jsonl"), trajectory_rows(scenario, placement, weights))
-    return point
 
 
 # --- commands -----------------------------------------------------------------
@@ -210,7 +209,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     target = datasets.validation[0]
     app = target.applications[0]
     placement = infer_placement(result.model, app, target.devices)
-    point = emit_placement_run(writer, target, placement, config.weights)
+    point = evaluate(app, placement, target.devices)
+    emit_placement_run(writer, target, placement, point, config.weights)
     writer.finish()
     print(
         f"trained {result.episodes_trained} episodes; test metric "
@@ -272,7 +272,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     print(f"time: {point.time}")
     print(f"cost: {point.cost}")
     if writer is not None:
-        emit_placement_run(writer, scenario, placement, weights)
+        emit_placement_run(writer, scenario, placement, point, weights)
         write_metrics(
             writer.path("metrics.jsonl"), [{"time": point.time, "cost": point.cost}]
         )
@@ -295,7 +295,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     point = evaluate(app, placement, scenario.devices)
     # scored first: a pool with non-positive bounds is refused before any file
     score = weighted_objective(point, weights, scenario.bounds())
-    emit_placement_run(writer, scenario, placement, weights)
+    emit_placement_run(writer, scenario, placement, point, weights)
     write_metrics(
         writer.path("metrics.jsonl"),
         [{"strategy": kind.value, "time": point.time, "cost": point.cost, "weighted": score}],
@@ -325,7 +325,7 @@ def cmd_evo(args: argparse.Namespace) -> int:
     if args.algorithm == "ga":
         weights = parse_weights("0.5,0.5" if args.weights is None else args.weights)
         result = ga_solve(app, scenario.devices, weights, config)
-        emit_placement_run(writer, scenario, result.placement, weights)
+        emit_placement_run(writer, scenario, result.placement, result.point, weights)
         write_front_csv(writer.path("front.csv"), [result.point], [result.placement])
         write_metrics(
             writer.path("metrics.jsonl"),

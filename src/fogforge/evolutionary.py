@@ -14,7 +14,8 @@ halves, then mutation):
   and finds the repeated objective points of parents and offspring together
   from one sorted sweep, :func:`_rank_and_crowd`; selection pushes the repeats
   behind every distinct point. :func:`fast_nondominated_sort` and
-  :func:`crowding_distance` are the public forms of the same sort and distance.
+  :func:`crowding_distance` check their input and return the kernel's ranks or
+  distances; the group-label crowding distance lives only in ``tests/``.
 
 Crossover is uniform: each gene comes from either parent with probability 1/2.
 Mutation redraws one uniformly chosen gene of an offspring with probability
@@ -93,20 +94,55 @@ class NsgaResult:
     final_population: np.ndarray
 
 
-def _sweep(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-objective non-dominated sort (Jensen 2003) of an (n, 2) array, n >= 1.
+def _points(points: Sequence[tuple[float, float]]) -> np.ndarray:
+    """``points`` as an (n, 2) float64 array, refusing NaN, which no order can rank."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ConfigurationError(f"points must have shape (n, 2), got {pts.shape}")
+    if np.isnan(pts).any():
+        raise ConfigurationError("points must not be NaN")
+    return pts
 
-    Returns the (time, cost) ``lexsort`` order, the mask of sorted positions
-    whose point differs from its predecessor's by float equality (the
-    distinct points) and the rank of each sorted position. The sweep visits
-    the distinct points in order; each front's last member holds its lowest
-    cost so far, and those costs rise with the rank, so a point joins the
-    first front whose last cost exceeds its own. Equal points sit next to each
-    other in that order and share a rank.
+
+def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Rank of every point (0 = non-dominated) by min-min dominance, from :func:`_rank_and_crowd`."""
+    return _rank_and_crowd(_points(points))[0]
+
+
+def crowding_distance(points: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Crowding distance of every point within its front, from :func:`_rank_and_crowd`."""
+    return _rank_and_crowd(_points(points))[1]
+
+
+def _rank_and_crowd(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ranks, crowding distances and repeat mask of an (n, 2) array, from one sweep.
+
+    The sort is the two-objective sweep of Jensen (2003). It visits the
+    distinct points in (time, cost) ``lexsort`` order; each front's last
+    member holds its lowest cost so far, and those costs rise with the rank,
+    so a point joins the first front whose last cost exceeds its own. Equal
+    points, by float equality, sit next to each other in that order and share
+    a rank.
+
+    A stable sort of those ranks lists each front in time order, equal
+    points by index. Inside a front, equal time means an equal point and cost
+    falls as time rises, so the front's cost order is its time order with the
+    runs of equal points reversed as blocks. Each point's cost neighbours and
+    the front's cost ends are read from the time order. Fronts of at most two
+    points, and fronts with zero span on some objective, are all boundary.
+
+    Bit for bit, the distances are those of a per-front, per-objective sort
+    (``tests/pareto_reference.py``). The repeats are True for each point whose
+    bytes equal an earlier point's, provided no coordinate is -0.0 or NaN.
+    NSGA-II's points never are: ``batch_objectives`` sums every total onto
+    +0.0 from finite inputs, and on such points float equality is byte equality.
     """
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    times, costs = pts[order, 0], pts[order, 1]
-    fresh = np.ones(len(pts), dtype=bool)
+    n = len(points)
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    times, costs = points[order, 0], points[order, 1]
+    fresh = np.ones(n, dtype=bool)  # sorted positions that differ from their predecessor
     fresh[1:] = (times[1:] != times[:-1]) | (costs[1:] != costs[:-1])
     last_costs: list[float] = []
     distinct_ranks: list[int] = []
@@ -117,90 +153,12 @@ def _sweep(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         else:
             last_costs[rank] = cost
         distinct_ranks.append(rank)
-    return order, fresh, np.array(distinct_ranks, dtype=np.int64)[np.cumsum(fresh) - 1]
+    sorted_ranks = np.array(distinct_ranks, dtype=np.int64)[np.cumsum(fresh) - 1]
 
-
-def fast_nondominated_sort(points: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Rank of every point (0 = non-dominated) by min-min dominance, in O(n log n).
-
-    One sweep in (time, cost) order (see :func:`_sweep`); equal points share
-    a rank. Points must be free of NaN, which no order can rank.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ConfigurationError(f"points must have shape (n, 2), got {pts.shape}")
-    if np.isnan(pts).any():
-        raise ConfigurationError("points must not be NaN")
-    order, _, sorted_ranks = _sweep(pts)
-    ranks = np.empty(len(pts), dtype=np.int64)
-    ranks[order] = sorted_ranks
-    return ranks
-
-
-def crowding_distance(points: Sequence[tuple[float, float]], ranks: np.ndarray) -> np.ndarray:
-    """Per-front crowding distance; boundary points of each front get +inf.
-
-    An interior point adds, per objective in turn, the gap between its two
-    neighbours on that objective divided by its front's span. Fronts of at
-    most two points, and fronts with zero span on some objective (collapsed
-    onto a single point), are all boundary. This is the general form: the
-    groups in ``ranks`` may be any labels, not only non-dominated fronts, and
-    each objective takes its own sort. NSGA-II's kernel,
-    :func:`_rank_and_crowd`, returns the same bits on genuine fronts.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    pts = pts.reshape(len(pts), -1)
-    ranks = np.asarray(ranks)
-    dist = np.zeros(len(pts), dtype=np.float64)
-    boundary = np.zeros(len(pts), dtype=bool)
-    for m in range(pts.shape[1]):
-        # stable: equal values keep index order inside each front
-        order = np.lexsort((pts[:, m], ranks))
-        vals = pts[order, m]
-        sorted_ranks = ranks[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = sorted_ranks[1:] != sorted_ranks[:-1]
-        last = np.ones(len(order), dtype=bool)
-        last[:-1] = first[1:]
-        group = np.cumsum(first) - 1
-        lo = np.flatnonzero(first)[group]
-        hi = np.flatnonzero(last)[group]
-        span = vals[hi] - vals[lo]
-        edge = first | last | (span <= 0.0)
-        boundary[order[edge]] = True
-        inner = np.flatnonzero(~edge)
-        dist[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / span[inner]
-    dist[boundary] = np.inf
-    return dist
-
-
-def _rank_and_crowd(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ranks, crowding distances and repeat mask of an (n, 2) array, n >= 1, from one sweep.
-
-    Bit for bit, these are :func:`fast_nondominated_sort`, :func:`crowding_distance`
-    on those ranks, and True for each point whose bytes equal an earlier
-    point's, provided no coordinate is -0.0 or NaN. NSGA-II's points never are:
-    ``batch_objectives`` sums every total onto +0.0 from finite inputs. On such
-    points float equality, which the sweep compares by, is byte equality, so
-    the repeats are the sweep's non-distinct positions.
-
-    A stable sort of the sweep's ranks lists each front in time order, equal
-    points by index. Inside a front, equal time means an equal point and cost
-    falls as time rises, so the front's cost order is its time order with the
-    runs of equal points reversed as blocks. Each point's cost neighbours and
-    the front's cost ends are read from the time order, and every distance
-    takes the same operands as in :func:`crowding_distance`.
-    """
-    n = len(points)
-    order, fresh, sorted_ranks = _sweep(points)
     by_front = np.argsort(sorted_ranks, kind="stable")
     idx = order[by_front]  # point indices, front by front, each in time order
     front = sorted_ranks[by_front]
-    times, costs = points[idx, 0], points[idx, 1]
+    times, costs = times[by_front], costs[by_front]
     pos = np.arange(n)
     # fronts are ranks 0, 1, ... in turn: [lo, hi] spans each point's front
     sizes = np.bincount(front)

@@ -100,7 +100,6 @@ class TrainConfig:
             episodes=60,
             envs_per_episode=8,
             eval_interval=5,
-            scenario=ScenarioConfig(device_count=20, app_rows=(3,)),
             ppo=PpoHyper(grad_clip_norm=1.0),
         )
         base.update(overrides)

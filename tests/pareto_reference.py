@@ -4,7 +4,9 @@ Each function is the plain, quadratic or per-row form of a library routine:
 a dominance matrix for the non-dominated sort, a set and a sort for the
 front, a running total over the front for the hypervolume, a per-front
 argsort for the crowding distance, and ``np.unique`` over one opaque item per
-row for repeats.
+row for repeats. ``group_crowding_distance`` is the vectorised crowding
+distance over any group labels and any number of objectives; it is the one
+reference whose NaN bits match the kernel's when coordinates are +inf.
 """
 
 import numpy as np
@@ -80,6 +82,43 @@ def crowding_distance(points, ranks):
             dist[order[-1]] = np.inf
             vals = pts[order, m]
             dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+    return dist
+
+
+def group_crowding_distance(points, groups):
+    """Per-group crowding distance; boundary points of each group get +inf.
+
+    An interior point adds, per objective in turn, the gap between its two
+    neighbours on that objective divided by its group's span. Groups of at
+    most two points, and groups with zero span on some objective (collapsed
+    onto a single point), are all boundary. The groups may be any labels,
+    not only non-dominated fronts, and each objective takes its own sort.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    pts = pts.reshape(len(pts), -1)
+    groups = np.asarray(groups)
+    dist = np.zeros(len(pts), dtype=np.float64)
+    boundary = np.zeros(len(pts), dtype=bool)
+    for m in range(pts.shape[1]):
+        # stable: equal values keep index order inside each group
+        order = np.lexsort((pts[:, m], groups))
+        vals = pts[order, m]
+        sorted_groups = groups[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = sorted_groups[1:] != sorted_groups[:-1]
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = first[1:]
+        group = np.cumsum(first) - 1
+        lo = np.flatnonzero(first)[group]
+        hi = np.flatnonzero(last)[group]
+        span = vals[hi] - vals[lo]
+        edge = first | last | (span <= 0.0)
+        boundary[order[edge]] = True
+        inner = np.flatnonzero(~edge)
+        dist[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / span[inner]
+    dist[boundary] = np.inf
     return dist
 
 

@@ -698,6 +698,33 @@ def test_manifest_duration_counts_the_solve(tmp_path, monkeypatch, scenario_file
     assert read_manifest(run).duration_s >= 0.2
 
 
+@pytest.mark.parametrize(
+    "args, calls",
+    [(["train", "--config", "train.json"], 1),
+     (["infer", "--checkpoint", "model.json", "--scenario", "scen.json"], 1),
+     (["baseline", "--strategy", "all-in-cloud", "--scenario", "scen.json"], 1),
+     (["evo", "--algorithm", "ga", "--population", "20", "--generations", "5", "--scenario", "scen.json"], 0)],
+    ids=["train", "infer", "baseline", "evo-ga"],
+)
+def test_single_placement_runs_score_their_placement_once(tmp_path, monkeypatch, scenario_file, args, calls):
+    """The caller's point goes to ``emit_placement_run``, which scores nothing
+    again; the GA's point comes from its own scoring."""
+    (tmp_path / "train.json").write_text(json.dumps(TINY_TRAIN))
+    tiny_checkpoint(tmp_path / "model.json")
+    monkeypatch.chdir(tmp_path)
+    scored = []
+    evaluate = cli.evaluate
+
+    def counted(*a, **kw):
+        scored.append(a)
+        return evaluate(*a, **kw)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    assert main([*args, "--out", "run"]) == 0
+    assert len(scored) == calls
+    assert len(read_solutions(tmp_path / "run" / "solutions.csv")) == 1
+
+
 @pytest.fixture
 def zero_cost_file(tmp_path):
     """A pool where every device, the cloud included, costs 0."""

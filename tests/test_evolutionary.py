@@ -82,20 +82,20 @@ def test_ranks_consistent_with_dominance():
 def test_sort_and_crowding_accept_empty_input():
     ranks = fast_nondominated_sort([])
     assert ranks.shape == (0,) and ranks.dtype == np.int64
-    assert crowding_distance([], ranks).shape == (0,)
+    assert crowding_distance([]).shape == (0,)
 
 
 def test_sort_requires_two_objectives():
-    with pytest.raises(ConfigurationError, match="shape"):
-        fast_nondominated_sort([(1.0, 2.0, 3.0)])
-    with pytest.raises(ConfigurationError, match="shape"):
-        fast_nondominated_sort([1.0, 2.0])
+    for call in (fast_nondominated_sort, crowding_distance):
+        with pytest.raises(ConfigurationError, match="shape"):
+            call([(1.0, 2.0, 3.0)])
+        with pytest.raises(ConfigurationError, match="shape"):
+            call([1.0, 2.0])
 
 
 def test_crowding_boundaries_infinite():
     pts = [(0.0, 4.0), (1.0, 2.0), (3.0, 1.0), (6.0, 0.0)]
-    ranks = fast_nondominated_sort(pts)
-    dist = crowding_distance(pts, ranks)
+    dist = crowding_distance(pts)
     assert dist[0] == np.inf and dist[3] == np.inf
     assert np.isfinite(dist[1]) and np.isfinite(dist[2])
 
@@ -103,8 +103,8 @@ def test_crowding_boundaries_infinite():
 def test_crowding_interior_value():
     # one front; interior crowding = normalized neighbor gap per objective
     pts = [(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]
-    ranks = np.zeros(3, dtype=np.int64)
-    dist = crowding_distance(pts, ranks)
+    assert fast_nondominated_sort(pts).tolist() == [0, 0, 0]
+    dist = crowding_distance(pts)
     assert dist[0] == np.inf and dist[2] == np.inf
     assert dist[1] == pytest.approx((2.0 - 0.0) / 2.0 + (2.0 - 0.0) / 2.0)
 
@@ -113,14 +113,13 @@ def test_crowding_identical_points_all_boundary():
     pts = [(1.0, 1.0)] * 5
     ranks = fast_nondominated_sort(pts)
     assert ranks.tolist() == [0] * 5
-    dist = crowding_distance(pts, ranks)
+    dist = crowding_distance(pts)
     assert np.all(np.isinf(dist))
 
 
 def test_crowding_small_fronts_infinite():
     pts = [(1.0, 2.0), (2.0, 1.0), (5.0, 5.0)]
-    ranks = fast_nondominated_sort(pts)
-    dist = crowding_distance(pts, ranks)
+    dist = crowding_distance(pts)
     assert np.all(np.isinf(dist))  # fronts of size <= 2 are all boundary
 
 

@@ -88,8 +88,13 @@ NAN = float("nan")
 @pytest.mark.parametrize("points", [[(1.0, NAN), (2.0, 1.0), (0.5, 5.0)], [(2.0, 1.0), (NAN, 0.0)]])
 @pytest.mark.parametrize(
     "call",
-    [fast_nondominated_sort, pareto_front, lambda points: hypervolume_2d(points, ObjectivePoint(9.0, 9.0))],
-    ids=["fast_nondominated_sort", "pareto_front", "hypervolume_2d"],
+    [
+        fast_nondominated_sort,
+        crowding_distance,
+        pareto_front,
+        lambda points: hypervolume_2d(points, ObjectivePoint(9.0, 9.0)),
+    ],
+    ids=["fast_nondominated_sort", "crowding_distance", "pareto_front", "hypervolume_2d"],
 )
 def test_nan_points_are_refused(call, points):
     """NaN compares false both ways, so no dominance order holds it: unchecked,
@@ -114,11 +119,11 @@ def kernel_points(draw):
 @given(kernel_points())
 def test_rank_and_crowd_matches_sort_crowding_and_repeats(points):
     pts = np.array(points, dtype=np.float64)
+    want_ranks = ref.nondominated_sort(pts)
     # +inf makes inf - inf and inf / inf in both, which must agree as NaN bits too
     with np.errstate(invalid="ignore"):
         ranks, crowding, repeats = _rank_and_crowd(pts)
-        want_ranks = fast_nondominated_sort(pts)
-        want_crowding = crowding_distance(pts, want_ranks)
+        want_crowding = ref.group_crowding_distance(pts, want_ranks)
     assert ranks.tolist() == want_ranks.tolist()
     assert crowding.tobytes() == want_crowding.tobytes()
     assert repeats.tolist() == ref.repeats(pts).tolist()
@@ -138,18 +143,11 @@ def test_environmental_selection_keeps_ranks(points, data):
 
 
 @PROPERTY
-@given(point_lists, st.data())
-def test_crowding_matches_per_front_reference(points, data):
+@given(point_lists)
+def test_crowding_matches_per_front_reference(points):
     pts = np.array(points, dtype=np.float64).reshape(-1, 2)
-    if data.draw(st.booleans()):
-        ranks = fast_nondominated_sort(pts)
-    else:  # arbitrary groups, not only genuine fronts
-        ranks = np.array(
-            data.draw(st.lists(st.integers(0, 3), min_size=len(pts), max_size=len(pts))),
-            dtype=np.int64,
-        )
-    got = crowding_distance(pts, ranks)
-    want = ref.crowding_distance(pts, ranks)
+    got = crowding_distance(pts)
+    want = ref.crowding_distance(pts, ref.nondominated_sort(pts))
     assert got.tobytes() == want.tobytes()
 
 
